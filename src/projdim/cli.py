@@ -239,18 +239,19 @@ def make_parser() -> argparse.ArgumentParser:
         if system:
             p.add_argument("--system", required=True, help="system JSON (bundled: rauzy.json, triple9.json)")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("pressure", help="finite-depth pressure with brackets")
     add_common(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_pressure)
 
     p = sub.add_parser("dimension", help="affinity dimension by bisection")
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_dimension)
 
     p = sub.add_parser("rauzy", help="Rauzy gasket dimension via the positivized ladder")
@@ -258,6 +259,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_rauzy)
 
     p = sub.add_parser("lyapunov", help="Monte-Carlo Lyapunov spectrum")
@@ -284,7 +286,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="write the point cloud CSV here")
     p.add_argument("--svg", default=None)
     p.add_argument("--report", default=None, help="write the JSON report here")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("cover", help="SVD covering upper-bound cost")
@@ -297,7 +298,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cloud", required=True)
     p.add_argument("--res", required=True, help="range like 4:10 or list 4,6,8")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_boxdim)
 
     p = sub.add_parser("check", help="positivity / distinctness / invariant-subspace report")

@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, TooFewScales
+from .errors import DomainError, TooFewScales
 from .pressure import DimensionEstimate
 from .projective import PointCloud, attractor_points, lft_apply
-from .semigroup import SystemSpec, node_cap, require_positive_like
+from .semigroup import Frontier, SystemSpec, require_positive_like
 
 _CYCLIC = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
@@ -109,29 +109,17 @@ def svd_cover_upper(sys: SystemSpec, s: float, delta: float,
     if not (0.0 < delta < 1.0):
         raise DomainError("stopping scale must lie in (0, 1)")
     require_positive_like(sys, "svd_cover_upper")
-    cap = cap if cap is not None else node_cap()
     c_cone = cone_constant(sys)
 
     cloud = attractor_points(sys, "chaos", budget=2048, seed=0, coords="plane_P")
     center = cloud.points.mean(axis=0)
     r_ball = float(np.linalg.norm(cloud.points - center, axis=1).max()) * 1.05 + 1e-9
 
-    lf = sys.letters_float
-    le = sys.letters_ext2_float
-    from .linalg import opnorm_batch
-
-    prod, prod_ext = lf.copy(), le.copy()
+    walk = Frontier(sys, cap)
     cost = 0.0
     words = 0
-    nodes = 0
-    while len(prod):
-        nodes += len(prod)
-        if nodes > cap:
-            raise BudgetExceeded(f"cover enumeration exceeded node cap {cap}")
-        n1 = opnorm_batch(prod)
-        n2 = opnorm_batch(prod_ext)
-        r21 = n2 / n1 ** 2
-        r31 = 1.0 / (n1 * n2)
+    while True:
+        r21, r31 = walk.ratios()
         ratio = r31 if s >= 1.0 else r21
         stopped = ratio <= delta
         if np.any(stopped):
@@ -143,18 +131,16 @@ def svd_cover_upper(sys: SystemSpec, s: float, delta: float,
                 count = 1.0
                 radius = c_cone ** 2 * r21[stopped] * r_ball
             cost += float(np.sum(count * radius ** s))
-        keep = ~stopped
-        if not np.any(keep):
+        if stopped.all():
             break
-        prod = np.einsum("aij,bjk->abik", prod[keep], lf).reshape(-1, 3, 3)
-        prod_ext = np.einsum("aij,bjk->abik", prod_ext[keep], le).reshape(-1, 3, 3)
+        walk.grow(~stopped)
     return CoverReport(
         s=s,
         delta=delta,
         word_count=words,
         cover_cost=cost,
         cone_constant=c_cone,
-        diagnostics={"enclosing_radius": r_ball, "nodes": nodes,
+        diagnostics={"enclosing_radius": r_ball, "nodes": walk.visited,
                      "heuristic_constant": True},
     )
 

@@ -20,13 +20,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, NotPositive
+from .errors import DomainError, NotPositive
 from .rng import make_rng
 from .linalg import log_ratio_batch
-from .semigroup import SystemSpec, node_cap, require_positive_like
+from .semigroup import Frontier, SystemSpec, check_budget, require_positive_like
 from .systems import gamma_letter, positivizing_conjugator
 
 _PAIR_SAMPLE_CAP = 10_000
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,21 @@ class ZetaTruncation(NamedTuple):
 _ratio_cache: dict[tuple[SystemSpec, int], tuple] = {}
 
 
+def _log_ratios(prod: np.ndarray, prod_ext: np.ndarray, e1: np.ndarray,
+                e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(log(a2/a1), log(a3/a1))`` of words stored as ``prod * 2**e1`` with
+    exterior squares ``prod_ext * 2**e2`` (see :class:`Frontier`)."""
+    la21, la31 = log_ratio_batch(prod, prod_ext)
+    return la21 + (e2 - 2 * e1) * _LN2, la31 - (e1 + e2) * _LN2
+
+
 def _subtree_levels(args) -> list[tuple[np.ndarray, np.ndarray]]:
-    lf, le, top, depth = args
-    levels = []
-    prod = lf[top][None]
-    prod_ext = le[top][None]
-    levels.append(log_ratio_batch(prod, prod_ext))
+    sys, top, depth = args
+    walk = Frontier(sys, tops=[top])
+    levels = [_log_ratios(*walk.states, *walk.exps)]
     for _ in range(2, depth + 1):
-        prod = np.einsum("aij,bjk->abik", prod, lf).reshape(-1, 3, 3)
-        prod_ext = np.einsum("aij,bjk->abik", prod_ext, le).reshape(-1, 3, 3)
-        levels.append(log_ratio_batch(prod, prod_ext))
+        walk.grow()
+        levels.append(_log_ratios(*walk.states, *walk.exps))
     return levels
 
 
@@ -95,17 +101,14 @@ def _ratio_levels(sys: SystemSpec, depth: int,
     schedule, never the result.
     """
     k = len(sys)
-    if sum(k ** n for n in range(1, depth + 1)) > node_cap():
-        raise BudgetExceeded(f"{k}^{depth} words exceed the node cap {node_cap()}")
+    # the subtrees are full, so the whole walk is checked before any is built
+    check_budget(sum(k ** n for n in range(1, depth + 1)))
     key = (sys, depth)
     cached = _ratio_cache.get(key)
     if cached is not None:
         return cached
 
-    lf = sys.letters_float
-    le = sys.letters_ext2_float
-
-    jobs = [(lf, le, top, depth) for top in range(k)]
+    jobs = [(sys, top, depth) for top in range(k)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_top = list(pool.map(_subtree_levels, jobs))
@@ -160,31 +163,19 @@ def partition_sum(sys: SystemSpec, s: float, n: int, workers: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # sampled multiplicativity constants
 
-def _phi_float(prod: np.ndarray, prod_ext: np.ndarray, s: float) -> np.ndarray:
-    la21, la31 = log_ratio_batch(prod, prod_ext)
+def _phi(s: float, la21: np.ndarray, la31: np.ndarray) -> np.ndarray:
     return np.exp(_log_phi(s, la21, la31))
 
 
 def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int, seed: int = 0) -> dict:
     """Sampled max/min of ``phi^s(AB) / (phi^s(A) phi^s(B))`` over word pairs."""
     k = len(sys)
-    lf = sys.letters_float
-    le = sys.letters_ext2_float
-
-    words: list[np.ndarray] = []
-    words_ext: list[np.ndarray] = []
-    prod, prod_ext = lf, le
-    words.append(prod)
-    words_ext.append(prod_ext)
-    for _ in range(max(1, max_len) - 1):
-        if len(prod) * k > 4000:
-            break
-        prod = np.einsum("aij,bjk->abik", prod, lf).reshape(-1, 3, 3)
-        prod_ext = np.einsum("aij,bjk->abik", prod_ext, le).reshape(-1, 3, 3)
-        words.append(prod)
-        words_ext.append(prod_ext)
-    pool = np.concatenate(words)
-    pool_ext = np.concatenate(words_ext)
+    walk = Frontier(sys)
+    levels = [walk.states + walk.exps]
+    while len(levels) < max_len and len(walk) * k <= 4000:
+        walk.grow()
+        levels.append(walk.states + walk.exps)
+    pool, pool_ext, e1, e2 = (np.concatenate(parts) for parts in zip(*levels))
     m = len(pool)
 
     if m * m <= _PAIR_SAMPLE_CAP:
@@ -197,9 +188,9 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int, seed: int = 0
 
     ab = np.einsum("aij,ajk->aik", pool[ia], pool[ib])
     ab_ext = np.einsum("aij,ajk->aik", pool_ext[ia], pool_ext[ib])
-    num = _phi_float(ab, ab_ext, s)
-    den = _phi_float(pool[ia], pool_ext[ia], s) * _phi_float(pool[ib], pool_ext[ib], s)
-    ratio = num / den
+    num = _phi(s, *_log_ratios(ab, ab_ext, e1[ia] + e1[ib], e2[ia] + e2[ib]))
+    phi = _phi(s, *_log_ratios(pool, pool_ext, e1, e2))
+    ratio = num / (phi[ia] * phi[ib])
     return {
         "fitted_C": float(ratio.max()),
         "fitted_c": float(ratio.min()),
@@ -324,13 +315,12 @@ def zeta_truncated(sys: SystemSpec, s: float, n_max: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    k = len(sys)
-    lf = sys.letters_float
-    le = sys.letters_ext2_float
+    walk = Frontier(sys)
+    level_values = _phi(s, *_log_ratios(*walk.states, *walk.exps))
 
     fit = _fit_multiplicativity(sys, s, 1)
     c_up = max(1.0, fit["fitted_C"])
-    s1 = float(np.sum(_phi_float(lf, le, s)))
+    s1 = float(np.sum(level_values))
 
     def tail_bound(phi: np.ndarray, remaining: int) -> np.ndarray:
         # geometric bound on sum over nonempty extensions within the horizon
@@ -343,14 +333,7 @@ def zeta_truncated(sys: SystemSpec, s: float, n_max: int,
 
     total = 0.0
     loss = 0.0
-    evaluated = 0
-    prod, prod_ext = lf.copy(), le.copy()
-    level_values = _phi_float(prod, prod_ext, s)
-    cap = node_cap()
     for depth in range(1, n_max + 1):
-        evaluated += len(level_values)
-        if evaluated > cap:
-            raise BudgetExceeded(f"zeta enumeration exceeded node cap {cap}")
         total += float(np.sum(level_values))
         if depth == n_max:
             break
@@ -359,10 +342,9 @@ def zeta_truncated(sys: SystemSpec, s: float, n_max: int,
         loss += float(np.sum(bounds[~keep]))
         if not np.any(keep):
             break
-        prod = np.einsum("aij,bjk->abik", prod[keep], lf).reshape(-1, 3, 3)
-        prod_ext = np.einsum("aij,bjk->abik", prod_ext[keep], le).reshape(-1, 3, 3)
-        level_values = _phi_float(prod, prod_ext, s)
-    return ZetaTruncation(total, loss, evaluated)
+        walk.grow(keep)
+        level_values = _phi(s, *_log_ratios(*walk.states, *walk.exps))
+    return ZetaTruncation(total, loss, walk.visited)
 
 
 # ---------------------------------------------------------------------------

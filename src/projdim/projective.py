@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     BadDirection,
-    BudgetExceeded,
     DegenerateGap,
     NotContracting,
     NotPositive,
@@ -30,10 +29,10 @@ from .errors import (
 from .linalg import Matrix3, singular_values
 from .rng import make_rng
 from .semigroup import (
+    Frontier,
     SystemSpec,
     Word,
     is_nonnegative,
-    node_cap,
     require_positive_like,
     stopping_partition_psi,
 )
@@ -345,61 +344,32 @@ def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64,
     """First-passage words where the frame rescaling factor drops to ``2^-n``.
 
     The stopping statistic for a word ``w`` is
-    ``|A_w^T u| / |A_w^T r2|`` with ``u`` the in-plane direction whose
-    transported image is orthogonal to the transported second row; it is
-    evaluated incrementally from the transported rows and the running
-    inverse transpose.
+    ``|A_w^T u| / |A_w^T r2|`` with ``u`` the unit in-plane direction whose
+    transported image is orthogonal to the transported second row.  The
+    walk carries only the transported rows ``w1 = A_w^T r1`` and
+    ``w2 = A_w^T r2``: with ``c = w1.w2 / w2.w2``, ``u`` is
+    ``(r1 - c r2) / sqrt(1 + c^2)`` and ``A_w^T u`` is ``w1 - c w2`` over the
+    same norm, a ratio that no common scale of the rows changes.
     """
     if n < 0:
         raise ValueError("resolution must be >= 0")
     if not frame.orthonormal:
         raise ValueError("xi_partition needs an orthonormal frame")
     require_positive_like(sys, "xi_partition")
-    cap = cap if cap is not None else node_cap()
-    threshold = 2.0 ** (-n)
-    k = len(sys)
-    alphabet = sys.effective_alphabet
-    lt = np.ascontiguousarray(np.swapaxes(sys.letters_float, -1, -2))
-    lit = np.ascontiguousarray(np.swapaxes(sys.letters_inverse_float, -1, -2))
+    lf = sys.letters_float
+    walk = Frontier(sys, cap, states=[np.matmul(frame.rows, lf)], steps=[lf])
 
-    out: list[Word] = []
-    nodes = 0
-    w2 = np.einsum("kij,j->ki", lt, frame.r2)       # A^T r2 per word
-    w1 = np.einsum("kij,j->ki", lt, frame.r1)       # A^T r1 per word
-    inv_t = lit.copy()                              # A^{-T} per word
-    letters = np.arange(k, dtype=np.int32)[:, None]
-    while len(letters):
-        nodes += len(letters)
-        if nodes > cap:
-            raise BudgetExceeded(f"xi partition exceeded node cap {cap}")
+    def statistic(walk: Frontier) -> np.ndarray:
+        w1, w2 = walk.states[0][:, 0], walk.states[0][:, 1]
         n2 = np.einsum("ki,ki->k", w2, w2)
-        dot = np.einsum("ki,ki->k", w1, w2)
-        v = w1 - (dot / n2)[:, None] * w2
+        c = np.einsum("ki,ki->k", w1, w2) / n2
+        v = w1 - c[:, None] * w2
         nv = np.linalg.norm(v, axis=1)
         if np.any(nv < 1e-13 * np.linalg.norm(w1, axis=1)):
             raise DegenerateGap("transported rows became parallel during the walk")
-        nu = np.linalg.norm(np.einsum("kij,kj->ki", inv_t, v), axis=1)
-        ratio = nv / (nu * np.sqrt(n2))
-        stopped = ratio <= threshold
-        for row in letters[stopped]:
-            out.append(Word(tuple(int(x) for x in row), alphabet=alphabet))
-        if np.all(stopped):
-            break
-        if letters.shape[1] >= max_len:
-            raise NotContracting(
-                f"xi ratio still above 2^-{n} at depth {max_len}"
-            )
-        keep = ~stopped
-        w2 = np.einsum("bij,kj->kbi", lt, w2[keep]).reshape(-1, 3)
-        w1 = np.einsum("bij,kj->kbi", lt, w1[keep]).reshape(-1, 3)
-        inv_t = np.einsum("kij,bjl->kbil", inv_t[keep], lit).reshape(-1, 3, 3)
-        letters = np.concatenate(
-            [np.repeat(letters[keep], k, axis=0),
-             np.tile(np.arange(k, dtype=np.int32), int(keep.sum()))[:, None]],
-            axis=1,
-        )
-    out.sort(key=lambda w: w.letters)
-    return out
+        return nv / np.sqrt((1.0 + c * c) * n2)
+
+    return walk.first_passage(statistic, n, max_len)
 
 
 def xi_stopping_ratio(frame: PlaneFrame, sys: SystemSpec, word: Word) -> float:

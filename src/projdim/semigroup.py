@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +41,14 @@ def node_cap() -> int:
     """Enumeration node cap; override with the PROJDIM_NODE_CAP env var."""
     raw = os.environ.get("PROJDIM_NODE_CAP")
     return int(raw) if raw else DEFAULT_NODE_CAP
+
+
+def check_budget(words: int, cap: Optional[int] = None) -> None:
+    """Raise :class:`BudgetExceeded` once a walk visits more than ``cap`` words
+    (default: the node cap)."""
+    cap = cap if cap is not None else node_cap()
+    if words > cap:
+        raise BudgetExceeded(f"{words} words exceed the node cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -151,9 +159,7 @@ def enumerate_words(sys: SystemSpec, n: int, cap: Optional[int] = None) -> Itera
     if n < 1:
         raise ValueError("word length must be >= 1")
     k = len(sys)
-    cap = cap if cap is not None else node_cap()
-    if k ** n > cap:
-        raise BudgetExceeded(f"{k}^{n} words exceed the node cap {cap}")
+    check_budget(k ** n, cap)
     letters = sys.effective_alphabet
 
     def rec(prefix: tuple[int, ...], prod: Matrix3) -> Iterator[Word]:
@@ -242,7 +248,106 @@ def require_positive_like(sys: SystemSpec, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stopping-time partition on the ratio a2/a1
+# the level-by-level word-tree walk
+
+_RESCALE_ABOVE = 2.0 ** 64
+
+
+class Frontier:
+    """The undecided words of one length in a level-by-level word-tree walk.
+
+    Words are the rows of the letter-index array ``letters``.  Each word
+    carries float states, ``(m, r, 3)`` stacks that start from a per-letter
+    stack and advance by right multiplication with a per-letter step stack.
+    A state whose largest entry passes 2**64 is rescaled by an exact power
+    of two, kept in ``exps``: state ``i`` of word ``w`` stands for
+    ``states[i][w] * 2**exps[i][w]``, so later norms stay in float range.
+    In range every exponent is 0 and no value is touched.
+
+    Every word the walk visits counts against the node cap (``visited``);
+    :class:`BudgetExceeded` is raised before a level over the cap is built.
+    """
+
+    def __init__(self, sys: SystemSpec, cap: Optional[int] = None,
+                 tops: Optional[Sequence[int]] = None,
+                 states: Optional[Sequence[np.ndarray]] = None,
+                 steps: Optional[Sequence[np.ndarray]] = None):
+        """A walk from the letters ``tops`` (all by default); without
+        ``states``, the states are the word products and their exterior
+        squares."""
+        if states is None:
+            states = steps = [sys.letters_float, sys.letters_ext2_float]
+        tops = np.arange(len(sys)) if tops is None else np.asarray(tops)
+        self.alphabet = sys.effective_alphabet
+        self.steps = steps
+        self.cap = cap if cap is not None else node_cap()
+        self.visited = len(tops)
+        check_budget(self.visited, self.cap)
+        self.letters = tops.astype(np.int32)[:, None]
+        self.states = [x[tops] for x in states]
+        self.exps = [np.zeros(len(tops), dtype=np.int32) for _ in states]
+        self._rescale()
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def _rescale(self) -> None:
+        for x, e in zip(self.states, self.exps):
+            big = np.abs(x).max(axis=(1, 2))
+            over = big > _RESCALE_ABOVE
+            if over.any():
+                shift = np.frexp(big[over])[1]
+                x[over] = np.ldexp(x[over], -shift[:, None, None])
+                e[over] += shift
+
+    def grow(self, keep: Optional[np.ndarray] = None) -> None:
+        """Replace the words by their one-letter extensions, in letter order;
+        with ``keep``, only the kept words are extended."""
+        if keep is not None:
+            self.letters = self.letters[keep]
+            self.states = [x[keep] for x in self.states]
+            self.exps = [e[keep] for e in self.exps]
+        m, k = len(self.letters), len(self.steps[0])
+        self.visited += m * k
+        check_budget(self.visited, self.cap)
+        self.letters = np.concatenate(
+            [np.repeat(self.letters, k, axis=0),
+             np.tile(np.arange(k, dtype=np.int32), m)[:, None]], axis=1)
+        self.states = [np.matmul(x[:, None], step).reshape(m * k, -1, 3)
+                       for x, step in zip(self.states, self.steps)]
+        self.exps = [np.repeat(e, k) for e in self.exps]
+        self._rescale()
+
+    def ratios(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(a2/a1, a3/a1)`` per word of a walk over products."""
+        n1, n2 = opnorm_batch(self.states[0]), opnorm_batch(self.states[1])
+        e1, e2 = self.exps
+        return (np.ldexp(n2 / n1 ** 2, e2 - 2 * e1),
+                np.ldexp(1.0 / (n1 * n2), -(e1 + e2)))
+
+    def first_passage(self, statistic: Callable[["Frontier"], np.ndarray], n: int,
+                      max_len: int) -> list[Word]:
+        """The minimal words whose ``statistic(self)`` drops to ``2^-n``.
+
+        The result is sorted lexicographically; a branch still above the
+        threshold at length ``max_len`` raises :class:`NotContracting`.
+        """
+        threshold = 2.0 ** (-n)
+        out: list[Word] = []
+        while True:
+            ratio = statistic(self)
+            stopped = ratio <= threshold
+            out.extend(Word(tuple(row), alphabet=self.alphabet)
+                       for row in self.letters[stopped].tolist())
+            if stopped.all():
+                break
+            if self.letters.shape[1] >= max_len:
+                raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
+                                     f"above 2^-{n} at depth {max_len}")
+            self.grow(~stopped)
+        out.sort(key=lambda w: w.letters)
+        return out
+
 
 def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64,
                            cap: Optional[int] = None) -> list[Word]:
@@ -254,51 +359,11 @@ def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64,
     returns the single letters.  Branches that fail to cross the threshold
     by ``max_len`` raise :class:`NotContracting` (the runtime form of the
     uniform-contraction hypothesis).
-
-    The walk is level-synchronous: all undecided words of one length are
-    advanced together so the ratio evaluation vectorizes.
     """
     if n < 0:
         raise ValueError("resolution must be >= 0")
-    cap = cap if cap is not None else node_cap()
-    threshold = 2.0 ** (-n)
-    alphabet = sys.effective_alphabet
-    k = len(sys)
-    lf = sys.letters_float
-    le = sys.letters_ext2_float
-
-    out: list[Word] = []
-    nodes = 0
-    prod = lf.copy()
-    prod_ext = le.copy()
-    letters = np.arange(k, dtype=np.int32)[:, None]
-    while len(letters):
-        nodes += len(letters)
-        if nodes > cap:
-            raise BudgetExceeded(f"stopping partition exceeded node cap {cap}")
-        n1 = opnorm_batch(prod)
-        n2 = opnorm_batch(prod_ext)
-        ratio = n2 / (n1 * n1)
-        stopped = ratio <= threshold
-        for row in letters[stopped]:
-            out.append(Word(tuple(int(x) for x in row), alphabet=alphabet))
-        if np.all(stopped):
-            break
-        if letters.shape[1] >= max_len:
-            worst = float(ratio[~stopped].max())
-            raise NotContracting(
-                f"ratio {worst:.3g} still above 2^-{n} at depth {max_len}"
-            )
-        keep = ~stopped
-        prod = np.einsum("aij,bjk->abik", prod[keep], lf).reshape(-1, 3, 3)
-        prod_ext = np.einsum("aij,bjk->abik", prod_ext[keep], le).reshape(-1, 3, 3)
-        letters = np.concatenate(
-            [np.repeat(letters[keep], k, axis=0),
-             np.tile(np.arange(k, dtype=np.int32), len(letters[keep]))[:, None]],
-            axis=1,
-        )
-    out.sort(key=lambda w: w.letters)
-    return out
+    return Frontier(sys, cap).first_passage(
+        lambda walk: walk.ratios()[0], n, max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +380,7 @@ def diophantine_check(sys: SystemSpec, n_max: int, cap: Optional[int] = None) ->
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     k = len(sys)
-    cap = cap if cap is not None else node_cap()
-    total = sum(k ** n for n in range(1, n_max + 1))
-    if total > cap:
-        raise BudgetExceeded(f"{total} products exceed the node cap {cap}")
+    check_budget(sum(k ** n for n in range(1, n_max + 1)), cap)
 
     integer = all(a.is_integer() for a in sys.effective_alphabet)
     all_distinct = True
@@ -603,18 +665,15 @@ def _integerize(v: list[Fraction]) -> list[Fraction]:
     return w
 
 
-def irreducibility_probe(sys: SystemSpec, depth: int = 1) -> dict:
+def irreducibility_probe(sys: SystemSpec) -> dict:
     """Search for an invariant line or plane witnessed by rational eigenvectors.
 
     A returned ``None``/``None`` pair means no witness was found among the
-    exact candidates; it is not a proof of irreducibility.  ``depth`` is
-    accepted for interface stability but cannot widen the search: a line
+    exact candidates; it is not a proof of irreducibility.  A line
     invariant under the whole semigroup is already an eigenvector of every
     single letter, so level-1 candidates are exhaustive for this witness
     class.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     letters = list(sys.effective_alphabet)
     lines = _eigenvector_candidates(letters)
     planes = _eigenvector_candidates([a.transpose() for a in letters])

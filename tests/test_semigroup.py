@@ -1,10 +1,20 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from projdim.errors import BadVector, NotContracting, NotTraceless
+from projdim import pressure
+from projdim.cover import svd_cover_upper
+from projdim.errors import BadVector, BudgetExceeded, NotContracting, NotTraceless
 from projdim.linalg import Matrix3, mat_mul
+from projdim.pressure import (
+    partition_sum,
+    pressure_estimate,
+    rauzy_gamma_system,
+    zeta_truncated,
+)
+from projdim.projective import plane_frame_orthonormal, xi_partition
 from projdim.semigroup import (
     SystemSpec,
     Word,
@@ -86,6 +96,62 @@ def test_psi_diagonal_singleton():
 def test_psi_raises_not_contracting_on_parabolic_system():
     with pytest.raises(NotContracting):
         stopping_partition_psi(rauzy_system(), 8, max_len=12)
+
+
+# a2/a1 = 0.9 per letter while the entries grow like 1e4^n: the norms of the
+# exterior-square products overflow from length 14 on unless they are rescaled
+BIG = Matrix3.diagonal(10 ** 4, 9000, F(1, 9 * 10 ** 7))
+
+
+@pytest.mark.parametrize("copies, n, lengths", [
+    (1, 2, [14]),
+    (1, 3, [20]),
+    (2, 2, [14] * 2 ** 14),
+])
+def test_psi_stays_in_float_range(copies, n, lengths):
+    sys = SystemSpec.uniform("big", (BIG,) * copies)
+    assert [len(w) for w in stopping_partition_psi(sys, n)] == lengths
+
+
+FRAME = plane_frame_orthonormal(np.ones(3) / math.sqrt(3.0))
+
+
+def test_walks_stay_in_float_range():
+    sys = SystemSpec.uniform("big", (BIG,))
+    # first passages of the xi ratio, checked in exact arithmetic
+    assert [len(w) for n in (2, 4, 8) for w in xi_partition(FRAME, sys, n)] == [16, 29, 55]
+    est = pressure_estimate(sys, 1.0, 40)
+    assert est.raw == pytest.approx(math.log(0.9), rel=1e-12)
+    assert est.diagnostics["fitted_C"] == pytest.approx(1.0, abs=1e-12)
+    assert est.diagnostics["fitted_c"] == pytest.approx(1.0, abs=1e-12)
+    z = zeta_truncated(sys, 1.0, 40)
+    assert z.value == pytest.approx(sum(0.9 ** n for n in range(1, 41)), rel=1e-12)
+
+
+CAPPED_WALKS = {
+    "psi": lambda sys: stopping_partition_psi(sys, 6),
+    "xi": lambda sys: xi_partition(FRAME, sys, 6),
+    "partition_sum": lambda sys: partition_sum(sys, 1.5, 3),
+    "cover": lambda sys: svd_cover_upper(sys, 1.5, 2.0 ** -6).diagnostics["nodes"],
+    "zeta": lambda sys: zeta_truncated(sys, 1.5, 3).words_evaluated,
+}
+REPORTS_ITS_COUNT = {"cover", "zeta"}
+
+
+@pytest.mark.parametrize("walk", CAPPED_WALKS)
+def test_walks_count_words_against_the_node_cap(walk, monkeypatch):
+    run = CAPPED_WALKS[walk]
+    sys = rauzy_gamma_system(1)
+    cap = len(sys)  # the single letters only
+    if walk in REPORTS_ITS_COUNT:
+        visited = run(sys)
+        monkeypatch.setenv("PROJDIM_NODE_CAP", str(visited))
+        assert run(sys) == visited
+        cap = visited - 1
+    monkeypatch.setenv("PROJDIM_NODE_CAP", str(cap))
+    monkeypatch.setattr(pressure, "_ratio_cache", {})
+    with pytest.raises(BudgetExceeded):
+        run(sys)
 
 
 def test_psi_is_prefix_free_with_full_mass():
