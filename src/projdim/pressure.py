@@ -71,9 +71,6 @@ class ZetaTruncation(NamedTuple):
 # ---------------------------------------------------------------------------
 # cached per-level contraction ratios
 
-_ratio_cache: dict[tuple[SystemSpec, int], tuple] = {}
-
-
 def _log_ratios(prod: np.ndarray, prod_ext: np.ndarray, e1: np.ndarray,
                 e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(log(a2/a1), log(a3/a1))`` of words stored as ``prod * 2**e1`` with
@@ -98,13 +95,12 @@ def _ratio_levels(sys: SystemSpec, depth: int,
 
     Words appear in lexicographic order (subtree by subtree under each top
     letter), which fixes the summation tree; worker threads only change the
-    schedule, never the result.
+    schedule, never the result.  The arrays are kept on the system.
     """
     k = len(sys)
     # the subtrees are full, so the whole walk is checked before any is built
     check_budget(sum(k ** n for n in range(1, depth + 1)))
-    key = (sys, depth)
-    cached = _ratio_cache.get(key)
+    cached = sys.word_levels.get(depth)
     if cached is not None:
         return cached
 
@@ -115,18 +111,13 @@ def _ratio_levels(sys: SystemSpec, depth: int,
     else:
         per_top = [_subtree_levels(j) for j in jobs]
 
-    merged = []
-    for lvl in range(depth):
-        la21 = np.concatenate([per_top[t][lvl][0] for t in range(k)])
-        la31 = np.concatenate([per_top[t][lvl][1] for t in range(k)])
-        la21.setflags(write=False)
-        la31.setflags(write=False)
-        merged.append((la21, la31))
-    result = tuple(merged)
-    if len(_ratio_cache) >= 8:
-        _ratio_cache.pop(next(iter(_ratio_cache)))
-    _ratio_cache[key] = result
-    return result
+    merged = tuple(tuple(np.concatenate(parts) for parts in zip(*level))
+                   for level in zip(*per_top))
+    for level in merged:
+        for arr in level:
+            arr.setflags(write=False)
+    sys.word_levels[depth] = merged
+    return merged
 
 
 def _log_phi(s: float, la21: np.ndarray, la31: np.ndarray) -> np.ndarray:

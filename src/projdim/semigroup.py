@@ -9,7 +9,6 @@ the depth.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -103,6 +102,23 @@ class SystemSpec:
     @cached_property
     def probabilities_float(self) -> np.ndarray:
         return np.array([float(p) for p in self.probabilities])
+
+    @cached_property
+    def contraction(self) -> Optional[str]:
+        """The uniform-contraction hypothesis the acting letters meet, decided
+        exactly: ``"positive"``, ``"diagonal"``, ``"primitive"`` or ``None``."""
+        if positivity_report(self)["positive"]:
+            return "positive"
+        if _is_contracting_diagonal(self):
+            return "diagonal"
+        if is_primitive_nonnegative(self):
+            return "primitive"
+        return None
+
+    @cached_property
+    def word_levels(self) -> dict:
+        """Per-depth word-level arrays of the pressure layer, freed with the system."""
+        return {}
 
     def __len__(self) -> int:
         return len(self.alphabet)
@@ -205,16 +221,15 @@ def is_primitive_nonnegative(sys: SystemSpec) -> bool:
     This is the weakest hypothesis under which the pressure machinery here
     is run: it gives uniform projective contraction at lag two, which is
     enough for the desk-scale brackets (boundary conjugations can place
-    exact zeros in single letters).
+    exact zeros in single letters).  For nonnegative letters ``(AB)_ij > 0``
+    exactly when ``A_ij' > 0`` and ``B_j'j > 0`` for some ``j'``, so one
+    integer product of the 0/1 zero patterns decides it exactly.
     """
     if not is_nonnegative(sys):
         return False
-    letters = sys.effective_alphabet
-    for a, b in itertools.product(letters, repeat=2):
-        p = mat_mul(a, b)
-        if any(x <= 0 for row in p.entries for x in row):
-            return False
-    return True
+    support = np.array([[[x > 0 for x in row] for row in a.entries]
+                        for a in sys.effective_alphabet], dtype=np.int64)
+    return bool(np.einsum("aij,bjk->abik", support, support).all())
 
 
 def _is_contracting_diagonal(sys: SystemSpec) -> bool:
@@ -236,15 +251,11 @@ def require_positive_like(sys: SystemSpec, what: str) -> None:
     Accepts strictly positive systems, primitive nonnegative ones (zeros in
     single letters, all two-letter products positive) and contracting
     diagonal families; each branch genuinely implies a uniform geometric
-    decay of ``a2/a1`` along words.
+    decay of ``a2/a1`` along words.  The branch is decided once per system
+    (:attr:`SystemSpec.contraction`).
     """
-    if positivity_report(sys)["positive"]:
-        return
-    if _is_contracting_diagonal(sys):
-        return
-    if is_primitive_nonnegative(sys):
-        return
-    raise NotPositive(f"{what} requires a positive (or primitive nonnegative) system")
+    if sys.contraction is None:
+        raise NotPositive(f"{what} requires a positive (or primitive nonnegative) system")
 
 
 # ---------------------------------------------------------------------------

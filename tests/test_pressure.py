@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -184,14 +186,30 @@ def test_rauzy_dimension_ladder():
 
 
 def test_partition_sum_independent_of_worker_count():
-    sys = rauzy_gamma_system(2)
+    # each system builds its own word levels
+    one = partition_sum(rauzy_gamma_system(2), 1.3, 3, workers=1)
+    four = partition_sum(rauzy_gamma_system(2), 1.3, 3, workers=4)
+    assert one == four
+
+
+def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
     import projdim.pressure as pressure_mod
 
-    pressure_mod._ratio_cache.clear()
-    one = partition_sum(sys, 1.3, 3, workers=1)
-    pressure_mod._ratio_cache.clear()
-    four = partition_sum(sys, 1.3, 3, workers=4)
-    assert one == four
+    build = pressure_mod._subtree_levels
+    built = []
+    monkeypatch.setattr(pressure_mod, "_subtree_levels",
+                        lambda args: built.append(args[1]) or build(args))
+    sys = rauzy_gamma_system(2)
+    first = partition_sum(sys, 1.3, 3)
+    assert built == list(range(len(sys)))  # one subtree per top letter
+    assert partition_sum(sys, 1.3, 3) == first
+    partition_sum(sys, 0.7, 3)
+    assert len(built) == len(sys)
+
+    spec, level = weakref.ref(sys), weakref.ref(sys.word_levels[3][-1][0])
+    del sys
+    gc.collect()
+    assert spec() is None and level() is None
 
 
 def test_uniform_contraction_decay_fit():

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from projdim import pressure
 from projdim.cover import svd_cover_upper
 from projdim.errors import BadVector, BudgetExceeded, NotContracting, NotTraceless
 from projdim.linalg import Matrix3, mat_mul
@@ -149,9 +148,8 @@ def test_walks_count_words_against_the_node_cap(walk, monkeypatch):
         assert run(sys) == visited
         cap = visited - 1
     monkeypatch.setenv("PROJDIM_NODE_CAP", str(cap))
-    monkeypatch.setattr(pressure, "_ratio_cache", {})
     with pytest.raises(BudgetExceeded):
-        run(sys)
+        run(rauzy_gamma_system(1))  # a fresh system holds no word levels
 
 
 def test_psi_is_prefix_free_with_full_mass():
