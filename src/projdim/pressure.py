@@ -154,10 +154,6 @@ def partition_sum(sys: SystemSpec, s: float, n: int, workers: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # sampled multiplicativity constants
 
-def _phi(s: float, la21: np.ndarray, la31: np.ndarray) -> np.ndarray:
-    return np.exp(_log_phi(s, la21, la31))
-
-
 def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int, seed: int = 0) -> dict:
     """Sampled max/min of ``phi^s(AB) / (phi^s(A) phi^s(B))`` over word pairs."""
     k = len(sys)
@@ -179,9 +175,10 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int, seed: int = 0
 
     ab = np.einsum("aij,ajk->aik", pool[ia], pool[ib])
     ab_ext = np.einsum("aij,ajk->aik", pool_ext[ia], pool_ext[ib])
-    num = _phi(s, *_log_ratios(ab, ab_ext, e1[ia] + e1[ib], e2[ia] + e2[ib]))
-    phi = _phi(s, *_log_ratios(pool, pool_ext, e1, e2))
-    ratio = num / (phi[ia] * phi[ib])
+    # in log space: phi^s of a long word can underflow, and 0/0 would hide in max()
+    log_num = _log_phi(s, *_log_ratios(ab, ab_ext, e1[ia] + e1[ib], e2[ia] + e2[ib]))
+    log_phi = _log_phi(s, *_log_ratios(pool, pool_ext, e1, e2))
+    ratio = np.exp(log_num - log_phi[ia] - log_phi[ib])
     return {
         "fitted_C": float(ratio.max()),
         "fitted_c": float(ratio.min()),
@@ -213,6 +210,7 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int, workers: int = 1) -
         lower=lower,
         submult_constant=c_up,
         diagnostics={
+            "gate": sys.contraction,
             "heuristic_brackets": True,
             "level_raw": [r / n for n, r in enumerate(raws, start=1)],
             **fit,
@@ -249,6 +247,7 @@ def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3,
     log_c_lo = math.log(min(1.0, fit["fitted_c"]))
 
     diagnostics = {
+        "gate": sys.contraction,
         "grid_s": list(_GRID),
         "grid_pressure": grid_vals,
         "grid_monotone_decreasing": monotone,
@@ -307,7 +306,7 @@ def zeta_truncated(sys: SystemSpec, s: float, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     walk = Frontier(sys)
-    level_values = _phi(s, *_log_ratios(*walk.states, *walk.exps))
+    level_values = np.exp(_log_phi(s, *_log_ratios(*walk.states, *walk.exps)))
 
     fit = _fit_multiplicativity(sys, s, 1)
     c_up = max(1.0, fit["fitted_C"])
@@ -334,7 +333,7 @@ def zeta_truncated(sys: SystemSpec, s: float, n_max: int,
         if not np.any(keep):
             break
         walk.grow(keep)
-        level_values = _phi(s, *_log_ratios(*walk.states, *walk.exps))
+        level_values = np.exp(_log_phi(s, *_log_ratios(*walk.states, *walk.exps)))
     return ZetaTruncation(total, loss, walk.visited)
 
 

@@ -237,10 +237,8 @@ def _is_contracting_diagonal(sys: SystemSpec) -> bool:
     the word ratios decay geometrically without any positivity."""
     for a in sys.effective_alphabet:
         e = a.entries
-        if any(e[i][j] != 0 for i in range(3) for j in range(3) if i != j):
-            return False
-        diag = sorted((abs(e[0][0]), abs(e[1][1]), abs(e[2][2])), reverse=True)
-        if diag[1] >= diag[0]:
+        diag = sorted(abs(e[i][i]) for i in range(3))
+        if diag[1] >= diag[2] or any(e[i][j] for i in range(3) for j in range(3) if i != j):
             return False
     return True
 

@@ -192,6 +192,13 @@ def test_partition_sum_independent_of_worker_count():
     assert one == four
 
 
+def test_pressure_reports_name_the_gate_branch():
+    assert pressure_estimate(rauzy_gamma_system(1), 1.5, 2).diagnostics["gate"] == "primitive"
+    assert affinity_dimension(triple9_system(), n_max=2).diagnostics["gate"] == "diagonal"
+    ladder = rauzy_dimension(2, n_max=2)
+    assert ladder.diagnostics["gate"] == "primitive"
+
+
 def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
     import projdim.pressure as pressure_mod
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from projdim.cover import svd_cover_upper
-from projdim.errors import BadVector, BudgetExceeded, NotContracting, NotTraceless
+from projdim.errors import BadVector, BudgetExceeded, NotContracting, NotPositive, NotTraceless
 from projdim.linalg import Matrix3, mat_mul
 from projdim.pressure import (
+    _fit_multiplicativity,
     partition_sum,
     pressure_estimate,
     rauzy_gamma_system,
@@ -23,6 +25,7 @@ from projdim.semigroup import (
     is_primitive_nonnegative,
     lie_algebra_dimension,
     positivity_report,
+    require_positive_like,
     stopping_partition_psi,
 )
 from projdim.systems import (
@@ -127,6 +130,19 @@ def test_walks_stay_in_float_range():
     assert z.value == pytest.approx(sum(0.9 ** n for n in range(1, 41)), rel=1e-12)
 
 
+def test_multiplicativity_fit_survives_underflow():
+    # phi^1.5 of the length-30 pool words underflows: a linear-space ratio is 0/0
+    sys = SystemSpec.uniform("big", (BIG,))
+    fit = _fit_multiplicativity(sys, 1.5, 30)
+    assert fit["fitted_C"] == pytest.approx(1.0, abs=1e-12)
+    assert fit["fitted_c"] == pytest.approx(1.0, abs=1e-12)
+    est = pressure_estimate(sys, 1.5, 60)
+    consts = [est.submult_constant, est.upper, est.lower,
+              est.diagnostics["fitted_C"], est.diagnostics["fitted_c"]]
+    assert all(math.isfinite(x) for x in consts)
+    assert est.diagnostics["fitted_C"] == pytest.approx(1.0, abs=1e-12)
+
+
 CAPPED_WALKS = {
     "psi": lambda sys: stopping_partition_psi(sys, 6),
     "xi": lambda sys: xi_partition(FRAME, sys, 6),
@@ -206,6 +222,54 @@ def test_primitive_nonnegative_gate():
     assert positivity_report(g1)["positive"] is False
     assert is_primitive_nonnegative(g1)
     assert not is_primitive_nonnegative(rauzy_system())
+
+
+def primitive_by_exact_products(sys):
+    """Reference: every two-letter product formed in exact arithmetic."""
+    letters = sys.effective_alphabet
+    if any(x < 0 for a in letters for row in a.entries for x in row):
+        return False
+    return all(x > 0 for a, b in itertools.product(letters, repeat=2)
+               for row in mat_mul(a, b).entries for x in row)
+
+
+UPPER = (Matrix3.from_rows([[1, 1, 1], [0, 1, 1], [0, 0, 1]]),
+         Matrix3.from_rows([[1, 2, 0], [0, 1, 1], [0, 0, 1]]))
+GATE_CASES = {
+    "rauzy": (rauzy_system, None),
+    "gamma1": (lambda: rauzy_gamma_system(1), "primitive"),
+    "gamma20": (lambda: rauzy_gamma_system(20), "primitive"),
+    "gamma1-eps1/6": (lambda: rauzy_gamma_system(1, F(1, 6)), "positive"),
+    "triple9": (triple9_system, "diagonal"),
+    # nonnegative, but every two-letter product keeps the lower zeros
+    "upper-triangular": (lambda: SystemSpec.uniform("upper", UPPER), None),
+    # the Gamma_1 letters conjugated too far: a negative entry
+    "negative-entry": (lambda: SystemSpec.uniform(
+        "neg", rauzy_gamma_system(1).alphabet, conjugator=positivizing_conjugator(F(1, 3))), None),
+}
+
+
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_contraction_gate_against_exact_products(case):
+    make, branch = GATE_CASES[case]
+    sys = make()
+    assert sys.contraction == branch
+    assert is_primitive_nonnegative(sys) == primitive_by_exact_products(sys)
+
+
+def test_contraction_gate_is_decided_once(monkeypatch):
+    import projdim.semigroup as semigroup_mod
+
+    calls = []
+    report = semigroup_mod.positivity_report
+    monkeypatch.setattr(semigroup_mod, "positivity_report",
+                        lambda sys: calls.append(sys) or report(sys))
+    sys = rauzy_gamma_system(2)
+    for what in ("pressure_estimate", "affinity_dimension", "xi_partition"):
+        require_positive_like(sys, what)
+    assert len(calls) == 1
+    with pytest.raises(NotPositive):
+        require_positive_like(rauzy_system(), "pressure_estimate")
 
 
 def test_diophantine_rauzy_distinct():
