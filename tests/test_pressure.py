@@ -100,6 +100,7 @@ def test_pressure_requires_positive_like():
 
 def test_affinity_dimension_triple9():
     est = affinity_dimension(triple9_system(), tol=1e-4, n_max=3)
+    assert est.diagnostics["gate"] == "diagonal"
     assert est.value == pytest.approx(0.5, abs=1e-3)
     assert est.bracket_lo <= est.value <= est.bracket_hi
     assert est.diagnostics["grid_monotone_decreasing"] is True
@@ -183,6 +184,7 @@ def test_rauzy_dimension_ladder():
     assert values[0] > 1.0
     assert all(a <= b + 2e-3 for a, b in zip(values, values[1:]))
     assert est.value == ladder[-1]["value"]
+    assert est.diagnostics["gate"] == "primitive"
 
 
 def test_partition_sum_independent_of_worker_count():
@@ -190,13 +192,6 @@ def test_partition_sum_independent_of_worker_count():
     one = partition_sum(rauzy_gamma_system(2), 1.3, 3, workers=1)
     four = partition_sum(rauzy_gamma_system(2), 1.3, 3, workers=4)
     assert one == four
-
-
-def test_pressure_reports_name_the_gate_branch():
-    assert pressure_estimate(rauzy_gamma_system(1), 1.5, 2).diagnostics["gate"] == "primitive"
-    assert affinity_dimension(triple9_system(), n_max=2).diagnostics["gate"] == "diagonal"
-    ladder = rauzy_dimension(2, n_max=2)
-    assert ladder.diagnostics["gate"] == "primitive"
 
 
 def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
@@ -248,6 +243,7 @@ def test_bisection_postcondition_small_residual():
 def test_fekete_monotone_along_doubling():
     sys = rauzy_gamma_system(1)
     est = pressure_estimate(sys, 1.5, 4)
+    assert est.diagnostics["gate"] == "primitive"
     c_up = est.submult_constant
     seq = [
         (partition_sum(sys, 1.5, n) + math.log(c_up)) / n for n in (1, 2, 4)

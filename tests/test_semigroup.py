@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from projdim.cover import svd_cover_upper
-from projdim.errors import BadVector, BudgetExceeded, NotContracting, NotPositive, NotTraceless
+from projdim.errors import (
+    BadVector,
+    BudgetExceeded,
+    NotContracting,
+    NotPositive,
+    NotTraceless,
+)
 from projdim.linalg import Matrix3, mat_mul
 from projdim.pressure import (
     _fit_multiplicativity,
@@ -244,8 +250,8 @@ GATE_CASES = {
     # nonnegative, but every two-letter product keeps the lower zeros
     "upper-triangular": (lambda: SystemSpec.uniform("upper", UPPER), None),
     # the Gamma_1 letters conjugated too far: a negative entry
-    "negative-entry": (lambda: SystemSpec.uniform(
-        "neg", rauzy_gamma_system(1).alphabet, conjugator=positivizing_conjugator(F(1, 3))), None),
+    "negative-entry": (lambda: SystemSpec.uniform("neg", rauzy_gamma_system(1).alphabet,
+                                                  positivizing_conjugator(F(1, 3))), None),
 }
 
 
