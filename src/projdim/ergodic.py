@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadVector, DegenerateSpectrum, DomainError
-from .linalg import opnorm_fast
+from .linalg import opnorm_batch
 from .rng import make_rng
 from .pressure import DimensionEstimate
 from .projective import frame_for_plane, project_measure_samples
@@ -65,7 +65,7 @@ class LyapunovStats:
 
 
 def _renorm_cadence(sys: SystemSpec) -> int:
-    kappa = max(math.log(max(opnorm_fast(m), 1.0 + 1e-12)) for m in sys.letters_float)
+    kappa = max(math.log(max(n, 1.0 + 1e-12)) for n in opnorm_batch(sys.letters_float))
     return max(1, min(20, int(16.0 / max(kappa, 1e-9))))
 
 

@@ -3,16 +3,16 @@
 Matrices are stored entrywise as :class:`fractions.Fraction`, so word
 products can be formed without rounding no matter how fast the entries
 grow.  Floats enter only when singular values are evaluated: those are
-obtained from the largest eigenvalue of the Gram matrices of ``A`` and of
-its exterior square (a deterministic cyclic Jacobi iteration), combined
-with the exact determinant.  That route keeps all three values accurate
-to near machine precision even for badly conditioned products, which an
-eigen-decomposition of ``A^T A`` alone cannot do for the small values.
+Gram singular values, i.e. the largest eigenvalue of the Gram matrices of
+``A`` and of its exterior square (a closed-form root of the characteristic
+cubic), combined with the exact determinant.  That route keeps all three
+values accurate to near machine precision even for badly conditioned
+products, which an eigen-decomposition of ``A^T A`` alone cannot do for the
+small values.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +24,6 @@ import numpy as np
 from .errors import DomainError, PrecisionLoss, SingularInput
 
 Rational = Fraction | int | str
-
-_JACOBI_TOL = 1e-12  # off-diagonal mass threshold, squared entries
 
 
 def _as_fraction(x: Rational) -> Fraction:
@@ -164,84 +162,9 @@ class SvTriple:
         return self.a2 / self.a1, self.a3 / self.a1
 
 
-# ---------------------------------------------------------------------------
-# symmetric 3x3 eigenvalues, deterministic cyclic Jacobi
-
-def sym3_eigenvalues(s: np.ndarray) -> tuple[float, float, float]:
-    """All eigenvalues of a symmetric 3x3 float matrix, sorted descending.
-
-    Cyclic Jacobi sweeps, run until the squared off-diagonal mass drops
-    below 1e-12 relative to the squared Frobenius norm.  No randomization,
-    so repeated calls are bitwise identical.
-    """
-    a = [[float(s[i, j]) for j in range(3)] for i in range(3)]
-    scale = sum(a[i][j] * a[i][j] for i in range(3) for j in range(3)) or 1.0
-    for _ in range(30):
-        off = a[0][1] ** 2 + a[0][2] ** 2 + a[1][2] ** 2
-        if off <= _JACOBI_TOL * _JACOBI_TOL * scale:
-            break
-        for (p, q) in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            sn = t * c
-            for k in range(3):
-                akp, akq = a[k][p], a[k][q]
-                a[k][p] = c * akp - sn * akq
-                a[k][q] = sn * akp + c * akq
-            for k in range(3):
-                apk, aqk = a[p][k], a[q][k]
-                a[p][k] = c * apk - sn * aqk
-                a[q][k] = sn * apk + c * aqk
-            a[p][q] = a[q][p] = 0.0
-    lam = sorted((a[0][0], a[1][1], a[2][2]), reverse=True)
-    return lam[0], lam[1], lam[2]
-
-
 def operator_norm(a: Matrix3) -> float:
-    """Spectral norm, i.e. the largest singular value."""
-    m = a.float_view
-    lam = sym3_eigenvalues(m.T @ m)[0]
-    return math.sqrt(max(lam, 0.0))
-
-
-def opnorm_fast(m) -> float:
-    """Spectral norm of a float 3x3 via the closed-form largest Gram eigenvalue.
-
-    Scalar companion of :func:`opnorm_batch` for tree walks where per-node
-    numpy dispatch would dominate; same trigonometric formula, so equally
-    deterministic.
-    """
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    # gram = m^T m
-    s00 = a * a + d * d + g * g
-    s11 = b * b + e * e + h * h
-    s22 = c * c + f * f + i * i
-    s01 = a * b + d * e + g * h
-    s02 = a * c + d * f + g * i
-    s12 = b * c + e * f + h * i
-    q = (s00 + s11 + s22) / 3.0
-    p2 = (s00 - q) ** 2 + (s11 - q) ** 2 + (s22 - q) ** 2 + 2.0 * (
-        s01 * s01 + s02 * s02 + s12 * s12
-    )
-    p = math.sqrt(max(p2 / 6.0, 0.0))
-    if p == 0.0:
-        return math.sqrt(max(q, 0.0))
-    b00, b11, b22 = (s00 - q) / p, (s11 - q) / p, (s22 - q) / p
-    b01, b02, b12 = s01 / p, s02 / p, s12 / p
-    detb = (
-        b00 * (b11 * b22 - b12 * b12)
-        - b01 * (b01 * b22 - b12 * b02)
-        + b02 * (b01 * b12 - b11 * b02)
-    )
-    phi = math.acos(min(1.0, max(-1.0, detb / 2.0))) / 3.0
-    lam = q + 2.0 * p * math.cos(phi)
-    return math.sqrt(max(lam, 0.0))
+    """Spectral norm, i.e. the largest singular value (see :func:`opnorm_batch`)."""
+    return float(opnorm_batch(a.float_view))
 
 
 def frobenius_bracket(a: Matrix3) -> tuple[Fraction, Fraction]:

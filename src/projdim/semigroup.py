@@ -451,15 +451,6 @@ def _level_min_gap(level: list[Matrix3], integer: bool) -> Optional[float]:
 # ---------------------------------------------------------------------------
 # Lie-algebra span diagnostic (Zariski density)
 
-def _traceless_part(a: Matrix3) -> Matrix3:
-    t = a.trace / 3
-    rows = [
-        [a.entries[i][j] - (t if i == j else 0) for j in range(3)]
-        for i in range(3)
-    ]
-    return Matrix3.from_rows(rows)
-
-
 def _flat9(a: Matrix3) -> list[Fraction]:
     return [a.entries[i][j] for i in range(3) for j in range(3)]
 
@@ -498,7 +489,7 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
     mats: list[Matrix3] = []
     span = _RationalSpan()
     for g in generators:
-        t = _traceless_part(g)
+        t = _shift(g, g.trace / 3)
         if all(x == 0 for row in t.entries for x in row):
             if any(x != 0 for row in g.entries for x in row):
                 raise NotTraceless(f"generator {g} is a nonzero scalar matrix")
@@ -562,12 +553,13 @@ def _rational_eigenvalues(a: Matrix3) -> list[Fraction]:
     return sorted(found, reverse=True)
 
 
-def _null_space(a: Matrix3) -> list[list[Fraction]]:
-    """Exact basis of the kernel, in reduced echelon coordinates."""
-    rows = [list(r) for r in a.entries]
+def _kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Exact kernel basis of a 3-row matrix, by reduced row echelon form."""
+    rows = [list(r) for r in rows]
+    cols = len(rows[0])
     pivots: list[int] = []
-    r = 0
-    for c in range(3):
+    for c in range(cols):
+        r = len(pivots)
         piv = next((i for i in range(r, 3) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -578,11 +570,9 @@ def _null_space(a: Matrix3) -> list[list[Fraction]]:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
     basis = []
-    free = [c for c in range(3) if c not in pivots]
-    for fc in free:
-        v = [Fraction(0)] * 3
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
             v[pc] = -rows[i][fc]
@@ -602,7 +592,7 @@ def _eigenvector_candidates(letters: Sequence[Matrix3]) -> list[list[Fraction]]:
     pools: Optional[list[list[list[Fraction]]]] = None
     for a in letters:
         lams = _rational_eigenvalues(a)
-        spaces = [_null_space(_shift(a, lam)) for lam in lams]
+        spaces = [_kernel(_shift(a, lam).entries) for lam in lams]
         spaces = [s for s in spaces if s]
         if pools is None:
             pools = spaces
@@ -624,40 +614,10 @@ def _eigenvector_candidates(letters: Sequence[Matrix3]) -> list[list[Fraction]]:
 
 def _intersect(b1: list[list[Fraction]], b2: list[list[Fraction]]) -> list[list[Fraction]]:
     """Basis of span(b1) ∩ span(b2) via the kernel of the stacked system."""
-    k1, k2 = len(b1), len(b2)
-    cols = k1 + k2
-    rows = [[Fraction(0)] * cols for _ in range(3)]
-    for j, v in enumerate(b1):
-        for i in range(3):
-            rows[i][j] = v[i]
-    for j, v in enumerate(b2):
-        for i in range(3):
-            rows[i][k1 + j] = -v[i]
-    # gaussian elimination on the 3 x cols system
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, 3) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == 3:
-            break
+    stacked = [[v[i] for v in b1] + [-v[i] for v in b2] for i in range(3)]
     basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
-        coeff = [Fraction(0)] * cols
-        coeff[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            coeff[pc] = -rows[i][fc]
-        vec = [sum(coeff[j] * b1[j][i] for j in range(k1)) for i in range(3)]
+    for coeff in _kernel(stacked):
+        vec = [sum(c * v[i] for c, v in zip(coeff, b1)) for i in range(3)]
         if any(x != 0 for x in vec):
             basis.append(vec)
     return basis

@@ -22,6 +22,7 @@ from projdim.systems import (
     positivizing_conjugator,
     rauzy_alphabet,
     rauzy_system,
+    triple9_system,
 )
 
 # Frozen regression values from a pre-build prototype (independent script,
@@ -79,6 +80,16 @@ def test_lyapunov_gamma10_regression_guards_renorm_cadence():
         assert got == pytest.approx(want, abs=0.02)
     total_se = stats.stderr1 + stats.stderr2 + stats.stderr3
     assert abs(stats.chi1 + stats.chi2 + stats.chi3) <= 3 * max(total_se, 1e-10)
+
+
+def test_renorm_cadence_pinned():
+    # recorded when the cadence's letter norms moved to the batch spectral-norm kernel
+    from projdim.ergodic import _renorm_cadence
+
+    assert _renorm_cadence(rauzy_system()) == 20
+    assert _renorm_cadence(triple9_system()) == 7
+    got = {n: _renorm_cadence(rauzy_gamma_system(n)) for n in (1, 2, 4, 5, 10, 20)}
+    assert got == {1: 12, 2: 9, 4: 7, 5: 6, 10: 5, 20: 4}
 
 
 def _stats(chi1, chi2, chi3):
