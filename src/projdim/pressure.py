@@ -95,14 +95,16 @@ def _ratio_levels(sys: SystemSpec, depth: int,
 
     Words appear in lexicographic order (subtree by subtree under each top
     letter), which fixes the summation tree; worker threads only change the
-    schedule, never the result.  The arrays are kept on the system.
+    schedule, never the result.  The arrays are kept on the system, one
+    table for the deepest request so far.
     """
     k = len(sys)
     # the subtrees are full, so the whole walk is checked before any is built
     check_budget(sum(k ** n for n in range(1, depth + 1)))
-    cached = sys.word_levels.get(depth)
-    if cached is not None:
-        return cached
+    # the levels of a deeper table start with these: serve its prefix
+    for built, levels in sys.word_levels.items():
+        if built >= depth:
+            return levels[:depth]
 
     jobs = [(sys, top, depth) for top in range(k)]
     if workers > 1:
@@ -116,6 +118,7 @@ def _ratio_levels(sys: SystemSpec, depth: int,
     for level in merged:
         for arr in level:
             arr.setflags(write=False)
+    sys.word_levels.clear()  # every cached table is a prefix of this one
     sys.word_levels[depth] = merged
     return merged
 
@@ -199,7 +202,8 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int, workers: int = 1) -
     fit = _fit_multiplicativity(sys, s, max(1, n_max // 2))
     c_up = max(1.0, fit["fitted_C"])
     c_lo = min(1.0, fit["fitted_c"])
-    raws = [partition_sum(sys, s, n, workers) for n in range(1, n_max + 1)]
+    # deepest first, so the word levels are built once and the rest are prefixes
+    raws = [partition_sum(sys, s, n, workers) for n in range(n_max, 0, -1)][::-1]
     upper = min((r + math.log(c_up)) / n for n, r in enumerate(raws, start=1))
     lower = max((r + math.log(c_lo)) / n for n, r in enumerate(raws, start=1))
     return PressureEstimate(
@@ -263,29 +267,32 @@ def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3,
         diagnostics["bound_only"] = "lower"
         return DimensionEstimate(2.0, 2.0, math.inf, n_max, "pressure_root", diagnostics)
 
-    def bisect(f, lo: float, hi: float) -> float:
+    def bisect(f, lo: float, hi: float) -> tuple[float, float]:
+        """Final ``(lo, hi)`` with ``f(lo) > 0 >= f(hi)``, or a point end."""
         flo = f(lo)
         fhi = f(hi)
         if flo <= 0.0:
-            return lo
+            return lo, lo
         if fhi > 0.0:
-            return hi
+            return hi, hi
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if f(mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
+        return lo, hi
 
-    value = bisect(raw, 0.0, 2.0)
-    lo_root = bisect(lambda s: raw(s) + log_c_lo / n_max, 0.0, 2.0)
-    hi_root = bisect(lambda s: raw(s) + log_c_up / n_max, 0.0, 2.0)
+    raw_lo, raw_hi = bisect(raw, 0.0, 2.0)
+    # the bracket is built from final bisection ends, not midpoints, so it
+    # contains the roots of both constant-shifted curves
+    lower_lo, _ = bisect(lambda s: raw(s) + log_c_lo / n_max, 0.0, 2.0)
+    _, upper_hi = bisect(lambda s: raw(s) + log_c_up / n_max, 0.0, 2.0)
     diagnostics["tol"] = tol
     return DimensionEstimate(
-        value=value,
-        bracket_lo=min(lo_root, value),
-        bracket_hi=max(hi_root, value),
+        value=0.5 * (raw_lo + raw_hi),
+        bracket_lo=min(lower_lo, raw_lo),
+        bracket_hi=max(upper_hi, raw_hi),
         depth=n_max,
         method="pressure_root",
         diagnostics=diagnostics,

@@ -117,7 +117,7 @@ class SystemSpec:
 
     @cached_property
     def word_levels(self) -> dict:
-        """Per-depth word-level arrays of the pressure layer, freed with the system."""
+        """The pressure layer's word-level table, keyed by depth, freed with the system."""
         return {}
 
     def __len__(self) -> int:
@@ -541,16 +541,16 @@ def _rational_eigenvalues(a: Matrix3) -> list[Fraction]:
     def char(lam: Fraction) -> Fraction:
         return lam ** 3 - t * lam ** 2 + m * lam - d
 
-    roots = np.roots([1.0, -float(t), float(m), -float(d)])
-    found: set[Fraction] = set()
-    for r in roots:
-        if abs(r.imag) > 1e-8:
-            continue
-        cand = Fraction(float(r.real)).limit_denominator(10 ** 9)
-        for c in (cand, Fraction(round(float(r.real)))):
-            if char(c) == 0:
-                found.add(c)
-    return sorted(found, reverse=True)
+    # np.roots splits a repeated root into a complex pair or two nearby reals;
+    # a repeated root is rational, the root of the linear remainder of char
+    # mod char' (or t/3 when char' divides char), so it is added exactly
+    r1, r0 = 2 * (3 * m - t * t) / 9, (t * m - 9 * d) / 9
+    cands = [-r0 / r1 if r1 else t / 3]
+    for r in np.roots([1.0, -float(t), float(m), -float(d)]):
+        if abs(r.imag) <= 1e-8:
+            cands += [Fraction(float(r.real)).limit_denominator(10 ** 9),
+                      Fraction(round(float(r.real)))]
+    return sorted({c for c in cands if char(c) == 0}, reverse=True)
 
 
 def _kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

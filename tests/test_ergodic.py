@@ -83,7 +83,8 @@ def test_lyapunov_gamma10_regression_guards_renorm_cadence():
 
 
 def test_renorm_cadence_pinned():
-    # recorded when the cadence's letter norms moved to the batch spectral-norm kernel
+    # the cadence truncates 16 / log(max letter norm): a norm kernel that moves
+    # a letter norm must not move it
     from projdim.ergodic import _renorm_cadence
 
     assert _renorm_cadence(rauzy_system()) == 20

@@ -106,6 +106,19 @@ def test_affinity_dimension_triple9():
     assert est.diagnostics["grid_monotone_decreasing"] is True
 
 
+def test_affinity_dimension_bracket_contains_root(monkeypatch):
+    # with C = c = 1 every curve is the raw one, so the bracket is one
+    # bisection's final interval and must hold triple9's dimension 1/2
+    import projdim.pressure as pressure_mod
+
+    monkeypatch.setattr(pressure_mod, "_fit_multiplicativity",
+                        lambda *args: {"fitted_C": 1.0, "fitted_c": 1.0, "pairs": 0})
+    est = affinity_dimension(triple9_system(), tol=1e-3, n_max=4)
+    assert est.bracket_lo <= 0.5 <= est.bracket_hi
+    assert est.bracket_hi - est.bracket_lo <= 1e-3
+    assert est.bracket_lo <= est.value <= est.bracket_hi
+
+
 def test_affinity_dimension_singleton_is_zero():
     est = affinity_dimension(singleton9(), tol=1e-6, n_max=3)
     assert est.value == 0.0
@@ -208,7 +221,13 @@ def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
     partition_sum(sys, 0.7, 3)
     assert len(built) == len(sys)
 
-    spec, level = weakref.ref(sys), weakref.ref(sys.word_levels[3][-1][0])
+    # depth 4 is built once and replaces depth 3, whose levels are its prefix
+    pressure_estimate(sys, 1.5, 4)
+    assert len(built) == 2 * len(sys) and list(sys.word_levels) == [4]
+    assert partition_sum(sys, 1.3, 3) == first
+    assert len(built) == 2 * len(sys)
+
+    spec, level = weakref.ref(sys), weakref.ref(sys.word_levels[4][-1][0])
     del sys
     gc.collect()
     assert spec() is None and level() is None

@@ -351,6 +351,24 @@ def test_irreducibility_probe_shared_axis():
         assert cross == [0, 0, 0]
 
 
+def _is_eigenvector(m: Matrix3, v) -> bool:
+    image = [sum(m.entries[r][c] * v[c] for c in range(3)) for r in range(3)]
+    return all(image[i] * v[j] == image[j] * v[i] for i in range(3) for j in range(3))
+
+
+def test_irreducibility_probe_repeated_eigenvalues():
+    # np.roots splits a double eigenvalue: into a complex pair for 2, into two
+    # reals about 1e-8 apart for 3/7; every coordinate axis is invariant here
+    for a, b in ((2, F(1, 4)), (F(3, 7), F(49, 9))):
+        letters = (Matrix3.diagonal(a, a, b), Matrix3.diagonal(b, a, a))
+        rep = irreducibility_probe(SystemSpec("repeated", letters, (F(1, 2), F(1, 2))))
+        line, normal = rep["invariant_line"], rep["invariant_plane"]
+        assert line is not None and normal is not None
+        for m in letters:
+            assert _is_eigenvector(m, line)
+            assert _is_eigenvector(m.transpose(), normal)
+
+
 def test_enumerate_words_budget():
     from projdim.errors import BudgetExceeded
 
