@@ -284,8 +284,8 @@ def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3,
         return lo, hi
 
     raw_lo, raw_hi = bisect(raw, 0.0, 2.0)
-    # the bracket is built from final bisection ends, not midpoints, so it
-    # contains the roots of both constant-shifted curves
+    # bracket ends are final bisection ends, so the bracket holds the roots
+    # of the raw and of both constant-shifted curves
     lower_lo, _ = bisect(lambda s: raw(s) + log_c_lo / n_max, 0.0, 2.0)
     _, upper_hi = bisect(lambda s: raw(s) + log_c_up / n_max, 0.0, 2.0)
     diagnostics["tol"] = tol

@@ -525,9 +525,10 @@ def _bracket(x: Matrix3, y: Matrix3) -> Matrix3:
 def _rational_eigenvalues(a: Matrix3) -> list[Fraction]:
     """Exactly verified rational eigenvalues, descending.
 
-    Candidates come from a float root solve and are rationalized before
-    exact verification, so irrational spectra simply yield nothing; the
-    probe is a sound witness detector, not a completeness proof.
+    Candidates come from a float root solve, rationalized, plus the one
+    exact candidate for a repeated root; all are verified exactly, so
+    irrational spectra simply yield nothing.  The probe is a sound witness
+    detector, not a completeness proof.
     """
     t = a.trace
     e = a.entries
@@ -541,9 +542,9 @@ def _rational_eigenvalues(a: Matrix3) -> list[Fraction]:
     def char(lam: Fraction) -> Fraction:
         return lam ** 3 - t * lam ** 2 + m * lam - d
 
-    # np.roots splits a repeated root into a complex pair or two nearby reals;
-    # a repeated root is rational, the root of the linear remainder of char
-    # mod char' (or t/3 when char' divides char), so it is added exactly
+    # np.roots splits a repeated root into a complex pair or two nearby reals,
+    # but a repeated root is rational: the root of the linear remainder of
+    # char mod char', or t/3 when char' divides char
     r1, r0 = 2 * (3 * m - t * t) / 9, (t * m - 9 * d) / 9
     cands = [-r0 / r1 if r1 else t / 3]
     for r in np.roots([1.0, -float(t), float(m), -float(d)]):
