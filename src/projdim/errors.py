@@ -37,6 +37,10 @@ class NotTraceless(ProjdimError):
     """A generator is a nonzero scalar matrix and carries no traceless content."""
 
 
+class FloatRange(ProjdimError):
+    """A result is too large or too small to be represented as a float."""
+
+
 class BadDirection(ProjdimError):
     """A direction vector is zero, non-unit or has negative coordinates."""
 

@@ -13,6 +13,7 @@ small values.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PrecisionLoss, SingularInput
+from .errors import DomainError, FloatRange, PrecisionLoss, SingularInput
 
 Rational = Fraction | int | str
 
@@ -104,9 +105,6 @@ class Matrix3:
         c = _as_fraction(c)
         return Matrix3(tuple(tuple(c * x for x in row) for row in self.entries))
 
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
     def to_strings(self) -> list[list[str]]:
         """Row-major ``"p/q"`` rendering used by the JSON serializers."""
         return [[str(x) for x in row] for row in self.entries]
@@ -176,24 +174,46 @@ def frobenius_bracket(a: Matrix3) -> tuple[Fraction, Fraction]:
     return f2 / 3, f2
 
 
+def _range_exponent(x: Fraction) -> int:
+    """An exponent ``e >= 0`` with ``|x| * 2**-e < 2**65``, read exactly from
+    the bit lengths; ``e = 0`` whenever ``|x| < 2**64``."""
+    return max(0, abs(x.numerator).bit_length() - x.denominator.bit_length() - 64)
+
+
+def _scaled_norm(a: Matrix3) -> tuple[float, int]:
+    """``(n, e)`` with spectral norm ``n * 2**e``, from the float view of
+    ``a * 2**-e``, so the norm kernel stays in float range."""
+    e = _range_exponent(max(abs(x) for row in a.entries for x in row))
+    view = a.float_view if e == 0 else a.scale(Fraction(1, 1 << e)).float_view
+    return float(opnorm_batch(view)), e
+
+
 def singular_values(a: Matrix3) -> SvTriple:
     """Singular values of ``a`` from its float view.
 
     ``a1`` comes from the Gram matrix of ``a``, ``a1*a2`` from the Gram
     matrix of the exterior square, and ``a3`` from the exact determinant,
     so the relative error stays near machine precision until the condition
-    number approaches 1/eps.  Emits :class:`PrecisionLoss` once
-    ``a1/a3 > 1e12``.
+    number approaches 1/eps.  A matrix (or exterior square) with an entry
+    of 2**64 or more is first scaled by an exact power of two, and the
+    exponent is carried into the values; below that nothing is scaled.
+    Raises :class:`FloatRange` when a value overflows or underflows a
+    float, and emits :class:`PrecisionLoss` once ``a1/a3 > 1e12``.
     """
     d = a.det
     if d == 0:
         raise SingularInput("singular values of an exactly singular matrix")
-    a1 = operator_norm(a)
-    b = operator_norm(exterior_square(a))  # = a1*a2
-    a2 = b / a1
-    a3 = abs(float(d)) / b
-    a2 = min(a2, a1)
-    a3 = min(a3, a2)
+    n1, e1 = _scaled_norm(a)
+    n2, e2 = _scaled_norm(exterior_square(a))  # a1*a2 = n2 * 2**e2
+    ed = _range_exponent(d)
+    try:
+        a1 = math.ldexp(n1, e1)
+        a2 = min(math.ldexp(n2 / n1, e2 - e1), a1)
+        a3 = min(math.ldexp(float(abs(d) / (1 << ed)) / n2, ed - e2), a2)
+    except (OverflowError, ZeroDivisionError):  # a norm is 0 when its view underflows
+        a3 = 0.0
+    if a3 == 0.0:
+        raise FloatRange("a singular value is outside the float range")
     if a1 / a3 > 1e12:
         warnings.warn(
             f"condition number {a1 / a3:.3e} exceeds 1e12", PrecisionLoss, stacklevel=2

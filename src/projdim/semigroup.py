@@ -2,9 +2,10 @@
 
 A :class:`SystemSpec` bundles an exact alphabet with a rational probability
 vector and an optional conjugator ``M`` (the system then acts through the
-letters ``M^-1 A M``).  Enumeration is depth-first and lexicographic with
-incrementally maintained exact products, so memory stays proportional to
-the depth.
+letters ``M^-1 A M``).  :func:`enumerate_words` is depth-first and
+lexicographic with incrementally maintained exact products, so its memory
+stays proportional to the depth; the word-tree walks (:class:`Frontier`)
+and :func:`diophantine_check` hold one whole level at a time.
 """
 
 from __future__ import annotations
@@ -381,71 +382,81 @@ def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64,
 def diophantine_check(sys: SystemSpec, n_max: int, cap: Optional[int] = None) -> dict:
     """Pairwise distinctness of all level-``n`` products for ``n <= n_max``.
 
-    Products are compared exactly.  ``min_gap`` is the smallest max-abs
-    entry difference over same-level pairs, a lower bound for the operator
-    norm gap; for integer alphabets it is an exact integer, so distinctness
-    alone certifies ``min_gap >= 1``.
+    Each level is one stack of the exact integer products ``D^n A_w`` in
+    lexicographic word order, ``D`` the common denominator of the acting
+    letters: ``int64`` when ``R^n_max < 2**62`` (``R`` the largest absolute
+    row sum of the letters ``D A``, so every entry and entry difference
+    fits), Python ints otherwise, never floats.  ``first_collision`` is
+    ``(n, i, j)``: ``j`` is the first repeated product of the first level
+    with one, ``i`` its first occurrence; later levels cannot change the
+    report, so the check stops there.
+
+    ``min_gap`` is the smallest max-abs entry difference over same-level
+    pairs, a lower bound for the operator norm gap, exact for every rational
+    alphabet (``g / D^n``, rounded to float once), so ``gap_is_exact`` is
+    always true.  Its sweep (:func:`_min_linf_gap`) ends at the first
+    offset on every rauzy level, where gap 1 is found at once, but deep
+    rational levels need many: Γ₁₀ at depth 3 (216,000 products) takes
+    1,308 offsets, 25 s on a 2-core Xeon.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     k = len(sys)
     check_budget(sum(k ** n for n in range(1, n_max + 1)), cap)
 
-    integer = all(a.is_integer() for a in sys.effective_alphabet)
-    all_distinct = True
-    min_gap: Optional[float] = None
-    gap_exact = integer
+    letters = [a.entries for a in sys.effective_alphabet]
+    den = math.lcm(*(x.denominator for a in letters for row in a for x in row))
+    step = np.array([[[int(x * den) for x in row] for row in a] for a in letters],
+                    dtype=object)
+    if np.abs(step).sum(axis=2).max() ** n_max < 2 ** 62:
+        step = step.astype(np.int64)
+
     first_collision = None
-
-    level = [Matrix3.identity()]
+    min_gap = math.inf
+    level = np.identity(3, dtype=step.dtype)[None]
     for n in range(1, n_max + 1):
-        level = [mat_mul(p, a) for p in level for a in sys.effective_alphabet]
+        level = np.matmul(level[:, None], step[None]).reshape(-1, 3, 3)
+        flat = level.reshape(-1, 9)
         seen: dict[tuple, int] = {}
-        for idx, p in enumerate(level):
-            key = p.entries
-            if key in seen:
-                all_distinct = False
-                if first_collision is None:
-                    first_collision = (n, seen[key], idx)
-            else:
-                seen[key] = idx
-        gap = _level_min_gap(level, integer)
-        if gap is not None:
-            min_gap = gap if min_gap is None else min(min_gap, gap)
+        for idx, key in enumerate(map(tuple, flat.tolist())):
+            first = seen.setdefault(key, idx)
+            if first != idx:
+                first_collision = (n, first, idx)
+                break
+        if first_collision is not None:
+            break
+        if len(flat) > 1:
+            min_gap = min(min_gap, Fraction(_min_linf_gap(flat), den ** n))
 
+    all_distinct = first_collision is None
     return {
         "all_distinct": all_distinct,
-        "min_gap": 0.0 if not all_distinct else (min_gap if min_gap is not None else math.inf),
-        "gap_is_exact": gap_exact,
+        "min_gap": float(min_gap) if all_distinct else 0.0,
+        "gap_is_exact": True,
         "levels_checked": n_max,
         "first_collision": first_collision,
     }
 
 
-def _level_min_gap(level: list[Matrix3], integer: bool) -> Optional[float]:
-    m = len(level)
-    if m < 2:
-        return None
-    if integer:
-        flat = np.array(
-            [[int(x) for row in p.entries for x in row] for p in level], dtype=object
-        )
-        if abs(flat).max() < 2 ** 31:
-            flat = flat.astype(np.int64)
-    else:
-        flat = np.array(
-            [[float(x) for row in p.entries for x in row] for p in level]
-        )
-    best = None
-    chunk = max(1, int(2e7) // (9 * m))
-    for start in range(0, m, chunk):
-        block = flat[start:start + chunk]
-        diff = np.abs(block[:, None, :] - flat[None, :, :]).max(axis=2)
-        rows = np.arange(start, start + len(block))
-        diff[rows - start, rows] = np.iinfo(np.int64).max if diff.dtype.kind == "i" else np.inf
-        g = diff.min()
-        best = g if best is None else min(best, g)
-    return float(best) if best is not None else None
+def _min_linf_gap(rows: np.ndarray) -> int:
+    """Smallest max-abs difference between two distinct integer rows.
+
+    A sorted sweep (Shamos–Hoey, *Closest-point problems*, 1975): the rows
+    are sorted by the column with the most distinct values, and offset ``d``
+    compares every row with the ``d``-th next one in one step.  The sweep
+    stops once every lead-column difference at offset ``d`` is at least the
+    best gap (no pair further apart can be closer), or once the best gap is
+    1 (distinct integer rows are never closer).
+    """
+    col = max(range(rows.shape[1]), key=lambda c: len(np.unique(rows[:, c])))
+    rows = rows[np.argsort(rows[:, col], kind="stable")]
+    lead = rows[:, col]
+    best = math.inf
+    for d in range(1, len(rows)):
+        if best <= 1 or (lead[d:] - lead[:-d]).min() >= best:
+            break
+        best = min(best, np.abs(rows[d:] - rows[:-d]).max(axis=1).min())
+    return int(best)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projdim.errors import DomainError, PrecisionLoss, SingularInput
+from projdim.errors import DomainError, FloatRange, PrecisionLoss, SingularInput
 from projdim.linalg import (
     Matrix3,
     exterior_square,
@@ -104,6 +104,35 @@ def test_singular_values_against_lapack():
         assert sv.a1 == pytest.approx(ref[0], rel=1e-10)
         assert sv.a2 == pytest.approx(ref[1], rel=1e-9)
         assert sv.a3 == pytest.approx(ref[2], rel=1e-9)
+
+
+def test_singular_values_stay_in_float_range():
+    # the products of rauzy_alphabet()[n % 3] over n = 1..N; past N = 280 the
+    # entries pass 1e77 and the unscaled Gram-of-Gram step overflows
+    alphabet = rauzy_alphabet()
+    p, prods = Matrix3.identity(), {}
+    for n in range(1, 1201):
+        p = mat_mul(p, alphabet[n % 3])
+        prods[n] = p
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionLoss)
+        for n in (40, 100, 280):
+            # the unscaled route is in range here, and scaling moves no bit
+            a = prods[n]
+            n1 = float(opnorm_batch(a.float_view))
+            n2 = float(opnorm_batch(exterior_square(a).float_view))
+            sv = singular_values(a)
+            assert (sv.a1, sv.a2, sv.a3) == (n1, n2 / n1, 1.0 / n2)
+        for n in (300, 700):
+            sv = singular_values(prods[n])
+            ref = np.linalg.svd(prods[n].float_view, compute_uv=False)
+            assert sv.a1 == pytest.approx(ref[0], rel=1e-13)
+            assert sv.a1 * sv.a2 * sv.a3 == pytest.approx(1.0, rel=1e-12)
+            assert 0.0 < sv.a3 <= sv.a2 < sv.a1
+        with pytest.raises(FloatRange):  # a1 is about 2**1055
+            singular_values(prods[1200])
+    with pytest.raises(FloatRange):  # every float entry underflows to 0
+        singular_values(Matrix3.diagonal(*[F(1, 2 ** 1100)] * 3))
 
 
 def test_svf_trivial_branches():

@@ -291,7 +291,7 @@ def test_diophantine_duplicate_letter():
     rep = diophantine_check(sys, 2)
     assert rep["all_distinct"] is False
     assert rep["min_gap"] == 0.0
-    assert rep["first_collision"][0] == 1
+    assert rep["first_collision"] == (1, 0, 1)
 
 
 def test_diophantine_cross_length_collision_detected_per_level():
@@ -299,7 +299,76 @@ def test_diophantine_cross_length_collision_detected_per_level():
     a = rauzy_alphabet()
     sys = SystemSpec("mix", (a[0], mat_mul(a[0], a[1])), (F(1, 2), F(1, 2)))
     rep = diophantine_check(sys, 6)
-    assert isinstance(rep["all_distinct"], bool)
+    assert rep["all_distinct"] is True
+    assert rep["min_gap"] == 1.0
+    assert rep["first_collision"] is None
+
+
+def _diophantine_reference(sys, n_max):
+    """Every pair of every level, over the exact products of enumerate_words."""
+    first_collision, gaps = None, []
+    for n in range(1, n_max + 1):
+        prods = [w.product.entries for w in enumerate_words(sys, n)]
+        first = {}
+        for j, p in enumerate(prods):
+            i = first.setdefault(p, j)
+            if i != j and first_collision is None:
+                first_collision = (n, i, j)
+        # the level's own common denominator makes every entry an integer
+        den = math.lcm(*(x.denominator for p in prods for row in p for x in row))
+        ints = [[int(x * den) for row in p for x in row] for p in prods]
+        wide = max(abs(x) for row in ints for x in row) >= 2 ** 62
+        flat = np.array(ints, dtype=object if wide else np.int64)
+        for i in range(len(flat) - 1):
+            gaps.append(F(int(np.abs(flat[i + 1:] - flat[i]).max(axis=1).min()), den))
+    distinct = first_collision is None
+    return {
+        "all_distinct": distinct,
+        "min_gap": 0.0 if not distinct else (float(min(gaps)) if gaps else math.inf),
+        "gap_is_exact": True,
+        "levels_checked": n_max,
+        "first_collision": first_collision,
+    }
+
+
+def _rational_shears():
+    # D = 6 and gaps below 1, so the sweep runs past its first offsets
+    return SystemSpec.uniform("qshear", (
+        Matrix3.from_rows([[1, F(1, 2), 0], [0, 1, 0], [0, 0, 1]]),
+        Matrix3.from_rows([[1, 0, 0], [F(1, 3), 1, 0], [0, 0, 1]]),
+        Matrix3.diagonal(2, F(1, 3), F(3, 2)),
+    ))
+
+
+@pytest.mark.parametrize("make,depth", [
+    (rauzy_system, 5),
+    (triple9_system, 4),
+    (lambda: rauzy_gamma_system(2), 3),
+    (lambda: SystemSpec("dup", (rauzy_alphabet()[0],) * 2, (F(1, 2), F(1, 2))), 2),
+    (lambda: SystemSpec("mix", (rauzy_alphabet()[0],
+                                mat_mul(rauzy_alphabet()[0], rauzy_alphabet()[1])),
+                        (F(1, 2), F(1, 2))), 6),
+    (_rational_shears, 4),
+])
+def test_diophantine_matches_exact_reference(make, depth):
+    sys = make()
+    for n in range(1, depth + 1):
+        assert diophantine_check(sys, n) == _diophantine_reference(sys, n)
+
+
+def test_diophantine_exact_past_int64():
+    # unimodular shears with a 2**40 entry: (1 + 2**40)**3 passes 2**62, so the
+    # products are Python ints, and some entries pass 2**63
+    big = 2 ** 40
+    sys = SystemSpec.uniform("shear", (
+        Matrix3.from_rows([[1, big, 0], [0, 1, 0], [0, 0, 1]]),
+        Matrix3.from_rows([[1, 0, 0], [big, 1, 0], [0, 0, 1]]),
+    ))
+    assert max(abs(x) for w in enumerate_words(sys, 3)
+               for row in w.product.entries for x in row) > 2 ** 63
+    rep = diophantine_check(sys, 3)
+    assert rep == _diophantine_reference(sys, 3)
+    assert rep["all_distinct"] is True
 
 
 def test_lie_algebra_dimension_examples():
