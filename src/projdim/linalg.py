@@ -160,11 +160,6 @@ class SvTriple:
         return self.a2 / self.a1, self.a3 / self.a1
 
 
-def operator_norm(a: Matrix3) -> float:
-    """Spectral norm, i.e. the largest singular value (see :func:`opnorm_batch`)."""
-    return float(opnorm_batch(a.float_view))
-
-
 def frobenius_bracket(a: Matrix3) -> tuple[Fraction, Fraction]:
     """Exact rational bracket ``frob^2/3 <= |A|_2^2 <= frob^2``.
 
@@ -174,18 +169,47 @@ def frobenius_bracket(a: Matrix3) -> tuple[Fraction, Fraction]:
     return f2 / 3, f2
 
 
+def _pow2(e: int) -> Fraction:
+    """The exact rational ``2**e`` for any integer ``e``."""
+    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+
+
 def _range_exponent(x: Fraction) -> int:
-    """An exponent ``e >= 0`` with ``|x| * 2**-e < 2**65``, read exactly from
-    the bit lengths; ``e = 0`` whenever ``|x| < 2**64``."""
-    return max(0, abs(x.numerator).bit_length() - x.denominator.bit_length() - 64)
+    """An exponent ``e`` with ``2**-1 < |x| * 2**-e < 2**65`` for ``x != 0``,
+    read exactly from the bit lengths; ``e = 0`` whenever
+    ``2**-64 <= |x| < 2**64``."""
+    b = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    return b - 64 if b > 64 else b if b < -64 else 0
+
+
+def _scaled_float(x: Fraction, e: int) -> float:
+    """The float nearest to ``x * 2**-e``."""
+    return float(x if e == 0 else x * _pow2(-e))
 
 
 def _scaled_norm(a: Matrix3) -> tuple[float, int]:
     """``(n, e)`` with spectral norm ``n * 2**e``, from the float view of
-    ``a * 2**-e``, so the norm kernel stays in float range."""
+    ``a * 2**-e``, so the norm kernel (:func:`opnorm_batch`) stays in
+    float range."""
     e = _range_exponent(max(abs(x) for row in a.entries for x in row))
-    view = a.float_view if e == 0 else a.scale(Fraction(1, 1 << e)).float_view
+    view = a.float_view if e == 0 else a.scale(_pow2(-e)).float_view
     return float(opnorm_batch(view)), e
+
+
+def operator_norm(a: Matrix3) -> float:
+    """Spectral norm, i.e. the largest singular value (see :func:`_scaled_norm`).
+
+    Raises :class:`FloatRange` when a nonzero norm overflows or underflows
+    a float.
+    """
+    n, e = _scaled_norm(a)
+    try:
+        norm = math.ldexp(n, e)
+    except OverflowError:
+        norm = 0.0
+    if norm == 0.0 and n != 0.0:
+        raise FloatRange("the operator norm is outside the float range")
+    return norm
 
 
 def singular_values(a: Matrix3) -> SvTriple:
@@ -194,11 +218,12 @@ def singular_values(a: Matrix3) -> SvTriple:
     ``a1`` comes from the Gram matrix of ``a``, ``a1*a2`` from the Gram
     matrix of the exterior square, and ``a3`` from the exact determinant,
     so the relative error stays near machine precision until the condition
-    number approaches 1/eps.  A matrix (or exterior square) with an entry
-    of 2**64 or more is first scaled by an exact power of two, and the
-    exponent is carried into the values; below that nothing is scaled.
-    Raises :class:`FloatRange` when a value overflows or underflows a
-    float, and emits :class:`PrecisionLoss` once ``a1/a3 > 1e12``.
+    number approaches 1/eps.  A matrix (or exterior square) whose largest
+    entry is 2**64 or more, or below 2**-64, is first scaled by an exact
+    power of two, and the exponent is carried into the values; between
+    those bounds nothing is scaled.  Raises :class:`FloatRange` when a
+    value overflows or underflows a float, and emits :class:`PrecisionLoss`
+    once ``a1/a3 > 1e12``.
     """
     d = a.det
     if d == 0:
@@ -209,8 +234,8 @@ def singular_values(a: Matrix3) -> SvTriple:
     try:
         a1 = math.ldexp(n1, e1)
         a2 = min(math.ldexp(n2 / n1, e2 - e1), a1)
-        a3 = min(math.ldexp(float(abs(d) / (1 << ed)) / n2, ed - e2), a2)
-    except (OverflowError, ZeroDivisionError):  # a norm is 0 when its view underflows
+        a3 = min(math.ldexp(_scaled_float(abs(d), ed) / n2, ed - e2), a2)
+    except OverflowError:
         a3 = 0.0
     if a3 == 0.0:
         raise FloatRange("a singular value is outside the float range")
@@ -254,11 +279,14 @@ def svf_via_norms(a: Matrix3, s: float) -> float:
     d = a.det
     if d == 0:
         raise SingularInput("svf_via_norms of an exactly singular matrix")
-    na = operator_norm(a)
-    nw = operator_norm(exterior_square(a))
+    n1, e1 = _scaled_norm(a)
+    n2, e2 = _scaled_norm(exterior_square(a))
+    r21 = math.ldexp(n2 / n1 ** 2, e2 - 2 * e1)
     if s <= 1.0:
-        return (nw / na ** 2) ** s
-    return (nw / na ** 2) * (abs(float(d)) / (na * nw)) ** (s - 1.0)
+        return r21 ** s
+    ed = _range_exponent(d)
+    r31 = math.ldexp(_scaled_float(abs(d), ed) / (n1 * n2), ed - e1 - e2)
+    return r21 * r31 ** (s - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -123,15 +123,25 @@ def test_singular_values_stay_in_float_range():
             n2 = float(opnorm_batch(exterior_square(a).float_view))
             sv = singular_values(a)
             assert (sv.a1, sv.a2, sv.a3) == (n1, n2 / n1, 1.0 / n2)
+            assert operator_norm(a) == n1
+            assert svf_via_norms(a, 1.5) == (n2 / n1 ** 2) * (1.0 / (n1 * n2)) ** 0.5
         for n in (300, 700):
             sv = singular_values(prods[n])
             ref = np.linalg.svd(prods[n].float_view, compute_uv=False)
             assert sv.a1 == pytest.approx(ref[0], rel=1e-13)
             assert sv.a1 * sv.a2 * sv.a3 == pytest.approx(1.0, rel=1e-12)
             assert 0.0 < sv.a3 <= sv.a2 < sv.a1
+            # the norm route scales the same way
+            assert operator_norm(prods[n]) == sv.a1
+        assert svf_via_norms(prods[300], 1.5) == pytest.approx(svf(prods[300], 1.5), rel=1e-9)
         with pytest.raises(FloatRange):  # a1 is about 2**1055
             singular_values(prods[1200])
-    with pytest.raises(FloatRange):  # every float entry underflows to 0
+        with pytest.raises(FloatRange):
+            operator_norm(prods[1200])
+    # every value fits a float, but the Gram of the exterior square does not
+    tiny = singular_values(Matrix3.diagonal(F(1, 10 ** 60), F(2, 10 ** 60), F(3, 10 ** 60)))
+    assert (tiny.a1, tiny.a2, tiny.a3) == pytest.approx((3e-60, 2e-60, 1e-60), rel=1e-14)
+    with pytest.raises(FloatRange):  # every value underflows a float
         singular_values(Matrix3.diagonal(*[F(1, 2 ** 1100)] * 3))
 
 
