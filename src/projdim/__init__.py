@@ -53,6 +53,7 @@ from .projective import (
 from .semigroup import (
     SystemSpec,
     Word,
+    WordSet,
     diophantine_check,
     enumerate_words,
     irreducibility_probe,

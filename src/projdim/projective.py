@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .semigroup import (
     Frontier,
     SystemSpec,
     Word,
+    WordSet,
     is_nonnegative,
     require_positive_like,
     stopping_partition_psi,
@@ -270,19 +271,17 @@ def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_00
         return PointCloud(_to_coords(h, coords), coords, seed)
     if method == "cylinder":
         _require_nonnegative_action(sys, "cylinder sampling")
-        words: Sequence[Word] = []
         for n in range(1, 40):
             words = stopping_partition_psi(sys, n)
             if len(words) >= budget:
                 break
-        letters = sys.letters_float
-        x0 = np.ones(3) / 3.0
-        pts = np.empty((len(words), 3))
-        for w_i, w in enumerate(words):
-            h = x0
-            for letter in reversed(w.letters):
-                h = letters[letter] @ h
-            pts[w_i] = h / h.sum()
+        # h = A_w1 ... A_wL x0 for all words at once, last letter first
+        lf = sys.letters_float
+        h = np.full((len(words), 3, 1), 1.0 / 3.0)
+        for col in reversed(range(words.letters.shape[1])):
+            live = words.lengths > col
+            h[live] = lf[words.letters[live, col]] @ h[live]
+        pts = h[:, :, 0] / h.sum(axis=1)
         return PointCloud(_to_coords(pts, coords), coords, seed)
     raise ValueError(f"unknown sampling method {method!r}")
 
@@ -340,8 +339,11 @@ def rescale_decompose(frame: PlaneFrame, a: Matrix3) -> dict:
 
 
 def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64,
-                 cap: Optional[int] = None) -> list[Word]:
+                 cap: Optional[int] = None) -> WordSet:
     """First-passage words where the frame rescaling factor drops to ``2^-n``.
+
+    Like :func:`stopping_partition_psi`, it returns a packed, read-only,
+    lexicographically sorted :class:`WordSet`.
 
     The stopping statistic for a word ``w`` is
     ``|A_w^T u| / |A_w^T r2|`` with ``u`` the unit in-plane direction whose

@@ -11,11 +11,13 @@ and :func:`diophantine_check` hold one whole level at a time.
 from __future__ import annotations
 
 import math
+import operator
 import os
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -169,6 +171,40 @@ class Word:
         for i in self.letters:
             p *= sys.probabilities[i]
         return p
+
+
+class WordSet(Sequence):
+    """A packed, read-only sequence of words over one acting alphabet.
+
+    Row ``i`` of the ``(m, L)`` ``int32`` array ``letters`` holds word ``i``,
+    padded with -1 past ``lengths[i]``; both arrays are read-only.  Items
+    are built on access as :class:`Word` objects with Python ``int``
+    letters and are not kept, so the set stays packed; a slice is a
+    :class:`WordSet` view.
+    """
+
+    __slots__ = ("letters", "lengths", "alphabet")
+
+    def __init__(self, letters: np.ndarray, lengths: np.ndarray,
+                 alphabet: tuple[Matrix3, ...]):
+        self.letters, self.lengths = letters, lengths
+        self.alphabet = alphabet
+        letters.setflags(write=False)
+        lengths.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return WordSet(self.letters[i], self.lengths[i], self.alphabet)
+        i = operator.index(i)
+        row = self.letters[i, :self.lengths[i]]
+        return Word(tuple(row.tolist()), alphabet=self.alphabet)
+
+    def __iter__(self) -> Iterator[Word]:
+        for row, n in zip(self.letters.tolist(), self.lengths.tolist()):
+            yield Word(tuple(row[:n]), alphabet=self.alphabet)
 
 
 def enumerate_words(sys: SystemSpec, n: int, cap: Optional[int] = None) -> Iterator[Word]:
@@ -336,39 +372,44 @@ class Frontier:
                 np.ldexp(1.0 / (n1 * n2), -(e1 + e2)))
 
     def first_passage(self, statistic: Callable[["Frontier"], np.ndarray], n: int,
-                      max_len: int) -> list[Word]:
+                      max_len: int) -> WordSet:
         """The minimal words whose ``statistic(self)`` drops to ``2^-n``.
 
         The result is sorted lexicographically; a branch still above the
         threshold at length ``max_len`` raises :class:`NotContracting`.
         """
         threshold = 2.0 ** (-n)
-        out: list[Word] = []
+        blocks: list[np.ndarray] = []
         while True:
             ratio = statistic(self)
             stopped = ratio <= threshold
-            out.extend(Word(tuple(row), alphabet=self.alphabet)
-                       for row in self.letters[stopped].tolist())
+            blocks.append(self.letters[stopped])
             if stopped.all():
                 break
             if self.letters.shape[1] >= max_len:
                 raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
                                      f"above 2^-{n} at depth {max_len}")
             self.grow(~stopped)
-        out.sort(key=lambda w: w.letters)
-        return out
+        # -1 pads each word past its end, so it sorts before its extensions
+        letters = np.concatenate([
+            np.pad(b, ((0, 0), (0, self.letters.shape[1] - b.shape[1])), constant_values=-1)
+            for b in blocks])
+        lengths = np.concatenate([np.full(len(b), b.shape[1], dtype=np.int32) for b in blocks])
+        order = np.lexsort(letters.T[::-1])
+        return WordSet(letters[order], lengths[order], self.alphabet)
 
 
 def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64,
-                           cap: Optional[int] = None) -> list[Word]:
+                           cap: Optional[int] = None) -> WordSet:
     """First-passage words where ``a2/a1`` drops to ``2^-n``.
 
     Returns the minimal words whose ratio is ``<= 2^-n`` while every proper
-    nonempty prefix stays above; the result is a prefix-free partition of
-    the sequence space, sorted lexicographically.  ``n = 0`` therefore
-    returns the single letters.  Branches that fail to cross the threshold
-    by ``max_len`` raise :class:`NotContracting` (the runtime form of the
-    uniform-contraction hypothesis).
+    nonempty prefix stays above, as a packed, read-only, lexicographically
+    sorted :class:`WordSet`; they form a prefix-free partition of the
+    sequence space.  ``n = 0`` therefore returns the single letters.
+    Branches that fail to cross the threshold by ``max_len`` raise
+    :class:`NotContracting` (the runtime form of the uniform-contraction
+    hypothesis).
     """
     if n < 0:
         raise ValueError("resolution must be >= 0")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction as F
@@ -23,8 +24,10 @@ from projdim.pressure import (
 )
 from projdim.projective import plane_frame_orthonormal, xi_partition
 from projdim.semigroup import (
+    Frontier,
     SystemSpec,
     Word,
+    WordSet,
     diophantine_check,
     enumerate_words,
     irreducibility_probe,
@@ -122,6 +125,51 @@ def test_psi_stays_in_float_range(copies, n, lengths):
 
 
 FRAME = plane_frame_orthonormal(np.ones(3) / math.sqrt(3.0))
+
+
+def _reference_first_passage(walk, statistic, n, max_len):
+    """The list-of-tuples first passage: per-level rows, sorted as tuples."""
+    out = []
+    while True:
+        stopped = statistic(walk) <= 2.0 ** (-n)
+        out.extend(tuple(row) for row in walk.letters[stopped].tolist())
+        if stopped.all():
+            return sorted(out)
+        walk.grow(~stopped)
+
+
+FIRST_PASSAGES = {
+    "psi-gamma2": (lambda: rauzy_gamma_system(2), lambda sys: stopping_partition_psi(sys, 6)),
+    "xi-gamma2": (lambda: rauzy_gamma_system(2), lambda sys: xi_partition(FRAME, sys, 6)),
+    "psi-big2": (lambda: SystemSpec.uniform("big", (BIG,) * 2),
+                 lambda sys: stopping_partition_psi(sys, 2)),
+    "psi-diag": (lambda: diag_system(9, 1, F(1, 9)), lambda sys: stopping_partition_psi(sys, 7)),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_PASSAGES)
+def test_first_passage_wordset_matches_reference(case, monkeypatch):
+    make, run = FIRST_PASSAGES[case]
+    sys = make()
+    with monkeypatch.context() as m:
+        m.setattr(Frontier, "first_passage", _reference_first_passage)
+        ref = run(sys)
+    ws = run(sys)
+    assert isinstance(ws, WordSet)
+    assert not ws.letters.flags.writeable and not ws.lengths.flags.writeable
+    assert [w.letters for w in ws] == ref
+    assert len(ws) == len(ref)
+    assert ws[0].letters == ref[0] and ws[-1].letters == ref[-1]
+    with pytest.raises(IndexError):
+        ws[len(ws)]
+    view = ws[::7]
+    assert isinstance(view, WordSet) and not view.letters.flags.writeable
+    assert list(view) == list(ws)[::7]
+    assert all(type(x) is int for w in (ws[0], ws[-1], next(iter(ws))) for x in w.letters)
+    for i in (0, len(ws) // 2, -1):
+        w = ws[i]
+        assert w.product == functools.reduce(
+            mat_mul, (sys.effective_alphabet[j] for j in w.letters))
 
 
 def test_walks_stay_in_float_range():
