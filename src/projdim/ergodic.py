@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadVector, DegenerateSpectrum, DomainError
+from .errors import BadVector, DegenerateSpectrum, DomainError, FloatRange
 from .linalg import opnorm_batch
-from .rng import make_rng
+from .rng import draw_letters, make_rng
 from .pressure import DimensionEstimate
 from .projective import frame_for_plane, project_measure_samples
 from .semigroup import SystemSpec, require_positive_like
@@ -74,12 +74,9 @@ def lyapunov_exponents(sys: SystemSpec, steps: int, seed=0,
     """Monte-Carlo Lyapunov spectrum with chain-wise standard errors."""
     if steps < 1000:
         raise DomainError("lyapunov_exponents needs steps >= 1000")
-    k = len(sys)
     letters = sys.letters_float
-    p = sys.probabilities_float
     cadence = _renorm_cadence(sys)
-    rng = make_rng(seed)
-    idx = rng.choice(k, size=(steps, chains), p=p)
+    idx = draw_letters(make_rng(seed), sys.probabilities_float, (steps, chains))
     q = np.broadcast_to(np.eye(3), (chains, 3, 3)).copy()
     acc = np.zeros((chains, 3))
     for t in range(steps):
@@ -130,8 +127,7 @@ def furstenberg_plane_sample(sys: SystemSpec, steps: int, seed=0) -> np.ndarray:
     if steps < 100:
         raise DomainError("furstenberg_plane_sample needs steps >= 100")
     inv = sys.letters_inverse_float
-    rng = make_rng(seed)
-    idx = rng.choice(len(sys), size=steps, p=sys.probabilities_float)
+    idx = draw_letters(make_rng(seed), sys.probabilities_float, steps)
     n = np.array([0.0, -1.0, 1.0]) / math.sqrt(2.0)  # normal of span{e1, (1,1,1)}
     for t in idx:
         n = inv[t] @ n
@@ -140,20 +136,55 @@ def furstenberg_plane_sample(sys: SystemSpec, steps: int, seed=0) -> np.ndarray:
     return n if n[imax] > 0 else -n
 
 
+def _cell_counts(samples, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied cells ``floor(v * 2^n)`` in increasing order and their counts.
+
+    The same cells and counts, in the same order, as ``np.unique`` of the
+    cell indices; cells must stay inside ``int64``, so ``|v| * 2^n`` must
+    stay below ``2^63``.
+    """
+    vals = np.asarray(samples, dtype=float)
+    if vals.size == 0:
+        raise BadVector("dyadic_entropy needs samples")
+    top = float(np.abs(vals).max())
+    if not math.isfinite(top) or (top > 0 and math.frexp(top)[1] + n > 63):
+        raise FloatRange(f"max |sample| = {top} times 2^{n} leaves the int64 cell range")
+    cells = np.floor(vals * (2.0 ** n)).astype(np.int64).ravel()
+    cells.sort()
+    starts = _run_starts(cells)
+    return cells[starts], np.diff(np.append(starts, cells.size))
+
+
+def _run_starts(sorted_vals: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+
+
+def _plugin_entropy(counts: np.ndarray) -> float:
+    qf = counts / counts.sum()
+    return float(-(qf * np.log(qf)).sum())
+
+
 def dyadic_entropy(samples, n: int) -> float:
     """Plug-in entropy of the sample histogram on cells of side ``2^-n``.
 
     Binning commutes with dyadic scaling exactly: scaling samples by
     ``2^k`` and evaluating at resolution ``n + k`` reproduces resolution
-    ``n`` bit for bit.
+    ``n`` bit for bit.  Raises ``FloatRange`` once ``max |v| * 2^n``
+    reaches ``2^63``, where the cell indices would leave ``int64``.
     """
-    vals = np.asarray(samples, dtype=float)
-    if vals.size == 0:
-        raise BadVector("dyadic_entropy needs samples")
-    bins = np.floor(vals * (2.0 ** n)).astype(np.int64)
-    _, counts = np.unique(bins, return_counts=True)
-    qf = counts / counts.sum()
-    return float(-(qf * np.log(qf)).sum())
+    return _plugin_entropy(_cell_counts(samples, n)[1])
+
+
+def _entropy_slope(samples, n: int) -> float:
+    """``dyadic_entropy(v, n) - dyadic_entropy(v, n - 4)`` from one sort.
+
+    ``floor(v 2^n) >> 4 == floor(v 2^(n-4))`` exactly, and shifting keeps
+    the sorted cells sorted, so the coarse counts are sums over runs of
+    equal shifted fine cells, in the order ``np.unique`` gives them.
+    """
+    cells, counts = _cell_counts(samples, n)
+    coarse = np.add.reduceat(counts, _run_starts(cells >> 4))
+    return _plugin_entropy(counts) - _plugin_entropy(coarse)
 
 
 def empirical_delta(sys: SystemSpec, planes: int = 32, samples: int = 100_000,
@@ -167,6 +198,9 @@ def empirical_delta(sys: SystemSpec, planes: int = 32, samples: int = 100_000,
     """
     if n < 5:
         raise DomainError("resolution must be at least 5")
+    if planes < 1 or samples < 1:
+        raise DomainError(f"empirical_delta needs planes >= 1 and samples >= 1, "
+                          f"got {planes} and {samples}")
     require_positive_like(sys, "empirical_delta")
     stats = lyapunov_exponents(sys, lyap_steps, seed=(seed, 0xABCD))
     entropy = shannon_entropy(sys.probabilities)
@@ -178,7 +212,7 @@ def empirical_delta(sys: SystemSpec, planes: int = 32, samples: int = 100_000,
         normal = furstenberg_plane_sample(sys, 300, seed=(seed, 1, w))
         frame = frame_for_plane(normal)
         vals = project_measure_samples(sys, frame, samples, seed=(seed, 2, w))
-        est = (dyadic_entropy(vals, n) - dyadic_entropy(vals, n - 4)) / (4 * LOG2)
+        est = _entropy_slope(vals, n) / (4 * LOG2)
         ests.append(est)
         normals.append([float(x) for x in normal])
     value = float(np.mean(ests))

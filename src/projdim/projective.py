@@ -22,12 +22,13 @@ import numpy as np
 from .errors import (
     BadDirection,
     DegenerateGap,
+    DomainError,
     NotContracting,
     NotPositive,
     ProjdimError,
 )
 from .linalg import Matrix3, singular_values
-from .rng import make_rng
+from .rng import draw_letters, make_rng
 from .semigroup import (
     Frontier,
     SystemSpec,
@@ -230,18 +231,16 @@ def _chaos_homogeneous(sys: SystemSpec, count: int, seed, burn_in: int = 100) ->
     function of ``count`` so results depend only on (count, seed).
     """
     _require_nonnegative_action(sys, "chaos sampling")
-    k = len(sys)
     letters = sys.letters_float
-    p = sys.probabilities_float
     chains = min(4096, count)
     rounds = (count + chains - 1) // chains
-    rng = make_rng(seed)
-    idx = rng.choice(k, size=(burn_in + rounds, chains), p=p)
+    idx = draw_letters(make_rng(seed), sys.probabilities_float, (burn_in + rounds, chains))
     x = np.full((chains, 3), 1.0 / 3.0)
     out = np.empty((rounds, chains, 3))
     for t in range(burn_in + rounds):
         y = np.einsum("cij,cj->ci", letters[idx[t]], x)
-        x = y / y.sum(axis=1, keepdims=True)
+        # the same left-to-right sum as y.sum(axis=1), without the reduction
+        x = y / (y[:, 0] + y[:, 1] + y[:, 2])[:, None]
         if t >= burn_in:
             out[t - burn_in] = x
     return out.reshape(-1, 3)[:count]
@@ -289,6 +288,8 @@ def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_00
 def project_measure_samples(sys: SystemSpec, frame: PlaneFrame, count: int,
                             seed, burn_in: int = 100) -> np.ndarray:
     """``count`` samples of the frame image of the stationary measure."""
+    if count < 1:
+        raise DomainError("project_measure_samples needs count >= 1")
     h = _chaos_homogeneous(sys, count, seed, burn_in)
     return frame.apply_homogeneous(h)
 

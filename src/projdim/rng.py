@@ -19,3 +19,29 @@ def philox_key(seed) -> np.ndarray:
 
 def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=philox_key(seed)))
+
+
+def draw_letters(rng: np.random.Generator, p, shape) -> np.ndarray:
+    """Letter indices drawn with probabilities ``p``, index for index what
+    ``rng.choice(len(p), size=shape, p=p)`` draws.
+
+    ``choice`` takes ``u = rng.random(shape)`` and returns the number of
+    entries of ``cdf = p.cumsum(); cdf /= cdf[-1]`` that are ``<= u``, by
+    binary search.  This does the same count with a guide table (Chen and
+    Asau, 1974): with a power-of-two number of buckets ``K >= 4k``,
+    ``floor(u * K)`` is exact, bucket ``b`` starts at the count of entries
+    ``<= b / K <= u`` (never past the answer), and a forward walk of the
+    bucket's longest length finishes it with the same ``cdf[i] <= u`` test.
+    The walk stops at ``k - 1`` because ``cdf[-1] == 1 > u``.
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << (4 * cdf.size - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    start = cdf.searchsorted(edges[:-1], side="right")
+    walk = int((cdf.searchsorted(edges[1:], side="left") - start).max())
+    u = rng.random(shape)
+    idx = start[(u * buckets).astype(np.intp)]
+    for _ in range(walk):
+        idx += cdf[idx] <= u
+    return idx

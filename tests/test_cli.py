@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from projdim.cli import main, validate_report
+from projdim.pressure import rauzy_gamma_system
 from projdim.systems import rauzy_system, save_system, triple9_system
 
 
@@ -100,6 +101,20 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["dimension", "--system", "triple9.json", "--depth", "3"]) == 3
     finally:
         del os.environ["PROJDIM_NODE_CAP"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--planes", "0"],
+    ["--samples", "0"],
+    ["--samples", "-5"],
+    ["--res", "70"],  # floor(v * 2^70) leaves int64
+])
+def test_delta_rejects_degenerate_sizes_and_resolutions(tmp_path, extra):
+    system = tmp_path / "gamma1.json"
+    save_system(rauzy_gamma_system(1), system)
+    args = ["delta", "--system", str(system), "--planes", "2", "--samples", "2000"]
+    code, rep = run_cli(args + extra, tmp_path)
+    assert code == 2 and rep is None
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from projdim.errors import BadVector, DegenerateSpectrum, DomainError
+from projdim.errors import BadVector, DegenerateSpectrum, DomainError, FloatRange
 from projdim.ergodic import (
     LyapunovStats,
+    _entropy_slope,
     dyadic_entropy,
     empirical_delta,
     furstenberg_plane_sample,
@@ -16,6 +17,7 @@ from projdim.ergodic import (
 )
 from projdim.linalg import Matrix3, mat_mul
 from projdim.pressure import rauzy_gamma_system
+from projdim.projective import plane_frame_orthonormal, project_measure_samples
 from projdim.semigroup import SystemSpec
 from projdim.systems import (
     gamma_letter,
@@ -29,6 +31,11 @@ from projdim.systems import (
 # QR cadences 1-8 all agreeing to 5 digits):
 RAUZY_CHI = (0.5009, -0.2021, -0.2989)
 GAMMA10_CHI = (2.0601, -0.6618, -1.3983)
+
+# Exact outputs of the samplers, recorded before their letter draws moved
+# from Generator.choice to rng.draw_letters; any drift of a sampler shows here.
+GAMMA2_PLANE_ESTIMATES = [0.9672152673217519, 0.9687001465106119, 0.9702137263988884]
+RAUZY_CHI_SEED3 = (0.5011285809508395, -0.20436335207440187, -0.2967652288765906)
 
 
 def test_shannon_entropy_values():
@@ -70,6 +77,10 @@ def test_lyapunov_rauzy_structure_and_regression():
     assert abs(stats.chi1 + stats.chi2 + stats.chi3) <= 3 * max(total_se, 1e-12)
     for got, want in zip(stats.chis, RAUZY_CHI):
         assert got == pytest.approx(want, abs=0.01)
+
+
+def test_lyapunov_pinned_bits():
+    assert lyapunov_exponents(rauzy_system(), 2000, seed=3).chis == RAUZY_CHI_SEED3
 
 
 def test_lyapunov_gamma10_regression_guards_renorm_cadence():
@@ -167,6 +178,29 @@ def test_dyadic_entropy_scaling_property(xs, k):
     assert dyadic_entropy(x * 2.0**k, 6) == dyadic_entropy(x, 6 + k)
 
 
+@pytest.mark.parametrize("vals", [
+    -np.random.default_rng(3).random(5000) * 5.0,
+    np.random.default_rng(4).integers(-300, 300, 4000) / 2.0 ** 6,  # on cell edges
+    np.full(1000, -0.8125),
+    np.random.default_rng(5).standard_normal((300, 7)),
+])
+def test_entropy_slope_equals_two_entropies(vals):
+    for n in (5, 6, 10, 12):
+        assert _entropy_slope(vals, n) == dyadic_entropy(vals, n) - dyadic_entropy(vals, n - 4)
+
+
+def test_dyadic_entropy_raises_when_cells_leave_int64():
+    x = np.array([0.25, -0.75])
+    dyadic_entropy(x, 63)  # 0.75 * 2^63 < 2^63
+    with pytest.raises(FloatRange):
+        dyadic_entropy(x, 64)
+    with pytest.raises(FloatRange):
+        dyadic_entropy(np.array([1.0, -2.0 ** 62]), 1)
+    with pytest.raises(FloatRange):
+        dyadic_entropy(np.array([0.5, np.nan]), 8)
+    assert dyadic_entropy(np.zeros(5), 100) == 0.0
+
+
 def test_dyadic_entropy_bounded_by_occupancy():
     rng = np.random.default_rng(2)
     x = rng.random(400)
@@ -180,6 +214,21 @@ def test_empirical_delta_singleton_point_mass():
                              conjugator=positivizing_conjugator())
     est = empirical_delta(sys, planes=4, samples=5000, n=10, seed=0, lyap_steps=1000)
     assert est.value == pytest.approx(0.0, abs=1e-6)
+
+
+def test_empirical_delta_pinned_bits():
+    est = empirical_delta(rauzy_gamma_system(2), planes=3, samples=20_000, n=10, seed=5)
+    assert est.diagnostics["plane_estimates"] == GAMMA2_PLANE_ESTIMATES
+
+
+def test_empirical_delta_rejects_degenerate_sizes():
+    sys = rauzy_gamma_system(1)
+    for planes, samples in ((0, 100), (2, 0), (2, -5)):
+        with pytest.raises(DomainError):
+            empirical_delta(sys, planes=planes, samples=samples, n=8)
+    frame = plane_frame_orthonormal(np.ones(3) / math.sqrt(3.0))
+    with pytest.raises(DomainError):
+        project_measure_samples(sys, frame, 0, seed=0)
 
 
 def _mixed_word_letters():
