@@ -137,16 +137,13 @@ def furstenberg_plane_sample(sys: SystemSpec, steps: int, seed=0) -> np.ndarray:
 
 
 def _cell_counts(samples, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied cells ``floor(v * 2^n)`` in increasing order and their counts.
-
-    The same cells and counts, in the same order, as ``np.unique`` of the
-    cell indices; cells must stay inside ``int64``, so ``|v| * 2^n`` must
-    stay below ``2^63``.
-    """
+    """Occupied cells ``floor(v * 2^n)`` in increasing order and their
+    counts, as ``np.unique`` gives them."""
     vals = np.asarray(samples, dtype=float)
     if vals.size == 0:
         raise BadVector("dyadic_entropy needs samples")
     top = float(np.abs(vals).max())
+    # exponent arithmetic: top * 2.0 ** n itself overflows for n >= 1024
     if not math.isfinite(top) or (top > 0 and math.frexp(top)[1] + n > 63):
         raise FloatRange(f"max |sample| = {top} times 2^{n} leaves the int64 cell range")
     cells = np.floor(vals * (2.0 ** n)).astype(np.int64).ravel()

@@ -108,6 +108,7 @@ def test_exit_codes(tmp_path, capsys):
     ["--samples", "0"],
     ["--samples", "-5"],
     ["--res", "70"],  # floor(v * 2^70) leaves int64
+    ["--res", "1100"],  # 2.0 ** 1100 is not a float
 ])
 def test_delta_rejects_degenerate_sizes_and_resolutions(tmp_path, extra):
     system = tmp_path / "gamma1.json"

@@ -33,7 +33,8 @@ RAUZY_CHI = (0.5009, -0.2021, -0.2989)
 GAMMA10_CHI = (2.0601, -0.6618, -1.3983)
 
 # Exact outputs of the samplers, recorded before their letter draws moved
-# from Generator.choice to rng.draw_letters; any drift of a sampler shows here.
+# from Generator.choice to rng.draw_letters (numpy 2.4.6, x86-64, OpenBLAS);
+# any drift of a sampler shows here.
 GAMMA2_PLANE_ESTIMATES = [0.9672152673217519, 0.9687001465106119, 0.9702137263988884]
 RAUZY_CHI_SEED3 = (0.5011285809508395, -0.20436335207440187, -0.2967652288765906)
 
