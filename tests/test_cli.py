@@ -160,3 +160,44 @@ def test_local_system_file_load(tmp_path):
     )
     assert code == 0
     assert rep["config"]["label"] == "triple9"
+
+
+_G1 = "gamma1.json"
+# one small run per subcommand; paths are relative to the test's directory
+_ECHO_CASES = [
+    (["pressure", "--system", "triple9.json", "--s", "0.5"],
+     {"system": "triple9.json", "label": "triple9", "s": 0.5, "depth": 4, "threads": 1}),
+    (["dimension", "--system", "triple9.json", "--tol", "0.01"],
+     {"system": "triple9.json", "label": "triple9", "tol": 0.01, "depth": 4, "threads": 1}),
+    (["rauzy", "--N", "1", "--tol", "0.01", "--depth", "2"],
+     {"N": 1, "tol": 0.01, "depth": 2, "threads": 1}),
+    (["lyapunov", "--system", "rauzy.json", "--steps", "1000", "--seed", "2"],
+     {"system": "rauzy.json", "label": "rauzy", "steps": 1000, "seed": 2}),
+    (["delta", "--system", _G1, "--planes", "1", "--samples", "500", "--res", "6"],
+     {"system": _G1, "label": "rauzy-gamma-1", "planes": 1, "samples": 500, "res": 6,
+      "seed": 0}),
+    (["render", "--system", "rauzy.json", "--points", "300", "--coords", "plane",
+      "--out", "cloud.csv", "--svg", "cloud.svg"],
+     {"system": "rauzy.json", "label": "rauzy", "points": 300, "coords": "plane_P",
+      "method": "chaos", "seed": 0, "out": "cloud.csv", "svg": "cloud.svg"}),
+    (["cover", "--system", _G1, "--s", "1.5", "--delta", "0.01"],
+     {"system": _G1, "label": "rauzy-gamma-1", "s": 1.5, "delta": 0.01}),
+    (["boxdim", "--cloud", "cloud.csv", "--res", "2:4"],
+     {"cloud": "cloud.csv", "res": "2:4"}),
+    (["check", "--system", "rauzy.json", "--depth", "3"],
+     {"system": "rauzy.json", "label": "rauzy", "depth": 3}),
+]
+
+
+@pytest.mark.parametrize("argv, config", _ECHO_CASES, ids=[a[0] for a, _ in _ECHO_CASES])
+def test_report_config_echoes_resolved_flags(tmp_path, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    save_system(rauzy_gamma_system(1), _G1)
+    if argv[0] == "boxdim":
+        assert main(["render", "--system", "rauzy.json", "--points", "300",
+                     "--out", "cloud.csv"]) == 0
+    dest = "--report" if argv[0] == "render" else "--out"
+    assert main(argv + [dest, "report.json"]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    validate_report(rep)
+    assert rep["config"] == config
