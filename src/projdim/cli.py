@@ -1,8 +1,12 @@
 """Command-line front end: one subcommand per pipeline, JSON reports.
 
-Reports are versioned documents echoing the fully resolved configuration;
-identical configurations (seeds included) reproduce byte-identical files.
-The enumeration cap can be overridden with the PROJDIM_NODE_CAP variable.
+A report is a versioned document.  Its ``config`` is the parsed flags with
+every default resolved (a defaulted ``--depth``, render's full ``--coords``
+name), less the report's own destination (``--out``, or ``--report`` for
+``render``), plus the system's ``label``; identical configurations (seeds
+included) reproduce byte-identical files.  Exit codes: 0 success, 2 invalid
+input, 3 node budget or memory exhausted.  The enumeration cap can be
+overridden with the PROJDIM_NODE_CAP variable.
 """
 
 from __future__ import annotations
@@ -89,128 +93,71 @@ def _parse_resolutions(arg: str) -> list[int]:
     return [int(x) for x in arg.split(",")]
 
 
-def _lyap_dict(stats) -> dict:
-    return {
-        "chi": list(stats.chis),
-        "stderr": list(stats.stderrs),
-        "steps": stats.steps,
-        "diagnostics": stats.diagnostics,
-    }
+# Each command takes the parsed flags and the loaded --system (None without
+# one), writes any default it resolves back into the flags, since they are
+# the report's config, and returns the report's result.
+
+def _cmd_pressure(args, system) -> dict:
+    args.depth = args.depth or _default_depth(len(system))
+    est = pressure_estimate(system, args.s, args.depth, workers=args.threads)
+    return {"raw": est.raw, "upper": est.upper, "lower": est.lower,
+            "submult_constant": est.submult_constant, "diagnostics": est.diagnostics}
 
 
-def _is_rauzy(sys_spec) -> bool:
-    return tuple(sys_spec.alphabet) == rauzy_alphabet()
+def _cmd_dimension(args, system) -> dict:
+    args.depth = args.depth or _default_depth(len(system))
+    return affinity_dimension(system, tol=args.tol, n_max=args.depth,
+                              workers=args.threads).as_dict()
 
 
-def _cmd_pressure(args) -> dict:
-    system = load_system(args.system)
-    depth = args.depth or _default_depth(len(system))
-    est = pressure_estimate(system, args.s, depth, workers=args.threads)
-    return build_report(
-        "pressure",
-        {"system": args.system, "label": system.label, "s": args.s,
-         "depth": depth, "threads": args.threads},
-        {"raw": est.raw, "upper": est.upper, "lower": est.lower,
-         "submult_constant": est.submult_constant, "diagnostics": est.diagnostics},
-    )
+def _cmd_rauzy(args, system) -> dict:
+    return rauzy_dimension(args.N, n_max=args.depth, tol=args.tol,
+                           workers=args.threads).as_dict()
 
 
-def _cmd_dimension(args) -> dict:
-    system = load_system(args.system)
-    depth = args.depth or _default_depth(len(system))
-    est = affinity_dimension(system, tol=args.tol, n_max=depth, workers=args.threads)
-    return build_report(
-        "dimension",
-        {"system": args.system, "label": system.label, "tol": args.tol,
-         "depth": depth, "threads": args.threads},
-        est.as_dict(),
-    )
-
-
-def _cmd_rauzy(args) -> dict:
-    est = rauzy_dimension(args.N, n_max=args.depth, tol=args.tol,
-                          workers=args.threads)
-    return build_report(
-        "rauzy",
-        {"N": args.N, "tol": args.tol, "depth": args.depth, "threads": args.threads},
-        est.as_dict(),
-    )
-
-
-def _cmd_lyapunov(args) -> dict:
-    system = load_system(args.system)
+def _cmd_lyapunov(args, system) -> dict:
     stats = lyapunov_exponents(system, args.steps, seed=args.seed)
-    return build_report(
-        "lyapunov",
-        {"system": args.system, "label": system.label, "steps": args.steps,
-         "seed": args.seed},
-        _lyap_dict(stats),
-    )
+    return {"chi": list(stats.chis), "stderr": list(stats.stderrs), "steps": stats.steps,
+            "diagnostics": stats.diagnostics}
 
 
-def _cmd_delta(args) -> dict:
-    system = load_system(args.system)
-    est = empirical_delta(system, planes=args.planes, samples=args.samples,
-                          n=args.res, seed=args.seed)
-    return build_report(
-        "delta",
-        {"system": args.system, "label": system.label, "planes": args.planes,
-         "samples": args.samples, "res": args.res, "seed": args.seed},
-        est.as_dict(),
-    )
+def _cmd_delta(args, system) -> dict:
+    return empirical_delta(system, planes=args.planes, samples=args.samples,
+                           n=args.res, seed=args.seed).as_dict()
 
 
-def _cmd_render(args) -> dict:
-    system = load_system(args.system)
-    coords = {"simplex": "simplex_S", "plane": "plane_P"}.get(args.coords, args.coords)
+def _cmd_render(args, system) -> dict:
+    args.coords = {"simplex": "simplex_S", "plane": "plane_P"}.get(args.coords, args.coords)
     cloud = attractor_points(system, method=args.method, budget=args.points,
-                             seed=args.seed, coords=coords)
+                             seed=args.seed, coords=args.coords)
     save_cloud_csv(cloud, args.out)
     if args.svg:
         render_svg(cloud, args.svg)
-    return build_report(
-        "render",
-        {"system": args.system, "label": system.label, "points": args.points,
-         "coords": coords, "method": args.method, "seed": args.seed,
-         "out": args.out, "svg": args.svg},
-        {"points_written": len(cloud), "coordinate_system": cloud.coordinate_system},
-    )
+    return {"points_written": len(cloud), "coordinate_system": cloud.coordinate_system}
 
 
-def _cmd_cover(args) -> dict:
-    system = load_system(args.system)
+def _cmd_cover(args, system) -> dict:
     rep = svd_cover_upper(system, args.s, args.delta)
-    return build_report(
-        "cover",
-        {"system": args.system, "label": system.label, "s": args.s,
-         "delta": args.delta},
-        {"word_count": rep.word_count, "cover_cost": rep.cover_cost,
-         "cone_constant": rep.cone_constant, "diagnostics": rep.diagnostics},
-    )
+    return {"word_count": rep.word_count, "cover_cost": rep.cover_cost,
+            "cone_constant": rep.cone_constant, "diagnostics": rep.diagnostics}
 
 
-def _cmd_boxdim(args) -> dict:
-    cloud = load_cloud_csv(args.cloud)
-    est = box_dimension_estimate(cloud, _parse_resolutions(args.res))
-    return build_report(
-        "boxdim",
-        {"cloud": args.cloud, "res": args.res},
-        est.as_dict(),
-    )
+def _cmd_boxdim(args, system) -> dict:
+    return box_dimension_estimate(load_cloud_csv(args.cloud),
+                                  _parse_resolutions(args.res)).as_dict()
 
 
-def _cmd_check(args) -> dict:
-    system = load_system(args.system)
+def _cmd_check(args, system) -> dict:
     pos = positivity_report(system)
     dio = diophantine_check(system, args.depth)
     irr = irreducibility_probe(system)
     lie_dim = None
-    if _is_rauzy(system):
+    if tuple(system.alphabet) == rauzy_alphabet():
         lie_dim = lie_algebra_dimension(rauzy_curve_derivatives())
-    result = {
+    return {
         "positivity": {"positive": pos["positive"],
                        "entry_ratio": str(pos["entry_ratio"])},
-        "diophantine": {k: v for k, v in dio.items()},
+        "diophantine": dio,
         "irreducibility": {
             "invariant_line": None if irr["invariant_line"] is None
             else [str(x) for x in irr["invariant_line"]],
@@ -221,11 +168,6 @@ def _cmd_check(args) -> dict:
         "entropy": shannon_entropy(system.probabilities),
         "sosc": "assumed-unchecked",
     }
-    return build_report(
-        "check",
-        {"system": args.system, "label": system.label, "depth": args.depth},
-        result,
-    )
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -308,17 +250,24 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    dest = "report" if args.command == "render" else "out"
     try:
-        report = args.func(args)
+        system = load_system(args.system) if "system" in vars(args) else None
+        result = args.func(args, system)
     except BudgetExceeded as exc:
         print(f"projdim: budget exhausted: {exc}", file=_sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"projdim: out of memory: {exc}", file=_sys.stderr)
         return 3
     except (ProjdimError, ValueError, OSError) as exc:
         print(f"projdim: {exc}", file=_sys.stderr)
         return 2
-    _emit(report, args.report if args.command == "render" else args.out)
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", dest)}
+    if system is not None:
+        config["label"] = system.label
+    _emit(build_report(args.command, config, result), getattr(args, dest))
     return 0
 
 

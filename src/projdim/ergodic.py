@@ -25,6 +25,7 @@ from .projective import frame_for_plane, project_measure_samples
 from .semigroup import SystemSpec, require_positive_like
 
 LOG2 = math.log(2.0)
+_CHAINS = 32  # independent Lyapunov chains; their spread gives the standard errors
 
 
 def shannon_entropy(p: Sequence) -> float:
@@ -69,16 +70,15 @@ def _renorm_cadence(sys: SystemSpec) -> int:
     return max(1, min(20, int(16.0 / max(kappa, 1e-9))))
 
 
-def lyapunov_exponents(sys: SystemSpec, steps: int, seed=0,
-                       chains: int = 32) -> LyapunovStats:
+def lyapunov_exponents(sys: SystemSpec, steps: int, seed=0) -> LyapunovStats:
     """Monte-Carlo Lyapunov spectrum with chain-wise standard errors."""
     if steps < 1000:
         raise DomainError("lyapunov_exponents needs steps >= 1000")
     letters = sys.letters_float
     cadence = _renorm_cadence(sys)
-    idx = draw_letters(make_rng(seed), sys.probabilities_float, (steps, chains))
-    q = np.broadcast_to(np.eye(3), (chains, 3, 3)).copy()
-    acc = np.zeros((chains, 3))
+    idx = draw_letters(make_rng(seed), sys.probabilities_float, (steps, _CHAINS))
+    q = np.broadcast_to(np.eye(3), (_CHAINS, 3, 3)).copy()
+    acc = np.zeros((_CHAINS, 3))
     for t in range(steps):
         q = letters[idx[t]] @ q
         if (t + 1) % cadence == 0:
@@ -88,12 +88,12 @@ def lyapunov_exponents(sys: SystemSpec, steps: int, seed=0,
     acc += np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
     per = acc / steps
     chi = per.mean(axis=0)
-    se = per.std(axis=0, ddof=1) / math.sqrt(chains)
+    se = per.std(axis=0, ddof=1) / math.sqrt(_CHAINS)
     return LyapunovStats(
         float(chi[0]), float(chi[1]), float(chi[2]),
         float(se[0]), float(se[1]), float(se[2]),
         steps=steps, seed=seed,
-        diagnostics={"chains": chains, "renorm_cadence": cadence},
+        diagnostics={"chains": _CHAINS, "renorm_cadence": cadence},
     )
 
 

@@ -27,6 +27,7 @@ from .semigroup import Frontier, SystemSpec, check_budget, require_positive_like
 from .systems import gamma_letter, positivizing_conjugator
 
 _PAIR_SAMPLE_CAP = 10_000
+_PRUNE_TOL = 1e-15  # zeta subtrees below this share of the running total are cut
 _LN2 = math.log(2.0)
 
 
@@ -157,7 +158,7 @@ def partition_sum(sys: SystemSpec, s: float, n: int, workers: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # sampled multiplicativity constants
 
-def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int, seed: int = 0) -> dict:
+def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
     """Sampled max/min of ``phi^s(AB) / (phi^s(A) phi^s(B))`` over word pairs."""
     k = len(sys)
     walk = Frontier(sys)
@@ -172,7 +173,7 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int, seed: int = 0
         ia, ib = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         ia, ib = ia.ravel(), ib.ravel()
     else:
-        rng = make_rng(seed)
+        rng = make_rng(0)
         ia = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
         ib = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
 
@@ -302,12 +303,11 @@ def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3,
 # ---------------------------------------------------------------------------
 # truncated zeta function with pruning
 
-def zeta_truncated(sys: SystemSpec, s: float, n_max: int,
-                   prune_tol: float = 1e-15) -> ZetaTruncation:
+def zeta_truncated(sys: SystemSpec, s: float, n_max: int) -> ZetaTruncation:
     """Partial sum of the zeta series up to depth ``n_max`` with subtree pruning.
 
     A subtree is cut once its (heuristically bounded) remaining mass drops
-    below ``prune_tol`` of the running total; the accumulated bound on the
+    below ``_PRUNE_TOL`` of the running total; the accumulated bound on the
     discarded mass is returned alongside the value.
     """
     if n_max < 1:
@@ -335,7 +335,7 @@ def zeta_truncated(sys: SystemSpec, s: float, n_max: int,
         if depth == n_max:
             break
         bounds = tail_bound(level_values, n_max - depth)
-        keep = bounds >= prune_tol * total
+        keep = bounds >= _PRUNE_TOL * total
         loss += float(np.sum(bounds[~keep]))
         if not np.any(keep):
             break

@@ -15,7 +15,6 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -38,6 +37,11 @@ from .semigroup import (
     require_positive_like,
     stopping_partition_psi,
 )
+
+
+_BURN_IN = 100  # chaos steps discarded before the first sample
+_SVG_SIZE = 800  # side of the rendered square, in pixels
+_SVG_MAX_POINTS = 50_000  # larger clouds are subsampled by a stride
 
 
 class DenominatorZero(ProjdimError):
@@ -99,12 +103,6 @@ class PlaneFrame:
     @property
     def r2(self) -> np.ndarray:
         return self.rows[1]
-
-    def plane_normal(self) -> np.ndarray:
-        n = np.cross(self.rows[0], self.rows[1])
-        n /= np.linalg.norm(n)
-        imax = int(np.argmax(np.abs(n)))
-        return n if n[imax] > 0 else -n
 
     def apply(self, x) -> float:
         return float(lft_apply(self.rows, x)[0])
@@ -223,7 +221,7 @@ def _require_nonnegative_action(sys: SystemSpec, what: str) -> None:
         )
 
 
-def _chaos_homogeneous(sys: SystemSpec, count: int, seed, burn_in: int = 100) -> np.ndarray:
+def _chaos_homogeneous(sys: SystemSpec, count: int, seed) -> np.ndarray:
     """Stationary-measure samples as sum-normalized homogeneous 3-vectors.
 
     Runs a batch of parallel chains (counter-based streams keyed by the
@@ -234,15 +232,15 @@ def _chaos_homogeneous(sys: SystemSpec, count: int, seed, burn_in: int = 100) ->
     letters = sys.letters_float
     chains = min(4096, count)
     rounds = (count + chains - 1) // chains
-    idx = draw_letters(make_rng(seed), sys.probabilities_float, (burn_in + rounds, chains))
+    idx = draw_letters(make_rng(seed), sys.probabilities_float, (_BURN_IN + rounds, chains))
     x = np.full((chains, 3), 1.0 / 3.0)
     out = np.empty((rounds, chains, 3))
-    for t in range(burn_in + rounds):
+    for t in range(_BURN_IN + rounds):
         y = np.einsum("cij,cj->ci", letters[idx[t]], x)
         # the same left-to-right sum as y.sum(axis=1), without the reduction
         x = y / (y[:, 0] + y[:, 1] + y[:, 2])[:, None]
-        if t >= burn_in:
-            out[t - burn_in] = x
+        if t >= _BURN_IN:
+            out[t - _BURN_IN] = x
     return out.reshape(-1, 3)[:count]
 
 
@@ -255,8 +253,7 @@ def _to_coords(h: np.ndarray, coords: str) -> np.ndarray:
 
 
 def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_000,
-                     seed: int = 0, coords: str = "simplex_S",
-                     burn_in: int = 100) -> PointCloud:
+                     seed: int = 0, coords: str = "simplex_S") -> PointCloud:
     """Sample the attractor by forward iteration or by cylinder midpoints.
 
     ``chaos`` iterates random letters from the barycenter; ``cylinder``
@@ -266,7 +263,7 @@ def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_00
     if budget < 1:
         raise ValueError("budget must be positive")
     if method == "chaos":
-        h = _chaos_homogeneous(sys, budget, seed, burn_in)
+        h = _chaos_homogeneous(sys, budget, seed)
         return PointCloud(_to_coords(h, coords), coords, seed)
     if method == "cylinder":
         _require_nonnegative_action(sys, "cylinder sampling")
@@ -285,12 +282,11 @@ def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_00
     raise ValueError(f"unknown sampling method {method!r}")
 
 
-def project_measure_samples(sys: SystemSpec, frame: PlaneFrame, count: int,
-                            seed, burn_in: int = 100) -> np.ndarray:
+def project_measure_samples(sys: SystemSpec, frame: PlaneFrame, count: int, seed) -> np.ndarray:
     """``count`` samples of the frame image of the stationary measure."""
     if count < 1:
         raise DomainError("project_measure_samples needs count >= 1")
-    h = _chaos_homogeneous(sys, count, seed, burn_in)
+    h = _chaos_homogeneous(sys, count, seed)
     return frame.apply_homogeneous(h)
 
 
@@ -339,8 +335,7 @@ def rescale_decompose(frame: PlaneFrame, a: Matrix3) -> dict:
     return {"M": m, "c": c, "t": t, "u": u}
 
 
-def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64,
-                 cap: Optional[int] = None) -> WordSet:
+def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64) -> WordSet:
     """First-passage words where the frame rescaling factor drops to ``2^-n``.
 
     Like :func:`stopping_partition_psi`, it returns a packed, read-only,
@@ -360,7 +355,7 @@ def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64,
         raise ValueError("xi_partition needs an orthonormal frame")
     require_positive_like(sys, "xi_partition")
     lf = sys.letters_float
-    walk = Frontier(sys, cap, states=[np.matmul(frame.rows, lf)], steps=[lf])
+    walk = Frontier(sys, states=[np.matmul(frame.rows, lf)], steps=[lf])
 
     def statistic(walk: Frontier) -> np.ndarray:
         w1, w2 = walk.states[0][:, 0], walk.states[0][:, 1]
@@ -408,23 +403,22 @@ def load_cloud_csv(path: str | Path) -> PointCloud:
     return PointCloud(np.array(rows), coords, seed=-1)
 
 
-def render_svg(cloud: PointCloud, path: str | Path, size: int = 800,
-               max_points: int = 50_000) -> None:
-    """Rasterize the cloud as an SVG scatter (subsampled past ``max_points``)."""
+def render_svg(cloud: PointCloud, path: str | Path) -> None:
+    """Rasterize the cloud as an SVG scatter (subsampled past ``_SVG_MAX_POINTS``)."""
     pts = cloud.points[:, :2]
-    if len(pts) > max_points:
-        stride = len(pts) // max_points + 1
+    if len(pts) > _SVG_MAX_POINTS:
+        stride = len(pts) // _SVG_MAX_POINTS + 1
         pts = pts[::stride]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.where(hi - lo < 1e-12, 1.0, hi - lo)
-    xy = (pts - lo) / span * (size - 10) + 5
+    xy = (pts - lo) / span * (_SVG_SIZE - 10) + 5
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
     for x, y in xy:
-        parts.append(f'<circle cx="{x:.2f}" cy="{size - y:.2f}" r="0.6" fill="black"/>')
+        parts.append(f'<circle cx="{x:.2f}" cy="{_SVG_SIZE - y:.2f}" r="0.6" fill="black"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts))

@@ -45,10 +45,9 @@ def node_cap() -> int:
     return int(raw) if raw else DEFAULT_NODE_CAP
 
 
-def check_budget(words: int, cap: Optional[int] = None) -> None:
-    """Raise :class:`BudgetExceeded` once a walk visits more than ``cap`` words
-    (default: the node cap)."""
-    cap = cap if cap is not None else node_cap()
+def check_budget(words: int) -> None:
+    """Raise :class:`BudgetExceeded` once a walk visits more than the node cap."""
+    cap = node_cap()
     if words > cap:
         raise BudgetExceeded(f"{words} words exceed the node cap {cap}")
 
@@ -207,12 +206,12 @@ class WordSet(Sequence):
             yield Word(tuple(row[:n]), alphabet=self.alphabet)
 
 
-def enumerate_words(sys: SystemSpec, n: int, cap: Optional[int] = None) -> Iterator[Word]:
+def enumerate_words(sys: SystemSpec, n: int) -> Iterator[Word]:
     """All length-``n`` words in lexicographic order, products exact."""
     if n < 1:
         raise ValueError("word length must be >= 1")
     k = len(sys)
-    check_budget(k ** n, cap)
+    check_budget(k ** n)
     letters = sys.effective_alphabet
 
     def rec(prefix: tuple[int, ...], prod: Matrix3) -> Iterator[Word]:
@@ -314,8 +313,7 @@ class Frontier:
     :class:`BudgetExceeded` is raised before a level over the cap is built.
     """
 
-    def __init__(self, sys: SystemSpec, cap: Optional[int] = None,
-                 tops: Optional[Sequence[int]] = None,
+    def __init__(self, sys: SystemSpec, tops: Optional[Sequence[int]] = None,
                  states: Optional[Sequence[np.ndarray]] = None,
                  steps: Optional[Sequence[np.ndarray]] = None):
         """A walk from the letters ``tops`` (all by default); without
@@ -326,9 +324,8 @@ class Frontier:
         tops = np.arange(len(sys)) if tops is None else np.asarray(tops)
         self.alphabet = sys.effective_alphabet
         self.steps = steps
-        self.cap = cap if cap is not None else node_cap()
         self.visited = len(tops)
-        check_budget(self.visited, self.cap)
+        check_budget(self.visited)
         self.letters = tops.astype(np.int32)[:, None]
         self.states = [x[tops] for x in states]
         self.exps = [np.zeros(len(tops), dtype=np.int32) for _ in states]
@@ -355,7 +352,7 @@ class Frontier:
             self.exps = [e[keep] for e in self.exps]
         m, k = len(self.letters), len(self.steps[0])
         self.visited += m * k
-        check_budget(self.visited, self.cap)
+        check_budget(self.visited)
         self.letters = np.concatenate(
             [np.repeat(self.letters, k, axis=0),
              np.tile(np.arange(k, dtype=np.int32), m)[:, None]], axis=1)
@@ -399,8 +396,7 @@ class Frontier:
         return WordSet(letters[order], lengths[order], self.alphabet)
 
 
-def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64,
-                           cap: Optional[int] = None) -> WordSet:
+def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64) -> WordSet:
     """First-passage words where ``a2/a1`` drops to ``2^-n``.
 
     Returns the minimal words whose ratio is ``<= 2^-n`` while every proper
@@ -413,14 +409,14 @@ def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64,
     """
     if n < 0:
         raise ValueError("resolution must be >= 0")
-    return Frontier(sys, cap).first_passage(
+    return Frontier(sys).first_passage(
         lambda walk: walk.ratios()[0], n, max_len)
 
 
 # ---------------------------------------------------------------------------
 # Diophantine distinctness at finite depth
 
-def diophantine_check(sys: SystemSpec, n_max: int, cap: Optional[int] = None) -> dict:
+def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
     """Pairwise distinctness of all level-``n`` products for ``n <= n_max``.
 
     Each level is one stack of the exact integer products ``D^n A_w`` in
@@ -445,7 +441,7 @@ def diophantine_check(sys: SystemSpec, n_max: int, cap: Optional[int] = None) ->
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     k = len(sys)
-    check_budget(sum(k ** n for n in range(1, n_max + 1)), cap)
+    check_budget(sum(k ** n for n in range(1, n_max + 1)))
 
     letters = [a.entries for a in sys.effective_alphabet]
     den = math.lcm(*(x.denominator for a in letters for row in a for x in row))

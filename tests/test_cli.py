@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import projdim
 from projdim.cli import main, validate_report
 from projdim.pressure import rauzy_gamma_system
+from projdim.projective import PointCloud, save_cloud_csv
 from projdim.systems import rauzy_system, save_system, triple9_system
 
 
@@ -116,6 +122,38 @@ def test_delta_rejects_degenerate_sizes_and_resolutions(tmp_path, extra):
     args = ["delta", "--system", str(system), "--planes", "2", "--samples", "2000"]
     code, rep = run_cli(args + extra, tmp_path)
     assert code == 2 and rep is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--system", "rauzy.json", "--steps", "20000000"],
+    ["delta", "--system", "gamma1.json", "--planes", "1", "--samples", "300000000"],
+], ids=["lyapunov", "delta"])
+def test_memory_exhaustion_exits_3(tmp_path, argv):
+    resource = pytest.importorskip("resource")
+    save_system(rauzy_gamma_system(1), tmp_path / "gamma1.json")
+    limit = 1_500_000_000  # bytes of address space, in the child interpreter only
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(projdim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "projdim.cli", *argv], cwd=tmp_path, env=env,
+                          preexec_fn=cap_address_space, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert "projdim: out of memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_boxdim_past_int64_exits_2(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    save_cloud_csv(PointCloud(np.repeat([[0.5, 0.5], [3e4, 7e4]], 40, axis=0), "plane_P", 0),
+                   cloud)
+    code, rep = run_cli(["boxdim", "--cloud", str(cloud), "--res", "44:52"], tmp_path)
+    assert code == 2 and rep is None
+    assert "int64" in capsys.readouterr().err
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -11,7 +11,7 @@ from projdim.cover import (
     svd_cover_upper,
     svd_vdu,
 )
-from projdim.errors import DomainError, NotPositive, TooFewScales
+from projdim.errors import DomainError, FloatRange, NotPositive, TooFewScales
 from projdim.linalg import Matrix3
 from projdim.pressure import rauzy_gamma_system, zeta_truncated
 from projdim.projective import PointCloud, attractor_points
@@ -122,6 +122,24 @@ def test_box_counts_monotone_and_nested():
     sub = PointCloud(cloud.points[:5000], "simplex_S", 3)
     est_sub = box_dimension_estimate(sub, range(3, 8))
     assert all(a <= b for a, b in zip(est_sub.diagnostics["counts"], counts))
+
+
+def test_box_counts_are_exact_for_far_apart_boxes():
+    # a key packed as (b0 << 24) ^ (b1 & 0xFFFFFF) merged these two boxes
+    pts = np.repeat([[1.0, 1.0], [1.0, 1.0 + 2.0 ** 20]], 40, axis=0)
+    est = box_dimension_estimate(PointCloud(pts, "plane_P", 0), [4, 5, 6])
+    assert est.diagnostics["counts"] == [2, 2, 2]
+
+
+def test_box_counts_past_int64_raise_float_range():
+    pts = np.repeat([[0.5, 0.5], [3.0, 2.0 ** 20]], 40, axis=0)
+    cloud = PointCloud(pts, "plane_P", 0)
+    # 2^20 * 2^42 stays below 2^63; 2^20 * 2^43 reaches it
+    assert box_dimension_estimate(cloud, [40, 41, 42]).diagnostics["counts"] == [2, 2, 2]
+    with pytest.raises(FloatRange):
+        box_dimension_estimate(cloud, [41, 42, 43])
+    with pytest.raises(FloatRange):
+        box_dimension_estimate(cloud, [1100, 1101, 1102])  # 2.0 ** 1100 is not a float
 
 
 def test_box_dimension_too_few_scales():
