@@ -305,35 +305,40 @@ def ext2_batch(a: np.ndarray) -> np.ndarray:
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def sym3_max_eig_batch(s: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of a symmetric ``(..., 3, 3)`` stack.
-
-    Closed-form trigonometric solution of the characteristic cubic.  The
-    largest root is well conditioned, which is all the norm pipeline needs.
+def sym3_max_eig_batch(s00, s01, s02, s11, s12, s22) -> np.ndarray:
+    """Largest eigenvalue of symmetric 3x3 matrices given as the stacks of
+    their six upper entries: the closed-form trigonometric root of the
+    characteristic cubic, with det B written out as a cofactor expansion.
+    A simple largest root (a positive matrix's) is accurate to a few ulps;
+    a repeated one only to about sqrt(eps).
     """
-    q = np.trace(s, axis1=-2, axis2=-1) / 3.0
-    p1 = s[..., 0, 1] ** 2 + s[..., 0, 2] ** 2 + s[..., 1, 2] ** 2
-    p2 = (
-        (s[..., 0, 0] - q) ** 2
-        + (s[..., 1, 1] - q) ** 2
-        + (s[..., 2, 2] - q) ** 2
-        + 2.0 * p1
-    )
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    eye = np.zeros_like(s)
-    eye[..., 0, 0] = eye[..., 1, 1] = eye[..., 2, 2] = 1.0
+    q = (s00 + s11 + s22) / 3.0
+    d0, d1, d2 = s00 - q, s11 - q, s22 - q
+    p = np.sqrt(np.maximum((d0 ** 2 + d1 ** 2 + d2 ** 2
+                            + 2.0 * (s01 ** 2 + s02 ** 2 + s12 ** 2)) / 6.0, 0.0))
     safe = np.where(p == 0.0, 1.0, p)
-    b = (s - q[..., None, None] * eye) / safe[..., None, None]
-    detb = np.linalg.det(b)
+    b00, b11, b22, b01, b02, b12 = (x / safe for x in (d0, d1, d2, s01, s02, s12))
+    detb = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+            + b02 * (b01 * b12 - b11 * b02))
     phi = np.arccos(np.clip(detb / 2.0, -1.0, 1.0)) / 3.0
-    lam = q + 2.0 * p * np.cos(phi)
-    return np.where(p == 0.0, q, lam)
+    return np.where(p == 0.0, q, q + 2.0 * p * np.cos(phi))
 
 
 def opnorm_batch(a: np.ndarray) -> np.ndarray:
-    """Spectral norms of a ``(..., 3, 3)`` float stack."""
-    gram = np.einsum("...ji,...jk->...ik", a, a)
-    return np.sqrt(np.maximum(sym3_max_eig_batch(gram), 0.0))
+    """Spectral norms of a ``(..., 3, 3)`` float stack, from the six Gram
+    entries written out.  Raises :class:`FloatRange` when a norm is not
+    finite (an entry past about 1e77 overflows the Gram step)."""
+    c = [[a[..., j, i] for i in range(3)] for j in range(3)]
+
+    def gram(i: int, k: int) -> np.ndarray:
+        return c[0][i] * c[0][k] + c[1][i] * c[1][k] + c[2][i] * c[2][k]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.maximum(sym3_max_eig_batch(
+            gram(0, 0), gram(0, 1), gram(0, 2), gram(1, 1), gram(1, 2), gram(2, 2)), 0.0))
+    if not np.isfinite(norms).all():
+        raise FloatRange("a spectral norm is outside the float range")
+    return norms
 
 
 def log_ratio_batch(prod: np.ndarray, prod_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

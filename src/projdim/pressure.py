@@ -136,8 +136,10 @@ def _log_phi(s: float, la21: np.ndarray, la31: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(logs: np.ndarray) -> float:
+    """``log sum exp(logs)``; overwrites ``logs`` (a fresh :func:`_log_phi` array)."""
     m = float(logs.max())
-    return m + math.log(float(np.sum(np.exp(logs - m))))
+    logs -= m
+    return m + math.log(float(np.sum(np.exp(logs, out=logs))))
 
 
 def partition_sum(sys: SystemSpec, s: float, n: int, workers: int = 1) -> float:

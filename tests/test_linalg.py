@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from projdim.errors import DomainError, FloatRange, PrecisionLoss, SingularInput
 from projdim.linalg import (
     Matrix3,
+    ext2_batch,
     exterior_square,
     frobenius_bracket,
     mat_mul,
@@ -18,7 +19,9 @@ from projdim.linalg import (
     singular_values,
     svf,
     svf_via_norms,
+    sym3_max_eig_batch,
 )
+from projdim.pressure import rauzy_gamma_system
 from projdim.systems import rauzy_alphabet
 
 # Singular values of the first Rauzy generator, frozen from an independent
@@ -209,6 +212,62 @@ def test_opnorm_batch_matches_scalar():
     batch = opnorm_batch(np.stack([m.float_view for m in mats]))
     for m, b in zip(mats, batch):
         assert b == pytest.approx(np.linalg.norm(m.float_view, 2), rel=1e-10)
+
+
+def _rotation(axis, t):
+    c, s = math.cos(t), math.sin(t)
+    i, j = [k for k in range(3) if k != axis]
+    r = np.eye(3)
+    r[i, i], r[i, j], r[j, i], r[j, j] = c, -s, s, c
+    return r
+
+
+def test_opnorm_batch_edge_cases_match_lapack():
+    # the p == 0 branch (Gram = c^2 I) and the degenerate spectra of the
+    # closed-form cubic, each against LAPACK's 2-norm
+    u, v = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.25, -1.0])
+    mats = [
+        3.5 * np.eye(3),
+        np.eye(3)[[1, 2, 0]],                      # cyclic permutation
+        -np.eye(3)[[0, 2, 1]],                     # signed transposition
+        _rotation(0, math.pi / 2),                 # exact entries, Gram = I
+        _rotation(1, 0.3) @ _rotation(2, 1.1),     # Gram = I up to rounding
+        np.diag([2.0, 2.0, 1.0]),                  # repeated largest eigenvalue
+        np.outer(u, v),                            # rank one
+    ]
+    got = opnorm_batch(np.stack(mats))
+    for m, g in zip(mats, got):
+        assert g == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+    # at a repeated largest eigenvalue the cubic's root is only known to
+    # about sqrt(eps): arccos has a square-root branch point at -1, and the
+    # rounding of det B decides on which side of it the argument lands
+    # (diag(2, 2, 1) happens to land exactly on it)
+    rng = np.random.default_rng(8)
+    frames = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(40)]
+    repeated = np.stack([np.diag([1.0, 3.0, 3.0])]
+                        + [p @ np.diag([3.0, 3.0, 1.0]) @ q for p, q in zip(frames, frames[1:])])
+    np.testing.assert_allclose(opnorm_batch(repeated), 3.0, rtol=1e-8, atol=0)
+    assert opnorm_batch(np.zeros((2, 3, 3))).tolist() == [0.0, 0.0]
+    # the p == 0 branch returns the mean of the diagonal as it is
+    lam = sym3_max_eig_batch(*[np.array([x]) for x in (2.25, 0.0, 0.0, 2.25, 0.0, 2.25)])
+    assert lam.tolist() == [2.25]
+
+
+def test_opnorm_batch_gamma20_products_match_svd():
+    lf = rauzy_gamma_system(20).letters_float
+    prods = np.matmul(lf[:, None], lf[None]).reshape(-1, 3, 3)[:10_000]
+    for stack in (prods, ext2_batch(prods)):
+        ref = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(opnorm_batch(stack), ref, rtol=1e-12, atol=0)
+
+
+def test_opnorm_batch_raises_float_range():
+    # past about 1e77 the Gram step overflows; the kernel says so, not NaN
+    big = np.full((2, 3, 3), 1e80)
+    big[1] = np.diag([1e80, 1.0, 1.0])
+    with pytest.raises(FloatRange):
+        opnorm_batch(big)
+    assert opnorm_batch(big * 1e-10) == pytest.approx([3e70, 1e70], rel=1e-12)
 
 
 def test_json_roundtrip_strings():

@@ -10,6 +10,7 @@ import pytest
 from projdim.errors import DomainError, NotPositive
 from projdim.linalg import Matrix3
 from projdim.pressure import (
+    _logsumexp,
     affinity_dimension,
     partition_sum,
     pressure_estimate,
@@ -231,6 +232,23 @@ def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
     del sys
     gc.collect()
     assert spec() is None and level() is None
+
+
+def test_in_place_logsumexp_leaves_the_word_levels_unchanged():
+    # _logsumexp overwrites the fresh array _log_phi returns, never a level
+    sys = rauzy_gamma_system(2)
+    grid = [(s, n) for s in (0.5, 1.0, 1.5, 2.5) for n in (3, 2, 1)]
+    first = [partition_sum(sys, s, n) for s, n in grid]
+    levels = [arr for level in sys.word_levels[3] for arr in level]
+    saved = [arr.copy() for arr in levels]
+    assert [partition_sum(sys, s, n) for s, n in grid] == first
+    for arr, copy in zip(levels, saved):
+        assert not arr.flags.writeable and np.array_equal(arr, copy)
+
+    logs = np.random.default_rng(9).normal(scale=30.0, size=10_001)
+    m = float(logs.max())
+    allocating = m + math.log(float(np.sum(np.exp(logs - m))))
+    assert _logsumexp(logs.copy()) == allocating
 
 
 def test_uniform_contraction_decay_fit():
