@@ -309,8 +309,8 @@ def sym3_max_eig_batch(s00, s01, s02, s11, s12, s22) -> np.ndarray:
     """Largest eigenvalue of symmetric 3x3 matrices given as the stacks of
     their six upper entries: the closed-form trigonometric root of the
     characteristic cubic, with det B written out as a cofactor expansion.
-    A simple largest root (a positive matrix's) is accurate to a few ulps;
-    a repeated one only to about sqrt(eps).
+    A simple largest root (a positive matrix's) is accurate to near machine
+    precision; a repeated one only to about sqrt(eps).
     """
     q = (s00 + s11 + s22) / 3.0
     d0, d1, d2 = s00 - q, s11 - q, s22 - q
@@ -321,7 +321,7 @@ def sym3_max_eig_batch(s00, s01, s02, s11, s12, s22) -> np.ndarray:
     detb = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
             + b02 * (b01 * b12 - b11 * b02))
     phi = np.arccos(np.clip(detb / 2.0, -1.0, 1.0)) / 3.0
-    return np.where(p == 0.0, q, q + 2.0 * p * np.cos(phi))
+    return q + 2.0 * p * np.cos(phi)  # q itself where p == 0
 
 
 def opnorm_batch(a: np.ndarray) -> np.ndarray:

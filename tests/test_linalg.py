@@ -223,8 +223,8 @@ def _rotation(axis, t):
 
 
 def test_opnorm_batch_edge_cases_match_lapack():
-    # the p == 0 branch (Gram = c^2 I) and the degenerate spectra of the
-    # closed-form cubic, each against LAPACK's 2-norm
+    # p == 0 (Gram = c^2 I) and the degenerate spectra of the closed-form
+    # cubic, each against LAPACK's 2-norm
     u, v = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.25, -1.0])
     mats = [
         3.5 * np.eye(3),
@@ -248,7 +248,7 @@ def test_opnorm_batch_edge_cases_match_lapack():
                         + [p @ np.diag([3.0, 3.0, 1.0]) @ q for p, q in zip(frames, frames[1:])])
     np.testing.assert_allclose(opnorm_batch(repeated), 3.0, rtol=1e-8, atol=0)
     assert opnorm_batch(np.zeros((2, 3, 3))).tolist() == [0.0, 0.0]
-    # the p == 0 branch returns the mean of the diagonal as it is
+    # where p == 0 the root is the mean of the diagonal as it is
     lam = sym3_max_eig_batch(*[np.array([x]) for x in (2.25, 0.0, 0.0, 2.25, 0.0, 2.25)])
     assert lam.tolist() == [2.25]
 
