@@ -55,7 +55,6 @@ from .semigroup import (
     Word,
     WordSet,
     diophantine_check,
-    enumerate_words,
     irreducibility_probe,
     lie_algebra_dimension,
     positivity_report,

@@ -99,20 +99,18 @@ def _parse_resolutions(arg: str) -> list[int]:
 
 def _cmd_pressure(args, system) -> dict:
     args.depth = args.depth or _default_depth(len(system))
-    est = pressure_estimate(system, args.s, args.depth, workers=args.threads)
+    est = pressure_estimate(system, args.s, args.depth)
     return {"raw": est.raw, "upper": est.upper, "lower": est.lower,
             "submult_constant": est.submult_constant, "diagnostics": est.diagnostics}
 
 
 def _cmd_dimension(args, system) -> dict:
     args.depth = args.depth or _default_depth(len(system))
-    return affinity_dimension(system, tol=args.tol, n_max=args.depth,
-                              workers=args.threads).as_dict()
+    return affinity_dimension(system, tol=args.tol, n_max=args.depth).as_dict()
 
 
 def _cmd_rauzy(args, system) -> dict:
-    return rauzy_dimension(args.N, n_max=args.depth, tol=args.tol,
-                           workers=args.threads).as_dict()
+    return rauzy_dimension(args.N, n_max=args.depth, tol=args.tol).as_dict()
 
 
 def _cmd_lyapunov(args, system) -> dict:
@@ -186,14 +184,12 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_pressure)
 
     p = sub.add_parser("dimension", help="affinity dimension by bisection")
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_dimension)
 
     p = sub.add_parser("rauzy", help="Rauzy gasket dimension via the positivized ladder")
@@ -201,7 +197,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_rauzy)
 
     p = sub.add_parser("lyapunov", help="Monte-Carlo Lyapunov spectrum")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, FloatRange, TooFewScales
 from .pressure import DimensionEstimate
-from .projective import PointCloud, attractor_points, lft_apply
+from .projective import DenominatorZero, PointCloud, attractor_points, lft_apply
 from .semigroup import Frontier, SystemSpec, require_positive_like
 
 _PROBES = 16  # circle points mapped per ball by _image_radius
@@ -86,7 +86,7 @@ def cone_constant(sys: SystemSpec) -> float:
                     best = max(best, ri / r)
             try:
                 z = lft_apply(d, lft_apply(u, center))
-            except Exception:
+            except DenominatorZero:
                 continue
             for r in radii:
                 ri = _image_radius(v, z, r)

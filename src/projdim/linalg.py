@@ -160,15 +160,6 @@ class SvTriple:
         return self.a2 / self.a1, self.a3 / self.a1
 
 
-def frobenius_bracket(a: Matrix3) -> tuple[Fraction, Fraction]:
-    """Exact rational bracket ``frob^2/3 <= |A|_2^2 <= frob^2``.
-
-    Returned as the squared endpoints so the certificate stays rational.
-    """
-    f2 = sum(x * x for row in a.entries for x in row)
-    return f2 / 3, f2
-
-
 def _pow2(e: int) -> Fraction:
     """The exact rational ``2**e`` for any integer ``e``."""
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)

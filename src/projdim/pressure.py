@@ -4,15 +4,18 @@ The pressure of a system at exponent ``s`` is the exponential growth rate
 of the level sums ``sum phi^s`` over all words of a given length; the
 affinity dimension is its unique zero.  Level sums are evaluated from
 cached per-word contraction ratios: products and their exterior squares
-are pushed level by level in float (one subtree per top letter, in letter
-order), after which every evaluation at a new ``s`` is a vectorized
-log-sum-exp over the cached arrays.  The reduction tree is fixed, so
-results are bitwise reproducible and independent of the worker count.
+are pushed level by level in float, one subtree per top letter, on one
+thread per available CPU, and each subtree writes its own slice of the
+level arrays; after that every evaluation at a new ``s`` is a vectorized
+log-sum-exp over the cached arrays.  The word order and the reduction tree
+are fixed, so results are bitwise reproducible and do not depend on the
+number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +32,10 @@ from .systems import gamma_letter, positivizing_conjugator
 _PAIR_SAMPLE_CAP = 10_000
 _PRUNE_TOL = 1e-15  # zeta subtrees below this share of the running total are cut
 _LN2 = math.log(2.0)
+# threads of the level build: its subtree walks spend their time in numpy
+# calls that release the interpreter lock
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -80,24 +87,27 @@ def _log_ratios(prod: np.ndarray, prod_ext: np.ndarray, e1: np.ndarray,
     return la21 + (e2 - 2 * e1) * _LN2, la31 - (e1 + e2) * _LN2
 
 
-def _subtree_levels(args) -> list[tuple[np.ndarray, np.ndarray]]:
-    sys, top, depth = args
+def _subtree_levels(sys: SystemSpec, top: int,
+                    levels: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
+    """Write the ratios of the words that start with ``top`` into their
+    slice ``[top * k**(n-1), (top + 1) * k**(n-1))`` of each level ``n``."""
     walk = Frontier(sys, tops=[top])
-    levels = [_log_ratios(*walk.states, *walk.exps)]
-    for _ in range(2, depth + 1):
-        walk.grow()
-        levels.append(_log_ratios(*walk.states, *walk.exps))
-    return levels
+    for n, (la21, la31) in enumerate(levels, start=1):
+        if n > 1:
+            walk.grow()
+        lo, hi = top * len(walk), (top + 1) * len(walk)
+        la21[lo:hi], la31[lo:hi] = _log_ratios(*walk.states, *walk.exps)
 
 
-def _ratio_levels(sys: SystemSpec, depth: int,
-                  workers: int = 1) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-level arrays ``(log(a2/a1), log(a3/a1))`` for words of length 1..depth.
 
-    Words appear in lexicographic order (subtree by subtree under each top
-    letter), which fixes the summation tree; worker threads only change the
-    schedule, never the result.  The arrays are kept on the system, one
-    table for the deepest request so far.
+    Words appear in lexicographic order, which fixes the summation tree.
+    The subtree under each top letter is walked on its own (one walk over
+    every top would hold Γ₂₀'s 1.73 M depth-3 states at once), on a pool of
+    ``_WORKERS`` threads, and writes its fixed slice of arrays allocated
+    once; the pool only changes the schedule, never the result.  The arrays
+    are kept on the system, one table for the deepest request so far.
     """
     k = len(sys)
     # the subtrees are full, so the whole walk is checked before any is built
@@ -107,21 +117,18 @@ def _ratio_levels(sys: SystemSpec, depth: int,
         if built >= depth:
             return levels[:depth]
 
-    jobs = [(sys, top, depth) for top in range(k)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_top = list(pool.map(_subtree_levels, jobs))
-    else:
-        per_top = [_subtree_levels(j) for j in jobs]
-
-    merged = tuple(tuple(np.concatenate(parts) for parts in zip(*level))
-                   for level in zip(*per_top))
-    for level in merged:
+    levels = tuple((np.empty(k ** n), np.empty(k ** n)) for n in range(1, depth + 1))
+    # cached properties take no lock from Python 3.12 on: build them before the threads
+    sys.letters_float, sys.letters_ext2_float
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        # reading every result raises the first exception a walk raised
+        list(pool.map(lambda top: _subtree_levels(sys, top, levels), range(k)))
+    for level in levels:
         for arr in level:
             arr.setflags(write=False)
     sys.word_levels.clear()  # every cached table is a prefix of this one
-    sys.word_levels[depth] = merged
-    return merged
+    sys.word_levels[depth] = levels
+    return levels
 
 
 def _log_phi(s: float, la21: np.ndarray, la31: np.ndarray) -> np.ndarray:
@@ -142,7 +149,7 @@ def _logsumexp(logs: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(logs, out=logs))))
 
 
-def partition_sum(sys: SystemSpec, s: float, n: int, workers: int = 1) -> float:
+def partition_sum(sys: SystemSpec, s: float, n: int) -> float:
     """``log sum phi^s`` over all words of length ``n``.
 
     ``s = 0`` short-circuits to ``n * log |alphabet|`` (every summand is 1).
@@ -153,7 +160,7 @@ def partition_sum(sys: SystemSpec, s: float, n: int, workers: int = 1) -> float:
         raise ValueError("depth must be >= 1")
     if s == 0.0:
         return n * math.log(len(sys))
-    la21, la31 = _ratio_levels(sys, n, workers)[n - 1]
+    la21, la31 = _ratio_levels(sys, n)[n - 1]
     return _logsumexp(_log_phi(s, la21, la31))
 
 
@@ -192,7 +199,7 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
     }
 
 
-def pressure_estimate(sys: SystemSpec, s: float, n_max: int, workers: int = 1) -> PressureEstimate:
+def pressure_estimate(sys: SystemSpec, s: float, n_max: int) -> PressureEstimate:
     """Raw pressure at depth ``n_max`` with heuristic Fekete-style brackets.
 
     The almost-sub/supermultiplicativity constants are fitted by sampling
@@ -206,7 +213,7 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int, workers: int = 1) -
     c_up = max(1.0, fit["fitted_C"])
     c_lo = min(1.0, fit["fitted_c"])
     # deepest first, so the word levels are built once and the rest are prefixes
-    raws = [partition_sum(sys, s, n, workers) for n in range(n_max, 0, -1)][::-1]
+    raws = [partition_sum(sys, s, n) for n in range(n_max, 0, -1)][::-1]
     upper = min((r + math.log(c_up)) / n for n, r in enumerate(raws, start=1))
     lower = max((r + math.log(c_lo)) / n for n, r in enumerate(raws, start=1))
     return PressureEstimate(
@@ -231,8 +238,7 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int, workers: int = 1) -
 _GRID = tuple(i / 4 for i in range(9))  # 0, 0.25, ..., 2
 
 
-def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3,
-                       workers: int = 1) -> DimensionEstimate:
+def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3) -> DimensionEstimate:
     """Zero of the depth-``n_max`` pressure by bisection on ``[0, 2]``.
 
     Returns a bound-only estimate when the pressure does not change sign
@@ -244,7 +250,7 @@ def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3,
         raise DomainError("tol must be positive")
 
     def raw(s: float) -> float:
-        return partition_sum(sys, s, n_max, workers) / n_max
+        return partition_sum(sys, s, n_max) / n_max
 
     grid_vals = [raw(s) for s in _GRID]
     monotone = all(a > b - 1e-12 for a, b in zip(grid_vals, grid_vals[1:]))
@@ -381,8 +387,7 @@ def rauzy_gamma_system(N: int, epsilon: Fraction = Fraction(1, 5)) -> SystemSpec
     return sys
 
 
-def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3,
-                    workers: int = 1) -> DimensionEstimate:
+def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstimate:
     """Affinity dimension of the level-``N`` positivized subsystem.
 
     Runs the estimate along the ladder ``N//4, N//2, N`` so the
@@ -395,8 +400,7 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3,
     ladder = []
     final: Optional[DimensionEstimate] = None
     for n in ladder_ns:
-        est = affinity_dimension(rauzy_gamma_system(n), tol=tol, n_max=n_max,
-                                 workers=workers)
+        est = affinity_dimension(rauzy_gamma_system(n), tol=tol, n_max=n_max)
         ladder.append({"N": n, "value": est.value,
                        "bracket": [est.bracket_lo, est.bracket_hi]})
         final = est

@@ -31,7 +31,6 @@ from .rng import draw_letters, make_rng
 from .semigroup import (
     Frontier,
     SystemSpec,
-    Word,
     WordSet,
     is_nonnegative,
     require_positive_like,
@@ -64,12 +63,6 @@ def lft_apply(m, x) -> np.ndarray:
     if den == 0.0:
         raise DenominatorZero("denominator row annihilates the lifted point")
     return num[:-1] / den
-
-
-def homogeneous_lift(x) -> np.ndarray:
-    """The representative ``(x1, x2, 1)`` of a chart point in R^3."""
-    x = np.asarray(x, dtype=float)
-    return np.append(x, 1.0)
 
 
 class PlaneFrame:
@@ -368,16 +361,6 @@ def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64) 
         return nv / np.sqrt((1.0 + c * c) * n2)
 
     return walk.first_passage(statistic, n, max_len)
-
-
-def xi_stopping_ratio(frame: PlaneFrame, sys: SystemSpec, word: Word) -> float:
-    """The xi statistic of one word, evaluated directly (test hook)."""
-    at = word.product.float_view.T
-    w2 = at @ frame.r2
-    w1 = at @ frame.r1
-    v = w1 - (w1 @ w2) / (w2 @ w2) * w2
-    inv_t = np.linalg.inv(at)
-    return float(np.linalg.norm(v) / (np.linalg.norm(inv_t @ v) * np.linalg.norm(w2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
-"""Word enumeration over a matrix alphabet and algebraic diagnostics.
+"""Word-tree walks over a matrix alphabet and algebraic diagnostics.
 
 A :class:`SystemSpec` bundles an exact alphabet with a rational probability
 vector and an optional conjugator ``M`` (the system then acts through the
-letters ``M^-1 A M``).  :func:`enumerate_words` is depth-first and
-lexicographic with incrementally maintained exact products, so its memory
-stays proportional to the depth; the word-tree walks (:class:`Frontier`)
-and :func:`diophantine_check` hold one whole level at a time.
+letters ``M^-1 A M``).  The word-tree walks (:class:`Frontier`) and
+:func:`diophantine_check` hold one whole level at a time.
 """
 
 from __future__ import annotations
@@ -127,31 +125,12 @@ class SystemSpec:
 
 
 class Word:
-    """A finite word of letter indices with its cached exact product.
+    """A finite word of letter indices."""
 
-    The product is the left-to-right product of the acting letters; it is
-    computed on first access when only the alphabet reference was supplied
-    (large stopping families rarely touch most of their exact products).
-    """
+    __slots__ = ("letters",)
 
-    __slots__ = ("letters", "_product", "_alphabet")
-
-    def __init__(self, letters: tuple[int, ...], product: Optional[Matrix3] = None,
-                 alphabet: Optional[tuple[Matrix3, ...]] = None):
-        if product is None and alphabet is None:
-            raise ValueError("Word needs either a product or an alphabet")
+    def __init__(self, letters: tuple[int, ...]):
         self.letters = tuple(letters)
-        self._product = product
-        self._alphabet = alphabet
-
-    @property
-    def product(self) -> Matrix3:
-        if self._product is None:
-            p = self._alphabet[self.letters[0]]
-            for i in self.letters[1:]:
-                p = mat_mul(p, self._alphabet[i])
-            self._product = p
-        return self._product
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -165,15 +144,9 @@ class Word:
     def __repr__(self) -> str:
         return f"Word{self.letters}"
 
-    def probability(self, sys: SystemSpec) -> Fraction:
-        p = Fraction(1)
-        for i in self.letters:
-            p *= sys.probabilities[i]
-        return p
-
 
 class WordSet(Sequence):
-    """A packed, read-only sequence of words over one acting alphabet.
+    """A packed, read-only sequence of words.
 
     Row ``i`` of the ``(m, L)`` ``int32`` array ``letters`` holds word ``i``,
     padded with -1 past ``lengths[i]``; both arrays are read-only.  Items
@@ -182,12 +155,10 @@ class WordSet(Sequence):
     :class:`WordSet` view.
     """
 
-    __slots__ = ("letters", "lengths", "alphabet")
+    __slots__ = ("letters", "lengths")
 
-    def __init__(self, letters: np.ndarray, lengths: np.ndarray,
-                 alphabet: tuple[Matrix3, ...]):
+    def __init__(self, letters: np.ndarray, lengths: np.ndarray):
         self.letters, self.lengths = letters, lengths
-        self.alphabet = alphabet
         letters.setflags(write=False)
         lengths.setflags(write=False)
 
@@ -196,32 +167,14 @@ class WordSet(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return WordSet(self.letters[i], self.lengths[i], self.alphabet)
+            return WordSet(self.letters[i], self.lengths[i])
         i = operator.index(i)
         row = self.letters[i, :self.lengths[i]]
-        return Word(tuple(row.tolist()), alphabet=self.alphabet)
+        return Word(tuple(row.tolist()))
 
     def __iter__(self) -> Iterator[Word]:
         for row, n in zip(self.letters.tolist(), self.lengths.tolist()):
-            yield Word(tuple(row[:n]), alphabet=self.alphabet)
-
-
-def enumerate_words(sys: SystemSpec, n: int) -> Iterator[Word]:
-    """All length-``n`` words in lexicographic order, products exact."""
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    k = len(sys)
-    check_budget(k ** n)
-    letters = sys.effective_alphabet
-
-    def rec(prefix: tuple[int, ...], prod: Matrix3) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield Word(prefix, prod)
-            return
-        for i in range(k):
-            yield from rec(prefix + (i,), mat_mul(prod, letters[i]))
-
-    yield from rec((), Matrix3.identity())
+            yield Word(tuple(row[:n]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +275,6 @@ class Frontier:
         if states is None:
             states = steps = [sys.letters_float, sys.letters_ext2_float]
         tops = np.arange(len(sys)) if tops is None else np.asarray(tops)
-        self.alphabet = sys.effective_alphabet
         self.steps = steps
         self.visited = len(tops)
         check_budget(self.visited)
@@ -393,7 +345,7 @@ class Frontier:
             for b in blocks])
         lengths = np.concatenate([np.full(len(b), b.shape[1], dtype=np.int32) for b in blocks])
         order = np.lexsort(letters.T[::-1])
-        return WordSet(letters[order], lengths[order], self.alphabet)
+        return WordSet(letters[order], lengths[order])
 
 
 def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64) -> WordSet:

@@ -19,7 +19,6 @@ import json
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
 
 from .linalg import Matrix3
 from .semigroup import SystemSpec
@@ -35,11 +34,8 @@ def rauzy_alphabet() -> tuple[Matrix3, Matrix3, Matrix3]:
     return a1, a2, a3
 
 
-def rauzy_system(probabilities: Optional[Sequence[Fraction]] = None) -> SystemSpec:
-    alphabet = rauzy_alphabet()
-    if probabilities is None:
-        return SystemSpec.uniform("rauzy", alphabet)
-    return SystemSpec("rauzy", alphabet, tuple(probabilities))
+def rauzy_system() -> SystemSpec:
+    return SystemSpec.uniform("rauzy", rauzy_alphabet())
 
 
 def triple9_system() -> SystemSpec:

@@ -99,6 +99,10 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps({"label": "x", "matrices": [], "probabilities": [],
                                "weird": 1}))
     assert main(["lyapunov", "--system", str(bad)]) == 2
+    # the level build sizes its own thread pool; there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["rauzy", "--N", "1", "--threads", "2"])
+    assert exc.value.code == 2
     # budget exhaustion maps to exit 3
     import os
 
@@ -204,11 +208,11 @@ _G1 = "gamma1.json"
 # one small run per subcommand; paths are relative to the test's directory
 _ECHO_CASES = [
     (["pressure", "--system", "triple9.json", "--s", "0.5"],
-     {"system": "triple9.json", "label": "triple9", "s": 0.5, "depth": 4, "threads": 1}),
+     {"system": "triple9.json", "label": "triple9", "s": 0.5, "depth": 4}),
     (["dimension", "--system", "triple9.json", "--tol", "0.01"],
-     {"system": "triple9.json", "label": "triple9", "tol": 0.01, "depth": 4, "threads": 1}),
+     {"system": "triple9.json", "label": "triple9", "tol": 0.01, "depth": 4}),
     (["rauzy", "--N", "1", "--tol", "0.01", "--depth", "2"],
-     {"N": 1, "tol": 0.01, "depth": 2, "threads": 1}),
+     {"N": 1, "tol": 0.01, "depth": 2}),
     (["lyapunov", "--system", "rauzy.json", "--steps", "1000", "--seed", "2"],
      {"system": "rauzy.json", "label": "rauzy", "steps": 1000, "seed": 2}),
     (["delta", "--system", _G1, "--planes", "1", "--samples", "500", "--res", "6"],

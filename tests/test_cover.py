@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from projdim import cover
 from projdim.cover import (
     CoverReport,
     box_dimension_estimate,
@@ -46,6 +47,20 @@ def test_cone_constant_at_least_one_and_finite():
 def test_cone_constant_rejects_raw_system():
     with pytest.raises(NotPositive):
         cone_constant(rauzy_system())
+
+
+def test_cone_constant_skips_only_zero_denominators(monkeypatch):
+    # a FloatRange from the diagonal factor must reach the caller, not be skipped
+    real = cover.lft_apply
+
+    def lft_apply(m, x):
+        if np.array_equal(m, np.diag(np.diagonal(m))):
+            raise FloatRange("diagonal factor out of range")
+        return real(m, x)
+
+    monkeypatch.setattr(cover, "lft_apply", lft_apply)
+    with pytest.raises(FloatRange):
+        cone_constant(rauzy_gamma_system(1))
 
 
 def test_cover_cost_trend_above_dimension():

@@ -12,7 +12,6 @@ from projdim.linalg import (
     Matrix3,
     ext2_batch,
     exterior_square,
-    frobenius_bracket,
     mat_mul,
     operator_norm,
     opnorm_batch,
@@ -193,9 +192,9 @@ def test_operator_norm_and_frobenius_bracket():
     rng = np.random.default_rng(4)
     for _ in range(100):
         a = _random_positive_unimodular(rng)
-        lo2, hi2 = frobenius_bracket(a)
+        f2 = sum(x * x for row in a.entries for x in row)  # exact: frob^2/3 <= |A|^2 <= frob^2
         n = operator_norm(a)
-        assert float(lo2) * (1 - 1e-12) <= n * n <= float(hi2) * (1 + 1e-12)
+        assert float(f2 / 3) * (1 - 1e-12) <= n * n <= float(f2) * (1 + 1e-12)
 
 
 def test_exterior_square_norm_is_a1_a2():

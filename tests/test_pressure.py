@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from projdim.cli import main
 from projdim.errors import DomainError, NotPositive
 from projdim.linalg import Matrix3
 from projdim.pressure import (
@@ -201,11 +202,19 @@ def test_rauzy_dimension_ladder():
     assert est.diagnostics["gate"] == "primitive"
 
 
-def test_partition_sum_independent_of_worker_count():
-    # each system builds its own word levels
-    one = partition_sum(rauzy_gamma_system(2), 1.3, 3, workers=1)
-    four = partition_sum(rauzy_gamma_system(2), 1.3, 3, workers=4)
-    assert one == four
+def test_partition_sum_independent_of_worker_count(tmp_path, monkeypatch):
+    import projdim.pressure as pressure_mod
+
+    runs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(pressure_mod, "_WORKERS", workers)
+        sys = rauzy_gamma_system(2)  # each system builds its own word levels
+        values = [partition_sum(sys, s, n) for s in (0.5, 1.3, 2.5) for n in (3, 2, 1)]
+        out = tmp_path / f"rauzy-{workers}.json"
+        assert main(["rauzy", "--N", "2", "--depth", "2", "--out", str(out)]) == 0
+        tables = [arr.tobytes() for level in sys.word_levels[3] for arr in level]
+        runs.append((tables, values, out.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
@@ -214,10 +223,10 @@ def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
     build = pressure_mod._subtree_levels
     built = []
     monkeypatch.setattr(pressure_mod, "_subtree_levels",
-                        lambda args: built.append(args[1]) or build(args))
+                        lambda sys, top, levels: built.append(top) or build(sys, top, levels))
     sys = rauzy_gamma_system(2)
     first = partition_sum(sys, 1.3, 3)
-    assert built == list(range(len(sys)))  # one subtree per top letter
+    assert sorted(built) == list(range(len(sys)))  # one subtree per top letter
     assert partition_sum(sys, 1.3, 3) == first
     partition_sum(sys, 0.7, 3)
     assert len(built) == len(sys)
@@ -225,6 +234,7 @@ def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
     # depth 4 is built once and replaces depth 3, whose levels are its prefix
     pressure_estimate(sys, 1.5, 4)
     assert len(built) == 2 * len(sys) and list(sys.word_levels) == [4]
+    assert sorted(built[len(sys):]) == list(range(len(sys)))
     assert partition_sum(sys, 1.3, 3) == first
     assert len(built) == 2 * len(sys)
 

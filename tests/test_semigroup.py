@@ -26,10 +26,8 @@ from projdim.projective import plane_frame_orthonormal, xi_partition
 from projdim.semigroup import (
     Frontier,
     SystemSpec,
-    Word,
     WordSet,
     diophantine_check,
-    enumerate_words,
     irreducibility_probe,
     is_primitive_nonnegative,
     lie_algebra_dimension,
@@ -51,6 +49,13 @@ def diag_system(*entries):
     return SystemSpec.uniform("diag", (Matrix3.diagonal(*entries),))
 
 
+def exact_products(sys, n):
+    """The exact products of all length-``n`` words, in lexicographic order."""
+    letters = sys.effective_alphabet
+    return [functools.reduce(mat_mul, (letters[i] for i in w))
+            for w in itertools.product(range(len(sys)), repeat=n)]
+
+
 def test_system_spec_validation():
     a1, a2, a3 = rauzy_alphabet()
     with pytest.raises(BadVector):
@@ -59,21 +64,6 @@ def test_system_spec_validation():
         SystemSpec("bad", (a1, a2), (F(1, 2), F(1, 3)))
     with pytest.raises(ValueError):
         SystemSpec.uniform("bad", (Matrix3.diagonal(2, 1, 1),))
-
-
-def test_enumerate_words_counts_and_order():
-    sys = rauzy_system()
-    words = list(enumerate_words(sys, 2))
-    assert len(words) == 9
-    assert words[0].letters == (0, 0) and words[-1].letters == (2, 2)
-    ones = list(enumerate_words(sys, 1))
-    assert [w.product for w in ones] == list(sys.effective_alphabet)
-
-
-def test_enumerate_words_products_distinct_at_depth_5():
-    sys = rauzy_system()
-    seen = {w.product.entries for w in enumerate_words(sys, 5)}
-    assert len(seen) == 3 ** 5
 
 
 def test_gamma_letter_matches_exact_powers():
@@ -166,10 +156,6 @@ def test_first_passage_wordset_matches_reference(case, monkeypatch):
     assert isinstance(view, WordSet) and not view.letters.flags.writeable
     assert list(view) == list(ws)[::7]
     assert all(type(x) is int for w in (ws[0], ws[-1], next(iter(ws))) for x in w.letters)
-    for i in (0, len(ws) // 2, -1):
-        w = ws[i]
-        assert w.product == functools.reduce(
-            mat_mul, (sys.effective_alphabet[j] for j in w.letters))
 
 
 def test_walks_stay_in_float_range():
@@ -353,10 +339,10 @@ def test_diophantine_cross_length_collision_detected_per_level():
 
 
 def _diophantine_reference(sys, n_max):
-    """Every pair of every level, over the exact products of enumerate_words."""
+    """Every pair of every level, over the exact products in word order."""
     first_collision, gaps = None, []
     for n in range(1, n_max + 1):
-        prods = [w.product.entries for w in enumerate_words(sys, n)]
+        prods = [p.entries for p in exact_products(sys, n)]
         first = {}
         for j, p in enumerate(prods):
             i = first.setdefault(p, j)
@@ -412,8 +398,8 @@ def test_diophantine_exact_past_int64():
         Matrix3.from_rows([[1, big, 0], [0, 1, 0], [0, 0, 1]]),
         Matrix3.from_rows([[1, 0, 0], [big, 1, 0], [0, 0, 1]]),
     ))
-    assert max(abs(x) for w in enumerate_words(sys, 3)
-               for row in w.product.entries for x in row) > 2 ** 63
+    assert max(abs(x) for p in exact_products(sys, 3)
+               for row in p.entries for x in row) > 2 ** 63
     rep = diophantine_check(sys, 3)
     assert rep == _diophantine_reference(sys, 3)
     assert rep["all_distinct"] is True
@@ -484,16 +470,3 @@ def test_irreducibility_probe_repeated_eigenvalues():
         for m in letters:
             assert _is_eigenvector(m, line)
             assert _is_eigenvector(m.transpose(), normal)
-
-
-def test_enumerate_words_budget():
-    from projdim.errors import BudgetExceeded
-
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_words(rauzy_system(), 20))
-
-
-def test_word_probability():
-    sys = rauzy_system()
-    w = Word((0, 1, 2), Matrix3.identity())
-    assert w.probability(sys) == F(1, 27)
