@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadVector, DegenerateSpectrum, DomainError, FloatRange
 from .linalg import opnorm_batch
-from .rng import draw_letters, make_rng
+from .rng import letter_sampler, make_rng
 from .pressure import DimensionEstimate
 from .projective import frame_for_plane, project_measure_samples
 from .semigroup import SystemSpec, require_positive_like
@@ -76,7 +76,7 @@ def lyapunov_exponents(sys: SystemSpec, steps: int, seed=0) -> LyapunovStats:
         raise DomainError("lyapunov_exponents needs steps >= 1000")
     letters = sys.letters_float
     cadence = _renorm_cadence(sys)
-    idx = draw_letters(make_rng(seed), sys.probabilities_float, (steps, _CHAINS))
+    idx = letter_sampler(sys.probabilities_float)(make_rng(seed), (steps, _CHAINS))
     q = np.broadcast_to(np.eye(3), (_CHAINS, 3, 3)).copy()
     acc = np.zeros((_CHAINS, 3))
     for t in range(steps):
@@ -127,7 +127,7 @@ def furstenberg_plane_sample(sys: SystemSpec, steps: int, seed=0) -> np.ndarray:
     if steps < 100:
         raise DomainError("furstenberg_plane_sample needs steps >= 100")
     inv = sys.letters_inverse_float
-    idx = draw_letters(make_rng(seed), sys.probabilities_float, steps)
+    idx = letter_sampler(sys.probabilities_float)(make_rng(seed), steps)
     n = np.array([0.0, -1.0, 1.0]) / math.sqrt(2.0)  # normal of span{e1, (1,1,1)}
     for t in idx:
         n = inv[t] @ n
@@ -166,8 +166,11 @@ def dyadic_entropy(samples, n: int) -> float:
 
     Binning commutes with dyadic scaling exactly: scaling samples by
     ``2^k`` and evaluating at resolution ``n + k`` reproduces resolution
-    ``n`` bit for bit.  Raises ``FloatRange`` once ``max |v| * 2^n``
-    reaches ``2^63``, where the cell indices would leave ``int64``.
+    ``n`` bit for bit whenever the scaling itself is exact.  It is not for
+    samples it rounds below the normal range: ``-5e-324 * 2^-1`` is
+    ``-0.0``, which leaves cell ``-1`` for cell ``0``.  Raises
+    ``FloatRange`` once ``max |v| * 2^n`` reaches ``2^63``, where the cell
+    indices would leave ``int64``.
     """
     return _plugin_entropy(_cell_counts(samples, n)[1])
 

@@ -181,9 +181,18 @@ def _scaled_float(x: Fraction, e: int) -> float:
 def _scaled_norm(a: Matrix3) -> tuple[float, int]:
     """``(n, e)`` with spectral norm ``n * 2**e``, from the float view of
     ``a * 2**-e``, so the norm kernel (:func:`opnorm_batch`) stays in
-    float range."""
+    float range.
+
+    The kernel's closed-form root loses digits as the two largest singular
+    values meet (about 1e-15 relative over their relative gap, half the
+    digits at a repeated root), so below a 1e-2 gap the norm is LAPACK's
+    largest eigenvalue of the Gram matrix instead.
+    """
     e = _range_exponent(max(abs(x) for row in a.entries for x in row))
     view = a.float_view if e == 0 else a.scale(_pow2(-e)).float_view
+    s2, s1 = np.sqrt(np.maximum(np.linalg.eigvalsh(view.T @ view)[1:], 0.0))
+    if s1 - s2 < 1e-2 * s1:
+        return float(s1), e
     return float(opnorm_batch(view)), e
 
 

@@ -27,7 +27,7 @@ from .errors import (
     ProjdimError,
 )
 from .linalg import Matrix3, singular_values
-from .rng import draw_letters, make_rng
+from .rng import letter_sampler, make_rng
 from .semigroup import (
     Frontier,
     SystemSpec,
@@ -214,27 +214,52 @@ def _require_nonnegative_action(sys: SystemSpec, what: str) -> None:
         )
 
 
-def _chaos_homogeneous(sys: SystemSpec, count: int, seed) -> np.ndarray:
-    """Stationary-measure samples as sum-normalized homogeneous 3-vectors.
+def _chaos_homogeneous(sys: SystemSpec, count: int, seed, record=None) -> np.ndarray:
+    """Stationary-measure samples as sum-normalized homogeneous 3-vectors,
+    or ``record`` of them.
 
     Runs a batch of parallel chains (counter-based streams keyed by the
     seed) and collects every post-burn-in state; the chain count is a pure
-    function of ``count`` so results depend only on (count, seed).
+    function of ``count`` so results depend only on (count, seed).  The
+    states are three (chains,) rows, and each round draws its letters as it
+    starts.  After burn-in each round's states are copied into a contiguous
+    (n, 3) block and ``record(block)`` (the block itself by default) is
+    kept, so a caller that keeps one value per point never holds the
+    (count, 3) states.  Coordinate ``i`` is summed as
+    ``(a_i0 x0 + a_i2 x2) + a_i1 x1``, the order numpy's batched
+    ``einsum("cij,cj->ci", ...)`` takes, so the samples are bit-identical to
+    that contraction's.
     """
     _require_nonnegative_action(sys, "chaos sampling")
-    letters = sys.letters_float
+    table = np.ascontiguousarray(sys.letters_float.transpose(2, 1, 0))  # [j, i, letter]
+    draw = letter_sampler(sys.probabilities_float)
+    rng = make_rng(seed)
     chains = min(4096, count)
-    rounds = (count + chains - 1) // chains
-    idx = draw_letters(make_rng(seed), sys.probabilities_float, (_BURN_IN + rounds, chains))
-    x = np.full((chains, 3), 1.0 / 3.0)
-    out = np.empty((rounds, chains, 3))
-    for t in range(_BURN_IN + rounds):
-        y = np.einsum("cij,cj->ci", letters[idx[t]], x)
-        # the same left-to-right sum as y.sum(axis=1), without the reduction
-        x = y / (y[:, 0] + y[:, 1] + y[:, 2])[:, None]
-        if t >= _BURN_IN:
-            out[t - _BURN_IN] = x
-    return out.reshape(-1, 3)[:count]
+    x = np.full((3, chains), 1.0 / 3.0)
+    a = np.empty((3, 3, chains))  # a[j, i, c] = A_c[i, j], then A_c[i, j] * x[j, c]
+    y = a[0]  # summed in place into the new states' coordinates
+    total = np.empty(chains)
+    block = np.empty((chains, 3))
+    out = None
+    for t in range(-_BURN_IN, (count + chains - 1) // chains):
+        # the drawn letters are in range; "wrap" skips the copy through a
+        # buffer that the default mode makes for its bounds check
+        np.take(table, draw(rng, chains), axis=2, out=a, mode="wrap")
+        a *= x[:, None, :]
+        y += a[2]
+        y += a[1]
+        np.add(y[0], y[1], out=total)
+        total += y[2]
+        np.divide(y, total, out=x)
+        if t >= 0:
+            start = t * chains
+            n = min(chains, count - start)
+            block[...] = x.T
+            vals = block[:n] if record is None else record(block[:n])
+            if out is None:
+                out = np.empty((count,) + vals.shape[1:])
+            out[start:start + n] = vals
+    return out
 
 
 def _to_coords(h: np.ndarray, coords: str) -> np.ndarray:
@@ -279,8 +304,7 @@ def project_measure_samples(sys: SystemSpec, frame: PlaneFrame, count: int, seed
     """``count`` samples of the frame image of the stationary measure."""
     if count < 1:
         raise DomainError("project_measure_samples needs count >= 1")
-    h = _chaos_homogeneous(sys, count, seed)
-    return frame.apply_homogeneous(h)
+    return _chaos_homogeneous(sys, count, seed, frame.apply_homogeneous)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ RAUZY_CHI = (0.5009, -0.2021, -0.2989)
 GAMMA10_CHI = (2.0601, -0.6618, -1.3983)
 
 # Exact outputs of the samplers, recorded before their letter draws moved
-# from Generator.choice to rng.draw_letters (numpy 2.4.6, x86-64, OpenBLAS);
-# any drift of a sampler shows here.
+# from Generator.choice to the guide-table draws of rng.letter_sampler
+# (numpy 2.4.6, x86-64, OpenBLAS); any drift of a sampler shows here.
 GAMMA2_PLANE_ESTIMATES = [0.9672152673217519, 0.9687001465106119, 0.9702137263988884]
 RAUZY_CHI_SEED3 = (0.5011285809508395, -0.20436335207440187, -0.2967652288765906)
 
@@ -164,7 +164,7 @@ def test_dyadic_entropy_scaling_commutes():
         assert dyadic_entropy(x * 2.0**-k, 8 + k) == dyadic_entropy(x, 8)
 
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 
@@ -176,7 +176,16 @@ from hypothesis import strategies as st
 @settings(max_examples=60, deadline=None)
 def test_dyadic_entropy_scaling_property(xs, k):
     x = np.array(xs)
+    assume(np.array_equal(x * 2.0**k * 2.0**-k, x))  # the identity needs exact scaling
     assert dyadic_entropy(x * 2.0**k, 6) == dyadic_entropy(x, 6 + k)
+
+
+def test_dyadic_entropy_scaling_that_underflows():
+    # the smallest subnormal halves to -0.0, which bins into cell 0, not -1
+    x = np.array([0.0, -5e-324])
+    assert dyadic_entropy(x * 2.0**-1, 6) == 0.0
+    assert dyadic_entropy(x, 5) == math.log(2.0)
+    assert dyadic_entropy(x * 2.0, 4) == dyadic_entropy(x, 5)  # exact scaling keeps it
 
 
 @pytest.mark.parametrize("vals", [

@@ -252,6 +252,28 @@ def test_opnorm_batch_edge_cases_match_lapack():
     assert lam.tolist() == [2.25]
 
 
+@pytest.mark.parametrize("diag", [(3.0, 3.0, 1.0), (5.0, 5.0, 0.2)]
+                         + [(3.0 * (1.0 + 10.0 ** -j), 3.0, 1.0) for j in range(14)])
+def test_exact_path_norms_at_near_repeated_top_singular_value(diag):
+    # the batch kernel keeps about half its digits at a repeated largest
+    # singular value (above); the exact path's norms take LAPACK's value
+    # below a 1e-2 relative gap and stay near machine precision throughout
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        p, q = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+        m = p @ np.diag(diag) @ q
+        a = Matrix3.from_rows([[F(x) for x in row] for row in m.tolist()])
+        ref = np.linalg.svd(m, compute_uv=False)
+        np.testing.assert_allclose(operator_norm(a), ref[0], rtol=1e-14, atol=0)
+        sv = singular_values(a)
+        np.testing.assert_allclose([sv.a1, sv.a2, sv.a3], ref, rtol=1e-14, atol=0)
+
+
+def test_operator_norm_of_a_repeated_top_singular_value():
+    assert abs(operator_norm(Matrix3.diagonal(1, 3, 3)) - 3.0) <= 2 * math.ulp(3.0)
+    assert abs(operator_norm(Matrix3.diagonal(F(1, 5), 5, 5)) - 5.0) <= 2 * math.ulp(5.0)
+
+
 def test_opnorm_batch_gamma20_products_match_svd():
     lf = rauzy_gamma_system(20).letters_float
     prods = np.matmul(lf[:, None], lf[None]).reshape(-1, 3, 3)[:10_000]

@@ -9,6 +9,7 @@ from projdim.errors import BadDirection, DegenerateGap, NotContracting, NotPosit
 from projdim.linalg import Matrix3, mat_mul
 from projdim.pressure import rauzy_gamma_system
 from projdim.projective import (
+    _BURN_IN,
     DenominatorZero,
     PlaneFrame,
     PointCloud,
@@ -22,8 +23,10 @@ from projdim.projective import (
     rescale_decompose,
     render_svg,
     save_cloud_csv,
+    _chaos_homogeneous,
     xi_partition,
 )
+from projdim.rng import make_rng
 from projdim.semigroup import SystemSpec
 from projdim.systems import gamma_letter, positivizing_conjugator, rauzy_alphabet, rauzy_system
 
@@ -309,6 +312,38 @@ def test_project_measure_samples_singleton_and_axis_frame():
     vals2 = project_measure_samples(sys2, frame, 1000, seed=9)
     cloud = attractor_points(sys2, "chaos", budget=1000, seed=9, coords="plane_P")
     assert np.array_equal(vals2, cloud.points[:, 0])
+
+
+def chaos_reference(sys, count, seed):
+    """The batched chaos loop: all letters drawn up front (``Generator.choice``),
+    one ``einsum`` per round, every post-burn-in round kept."""
+    letters = sys.letters_float
+    chains = min(4096, count)
+    rounds = (count + chains - 1) // chains
+    p = sys.probabilities_float
+    idx = make_rng(seed).choice(len(p), size=(_BURN_IN + rounds, chains), p=p)
+    x = np.full((chains, 3), 1.0 / 3.0)
+    out = np.empty((rounds, chains, 3))
+    for t in range(_BURN_IN + rounds):
+        y = np.einsum("cij,cj->ci", letters[idx[t]], x)
+        x = y / (y[:, 0] + y[:, 1] + y[:, 2])[:, None]
+        if t >= _BURN_IN:
+            out[t - _BURN_IN] = x
+    return out.reshape(-1, 3)[:count]
+
+
+@pytest.mark.parametrize("sys, count, seed", [
+    (rauzy_gamma_system(10), 20_003, (0, 2, 7)),  # five rounds, the last one partial
+    (rauzy_system(), 3_001, 4),  # one round of fewer than 4096 chains
+    (rauzy_gamma_system(1), 9_000, 11),
+])
+def test_chaos_samples_match_the_batched_reference_bit_for_bit(sys, count, seed):
+    want = chaos_reference(sys, count, seed)
+    got = _chaos_homogeneous(sys, count, seed)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    frame = frame_for_plane(np.array([0.3, -0.8, 0.5]))
+    vals = project_measure_samples(sys, frame, count, seed)
+    assert vals.shape == (count,) and np.array_equal(vals, frame.apply_homogeneous(want))
 
 
 def test_project_measure_mean_stable_across_seeds():
