@@ -26,6 +26,7 @@ from .semigroup import SystemSpec, require_positive_like
 
 LOG2 = math.log(2.0)
 _CHAINS = 32  # independent Lyapunov chains; their spread gives the standard errors
+_DRAW_ROWS = 1024  # steps whose letters are drawn at once
 
 
 def shannon_entropy(p: Sequence) -> float:
@@ -71,16 +72,25 @@ def _renorm_cadence(sys: SystemSpec) -> int:
 
 
 def lyapunov_exponents(sys: SystemSpec, steps: int, seed=0) -> LyapunovStats:
-    """Monte-Carlo Lyapunov spectrum with chain-wise standard errors."""
+    """Monte-Carlo Lyapunov spectrum with chain-wise standard errors.
+
+    The letters are drawn ``_DRAW_ROWS`` steps at a time, so memory does not
+    grow with ``steps``; Philox fills ``random`` in order, so every index is
+    the one a single ``(steps, chains)`` draw gives.
+    """
     if steps < 1000:
         raise DomainError("lyapunov_exponents needs steps >= 1000")
     letters = sys.letters_float
     cadence = _renorm_cadence(sys)
-    idx = letter_sampler(sys.probabilities_float)(make_rng(seed), (steps, _CHAINS))
+    draw = letter_sampler(sys.probabilities_float)
+    rng = make_rng(seed)
     q = np.broadcast_to(np.eye(3), (_CHAINS, 3, 3)).copy()
     acc = np.zeros((_CHAINS, 3))
     for t in range(steps):
-        q = letters[idx[t]] @ q
+        row = t % _DRAW_ROWS
+        if row == 0:
+            idx = draw(rng, (min(_DRAW_ROWS, steps - t), _CHAINS))
+        q = letters[idx[row]] @ q
         if (t + 1) % cadence == 0:
             q, r = np.linalg.qr(q)
             acc += np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))

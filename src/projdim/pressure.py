@@ -7,9 +7,15 @@ cached per-word contraction ratios: products and their exterior squares
 are pushed level by level in float, one subtree per top letter, on one
 thread per available CPU, and each subtree writes its own slice of the
 level arrays; after that every evaluation at a new ``s`` is a vectorized
-log-sum-exp over the cached arrays.  The word order and the reduction tree
-are fixed, so results are bitwise reproducible and do not depend on the
-number of threads.
+log-sum-exp over the cached arrays, and each level sum is kept on the
+system too, so a repeated ``(s, n)`` is summed once.  The word order and
+the reduction tree are fixed, so results are bitwise reproducible and do
+not depend on the number of threads.
+
+The ``rauzy`` ladder builds one table: Γ_n's letters are the first ``6n``
+letters of Γ_N, with the same conjugator, so each level of Γ_n's table is
+the corner of Γ_N's level (reshaped to one axis per letter) where every
+letter is below ``6n``, in the same order and bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,11 +129,16 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         # reading every result raises the first exception a walk raised
         list(pool.map(lambda top: _subtree_levels(sys, top, levels), range(k)))
+    sys.word_levels.clear()  # every cached table is a prefix of this one
+    sys.word_levels[depth] = _read_only(levels)
+    return levels
+
+
+def _read_only(levels: tuple[tuple[np.ndarray, np.ndarray], ...]):
+    """``levels``, with every array made read-only."""
     for level in levels:
         for arr in level:
             arr.setflags(write=False)
-    sys.word_levels.clear()  # every cached table is a prefix of this one
-    sys.word_levels[depth] = levels
     return levels
 
 
@@ -154,14 +165,18 @@ def partition_sum(sys: SystemSpec, s: float, n: int) -> float:
 
     ``s = 0`` short-circuits to ``n * log |alphabet|`` (every summand is 1).
     The general path is a shifted exponential sum over the cached log
-    ratios with a fixed pairwise reduction.
+    ratios with a fixed pairwise reduction, kept in
+    :attr:`SystemSpec.level_sums` for the next call with the same ``(s, n)``.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
     if s == 0.0:
         return n * math.log(len(sys))
-    la21, la31 = _ratio_levels(sys, n)[n - 1]
-    return _logsumexp(_log_phi(s, la21, la31))
+    total = sys.level_sums.get((s, n))
+    if total is None:
+        la21, la31 = _ratio_levels(sys, n)[n - 1]
+        total = sys.level_sums[s, n] = _logsumexp(_log_phi(s, la21, la31))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -387,25 +402,38 @@ def rauzy_gamma_system(N: int, epsilon: Fraction = Fraction(1, 5)) -> SystemSpec
     return sys
 
 
+def _corner_levels(sys: SystemSpec, k: int, depth: int):
+    """Read-only copies of ``sys``'s levels restricted to words over its
+    first ``k`` letters, in the same (lexicographic) order."""
+    big = len(sys)
+    return _read_only(tuple(
+        tuple(np.ascontiguousarray(arr.reshape((big,) * n)[(slice(k),) * n]).reshape(-1)
+              for arr in level)
+        for n, level in enumerate(_ratio_levels(sys, depth), start=1)))
+
+
 def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstimate:
     """Affinity dimension of the level-``N`` positivized subsystem.
 
     Runs the estimate along the ladder ``N//4, N//2, N`` so the
     monotone-in-``N`` approximation is visible in the diagnostics; the
-    returned value is the ``N`` estimate.
+    returned value is the ``N`` estimate.  The ``N`` rung runs first and
+    builds the only word table: each smaller rung's letters are its first
+    letters, so that rung's levels are corners of it (see the module
+    docstring).
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    ladder_ns = sorted({max(1, N // 4), max(1, N // 2), N})
-    ladder = []
-    final: Optional[DimensionEstimate] = None
-    for n in ladder_ns:
-        est = affinity_dimension(rauzy_gamma_system(n), tol=tol, n_max=n_max)
-        ladder.append({"N": n, "value": est.value,
-                       "bracket": [est.bracket_lo, est.bracket_hi]})
-        final = est
-    assert final is not None
+    top = rauzy_gamma_system(N)
+    final = affinity_dimension(top, tol=tol, n_max=n_max)
+    ests = {N: final}
+    for n in sorted({max(1, N // 4), max(1, N // 2)} - {N}, reverse=True):
+        sys = rauzy_gamma_system(n)
+        sys.word_levels[n_max] = _corner_levels(top, len(sys), n_max)
+        ests[n] = affinity_dimension(sys, tol=tol, n_max=n_max)
     diagnostics = dict(final.diagnostics)
-    diagnostics["ladder"] = ladder
+    diagnostics["ladder"] = [{"N": n, "value": est.value,
+                              "bracket": [est.bracket_lo, est.bracket_hi]}
+                             for n, est in sorted(ests.items())]
     return DimensionEstimate(final.value, final.bracket_lo, final.bracket_hi,
                              final.depth, final.method, diagnostics)

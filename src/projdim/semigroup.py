@@ -120,6 +120,12 @@ class SystemSpec:
         """The pressure layer's word-level table, keyed by depth, freed with the system."""
         return {}
 
+    @cached_property
+    def level_sums(self) -> dict:
+        """The pressure layer's level sums ``log sum phi^s``, keyed by ``(s, n)``,
+        freed with the system."""
+        return {}
+
     def __len__(self) -> int:
         return len(self.alphabet)
 
@@ -288,6 +294,9 @@ class Frontier:
 
     def _rescale(self) -> None:
         for x, e in zip(self.states, self.exps):
+            # a stack in range skips the per-word scan; a NaN fails this test and is scanned
+            if x.max() <= _RESCALE_ABOVE and x.min() >= -_RESCALE_ABOVE:
+                continue
             big = np.abs(x).max(axis=(1, 2))
             over = big > _RESCALE_ABOVE
             if over.any():

@@ -129,9 +129,9 @@ def test_delta_rejects_degenerate_sizes_and_resolutions(tmp_path, extra):
 
 
 @pytest.mark.parametrize("argv", [
-    ["lyapunov", "--system", "rauzy.json", "--steps", "20000000"],
+    ["render", "--system", "rauzy.json", "--points", "300000000", "--out", "cloud.csv"],
     ["delta", "--system", "gamma1.json", "--planes", "1", "--samples", "300000000"],
-], ids=["lyapunov", "delta"])
+], ids=["render", "delta"])
 def test_memory_exhaustion_exits_3(tmp_path, argv):
     resource = pytest.importorskip("resource")
     save_system(rauzy_gamma_system(1), tmp_path / "gamma1.json")
@@ -140,15 +140,26 @@ def test_memory_exhaustion_exits_3(tmp_path, argv):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = str(Path(projdim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "projdim.cli", *argv], cwd=tmp_path, env=env,
-                          preexec_fn=cap_address_space, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-m", "projdim.cli", *argv], cwd=tmp_path,
+                          env=_child_env(), preexec_fn=cap_address_space,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 3, proc.stderr
     assert "projdim: out of memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _child_env() -> dict:
+    """This environment, with the imported package first on ``PYTHONPATH``."""
+    src = str(Path(projdim.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_m_projdim_runs_the_command_line(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "projdim", "--help"], cwd=tmp_path,
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: projdim")
 
 
 def test_boxdim_past_int64_exits_2(tmp_path, capsys):

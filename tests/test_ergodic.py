@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -82,6 +83,33 @@ def test_lyapunov_rauzy_structure_and_regression():
 
 def test_lyapunov_pinned_bits():
     assert lyapunov_exponents(rauzy_system(), 2000, seed=3).chis == RAUZY_CHI_SEED3
+
+
+def test_lyapunov_block_draws_equal_one_draw(monkeypatch):
+    import projdim.ergodic as ergodic_mod
+
+    sys = rauzy_gamma_system(2)
+    steps = 2 * ergodic_mod._DRAW_ROWS + 77  # the last block is short
+    blocked = lyapunov_exponents(sys, steps, seed=5)
+    monkeypatch.setattr(ergodic_mod, "_DRAW_ROWS", steps)  # the whole array up front
+    whole = lyapunov_exponents(sys, steps, seed=5)
+    assert blocked == whole and blocked.diagnostics == whole.diagnostics
+
+
+def _lyapunov_peak_bytes(sys, steps: int) -> int:
+    tracemalloc.start()
+    try:
+        lyapunov_exponents(sys, steps, seed=2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lyapunov_memory_does_not_grow_with_steps():
+    sys = rauzy_system()
+    sys.letters_float, sys.probabilities_float  # cached before the traced runs
+    # one up-front draw of 20,000 steps holds 5.1 MB of uniforms alone
+    assert _lyapunov_peak_bytes(sys, 20_000) < 1.5 * _lyapunov_peak_bytes(sys, 2_000)
 
 
 def test_lyapunov_gamma10_regression_guards_renorm_cadence():

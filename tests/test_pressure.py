@@ -3,6 +3,7 @@ import itertools
 import math
 import weakref
 from fractions import Fraction as F
+from sys import getrefcount
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from projdim.errors import DomainError, NotPositive
 from projdim.linalg import Matrix3
 from projdim.pressure import (
     _logsumexp,
+    _ratio_levels,
     affinity_dimension,
     partition_sum,
     pressure_estimate,
@@ -251,6 +253,7 @@ def test_in_place_logsumexp_leaves_the_word_levels_unchanged():
     first = [partition_sum(sys, s, n) for s, n in grid]
     levels = [arr for level in sys.word_levels[3] for arr in level]
     saved = [arr.copy() for arr in levels]
+    sys.level_sums.clear()  # sum again, not read the kept sums
     assert [partition_sum(sys, s, n) for s, n in grid] == first
     for arr, copy in zip(levels, saved):
         assert not arr.flags.writeable and np.array_equal(arr, copy)
@@ -261,10 +264,49 @@ def test_in_place_logsumexp_leaves_the_word_levels_unchanged():
     assert _logsumexp(logs.copy()) == allocating
 
 
+def test_level_sums_are_summed_once_and_freed_with_the_system(monkeypatch):
+    import projdim.pressure as pressure_mod
+
+    lse = pressure_mod._logsumexp
+    summed = []
+    monkeypatch.setattr(pressure_mod, "_logsumexp", lambda logs: summed.append(1) or lse(logs))
+    sys = rauzy_gamma_system(2)
+    grid = [(s, n) for s in (0.5, 1.5) for n in (2, 1)]
+    first = [partition_sum(sys, s, n) for s, n in grid]
+    assert [partition_sum(sys, s, n) for s, n in grid] == first
+    assert len(summed) == len(grid) and sys.level_sums == dict(zip(grid, first))
+
+    cache, spec = sys.level_sums, weakref.ref(sys)
+    held = getrefcount(cache)
+    del sys
+    gc.collect()
+    assert spec() is None and getrefcount(cache) == held - 1  # only this test holds it
+
+
+def test_ladder_rungs_are_corners_of_the_top_table(monkeypatch):
+    import projdim.pressure as pressure_mod
+
+    make, build = pressure_mod.rauzy_gamma_system, pressure_mod._subtree_levels
+    made, built = [], []
+    monkeypatch.setattr(pressure_mod, "rauzy_gamma_system",
+                        lambda N: made.append(make(N)) or made[-1])
+    monkeypatch.setattr(pressure_mod, "_subtree_levels",
+                        lambda sys, top, levels: built.append(sys) or build(sys, top, levels))
+    est = rauzy_dimension(4, 3, 1e-3)
+    assert [len(sys) for sys in made] == [24, 12, 6]  # the top rung first
+    assert len(built) == len(made[0]) and all(sys is made[0] for sys in built)
+    assert [step["N"] for step in est.diagnostics["ladder"]] == [1, 2, 4]
+
+    for sys in made[1:]:
+        corner = [arr for level in sys.word_levels[3] for arr in level]
+        own = [arr for level in _ratio_levels(make(len(sys) // 6), 3) for arr in level]
+        assert list(sys.word_levels) == [3]
+        assert [arr.tobytes() for arr in corner] == [arr.tobytes() for arr in own]
+        assert not any(arr.flags.writeable for arr in corner)
+
+
 def test_uniform_contraction_decay_fit():
     # max word ratio a2/a1 decays geometrically: fitted r < 1 through depth 8
-    from projdim.pressure import _ratio_levels
-
     sys = rauzy_gamma_system(1)
     levels = _ratio_levels(sys, 8)
     worst = [float(l21.max()) for l21, _ in levels]

@@ -114,6 +114,26 @@ def test_psi_stays_in_float_range(copies, n, lengths):
     assert [len(w) for w in stopping_partition_psi(sys, n)] == lengths
 
 
+# BIG with negative entries: at odd lengths the large entries of the products
+# pass -2**64 while the largest entry stays tiny
+NEG_BIG = Matrix3.diagonal(-10 ** 4, -9000, F(1, 9 * 10 ** 7))
+
+
+@pytest.mark.parametrize("copies, n, lengths", [
+    (1, 2, [14]),
+    (1, 3, [20]),
+    (2, 2, [14] * 2 ** 14),
+])
+def test_psi_stays_in_float_range_with_negative_entries(copies, n, lengths):
+    sys = SystemSpec.uniform("-big", (NEG_BIG,) * copies)
+    assert [len(w) for w in stopping_partition_psi(sys, n)] == lengths
+    walk = Frontier(sys)
+    while len(walk.letters[0]) < lengths[0]:
+        walk.grow()
+        assert all(np.abs(x).max() <= 2.0 ** 64 for x in walk.states)
+    assert all(e.all() for e in walk.exps)
+
+
 FRAME = plane_frame_orthonormal(np.ones(3) / math.sqrt(3.0))
 
 
