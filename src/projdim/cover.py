@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, FloatRange, TooFewScales
 from .pressure import DimensionEstimate
-from .projective import DenominatorZero, PointCloud, attractor_points, lft_apply
+from .projective import PointCloud, attractor_points
 from .semigroup import Frontier, SystemSpec, require_positive_like
 
-_PROBES = 16  # circle points mapped per ball by _image_radius
+_PROBES = 16  # circle points mapped per probe ball by cone_constant
+_ANGLES = 2.0 * math.pi * np.arange(_PROBES) / _PROBES
+_CIRCLE = np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=1)
+_RADII = np.array([1e-3, 1e-4])  # small, so a ratio approximates the local distortion
 _CYCLIC = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
 
@@ -37,7 +40,8 @@ class CoverReport:
 
 
 def svd_vdu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD rearranged as ``a = V @ D @ U`` with ``D = diag(a2, a3, a1)``.
+    """SVD rearranged as ``a = V @ D @ U`` with ``D = diag(a2, a3, a1)``,
+    for one matrix or a ``(..., 3, 3)`` stack.
 
     The largest value sits in the denominator slot of the chart map, so
     ``phi_D`` contracts by ``(a2/a1, a3/a1)``; ``V`` and ``U`` stay
@@ -46,21 +50,52 @@ def svd_vdu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, s, xt = np.linalg.svd(a)
     u = _CYCLIC @ xt
     v = w @ _CYCLIC.T
-    d = np.diag([s[1], s[2], s[0]])
+    d = s[..., [1, 2, 0], None] * np.eye(3)
     return v, d, u
 
 
-def _image_radius(mat: np.ndarray, center: np.ndarray, r: float) -> Optional[float]:
-    """Radius of a ball containing the chart image of B(center, r)."""
-    angles = 2.0 * math.pi * np.arange(_PROBES) / _PROBES
-    circle = center + r * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    tilde = np.concatenate([circle, np.ones((_PROBES, 1))], axis=1)
-    dens = tilde @ mat[2]
-    if np.abs(dens).min() < 1e-9 or abs(center @ mat[2, :2] + mat[2, 2]) < 1e-9:
-        return None
-    imgs = (tilde @ mat[:2].T) / dens[:, None]
-    c_img = lft_apply(mat, center)
-    return float(np.linalg.norm(imgs - c_img, axis=1).max())
+def _lift(pts: np.ndarray) -> np.ndarray:
+    return np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
+
+
+def _chart(mats: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chart images of the points ``pts`` (..., 2) under the stack ``mats``
+    (..., 3, 3), and their denominators: one matrix times one lifted point,
+    the product :func:`~projdim.projective.lft_apply` makes."""
+    num = np.matmul(mats, _lift(pts)[..., None])[..., 0]
+    return num[..., :2] / num[..., 2:], num[..., 2]
+
+
+def _circle_images(mats: np.ndarray, circles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chart images of the rows of ``circles`` (k, m, 2) under ``mats`` (k, 3, 3),
+    and their denominators.
+
+    The denominators are the points times ``mats[2]`` and the numerators
+    the points times ``mats[:2].T``, two products as a ball-by-ball loop
+    forms them: numpy's matrix-vector and matrix-matrix products round the
+    three-term sums differently, so :func:`_chart`'s one product would move
+    some ratios by an ulp.
+    """
+    tilde = _lift(circles)
+    den = np.matmul(tilde, mats[:, 2, :, None])[..., 0]
+    return np.matmul(tilde, np.swapaxes(mats[:, :2], 1, 2)) / den[..., None], den
+
+
+def _probe(mats: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius inflation of the chart maps ``mats`` (k, 3, 3) on the probe balls
+    around ``centers`` (k, c, 2), shape (k, c, radii), and the mask of balls
+    with a denominator within 1e-9 of zero, at a probe or at the center."""
+    k, c = centers.shape[:2]
+    circles = centers[:, :, None, None] + _RADII[:, None, None] * _CIRCLE
+    imgs, dens = _circle_images(mats, circles.reshape(k, -1, 2))
+    c_img, _ = _chart(mats[:, None], centers)
+    # the center test of the mask, ``center @ m[2, :2] + m[2, 2]``, rounds unlike the chart's
+    c_den = (centers[..., None, :] @ mats[:, None, 2, :2, None])[..., 0, 0] + mats[:, None, 2, 2]
+    diff = imgs.reshape(k, c, len(_RADII), _PROBES, 2) - c_img[:, :, None, None]
+    radius = np.sqrt((diff * diff).sum(axis=-1)).max(axis=-1)
+    near_zero = ((np.abs(dens) < 1e-9).reshape(k, c, len(_RADII), _PROBES).any(axis=-1)
+                 | (np.abs(c_den) < 1e-9)[..., None])
+    return radius / _RADII, near_zero
 
 
 def cone_constant(sys: SystemSpec) -> float:
@@ -70,29 +105,26 @@ def cone_constant(sys: SystemSpec) -> float:
     balls around attractor points and ``V`` on balls around their diagonal
     images (small radii, so the measurement approximates the local
     distortion).  Never less than one: the identity frame is a valid
-    witness, and chart-aligned diagonal letters achieve it.
+    witness, and chart-aligned diagonal letters achieve it.  A ball is
+    skipped when a denominator comes within 1e-9 of zero, and the ``V``
+    balls of a center when a chart step to its image divides by exactly
+    zero; any other ratio that is not finite raises :class:`FloatRange`.
     """
     require_positive_like(sys, "cone_constant")
     cloud = attractor_points(sys, "chaos", budget=16, seed=0, coords="plane_P")
-    centers = cloud.points
-    best = 1.0
-    radii = (1e-3, 1e-4)
-    for m in sys.letters_float:
-        v, d, u = svd_vdu(m)
-        for center in centers:
-            for r in radii:
-                ri = _image_radius(u, center, r)
-                if ri is not None:
-                    best = max(best, ri / r)
-            try:
-                z = lft_apply(d, lft_apply(u, center))
-            except DenominatorZero:
-                continue
-            for r in radii:
-                ri = _image_radius(v, z, r)
-                if ri is not None:
-                    best = max(best, ri / r)
-    return best
+    v, d, u = svd_vdu(sys.letters_float)
+    centers = np.broadcast_to(cloud.points, (len(u),) + cloud.points.shape)
+    # skipped balls may divide by zero; the check below covers every kept one
+    with np.errstate(all="ignore"):
+        y, y_den = _chart(u[:, None], centers)
+        z, z_den = _chart(d[:, None], y)
+        ratio_u, skip_u = _probe(u, centers)
+        ratio_v, skip_v = _probe(v, z)
+    skip_v |= ((y_den == 0.0) | (z_den == 0.0))[..., None]
+    ratios = np.concatenate([ratio_u[~skip_u], ratio_v[~skip_v]])
+    if not np.isfinite(ratios).all():
+        raise FloatRange("a cone probe ratio is outside the float range")
+    return float(ratios.max(initial=1.0))
 
 
 def svd_cover_upper(sys: SystemSpec, s: float, delta: float) -> CoverReport:

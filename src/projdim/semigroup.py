@@ -257,6 +257,29 @@ def require_positive_like(sys: SystemSpec, what: str) -> None:
 _RESCALE_ABOVE = 2.0 ** 64
 
 
+def _lex_order(letters: np.ndarray, k: int) -> np.ndarray:
+    """The permutation ``np.lexsort(letters.T[::-1])``: the rows of
+    ``letters`` in lexicographic order, stable.
+
+    Each entry, a letter below ``k`` or the -1 padding, is the digit
+    ``letter + 1`` in base ``k + 1``; each ``int64`` key packs as many
+    columns as its range holds, so one sort runs over a few keys.
+    """
+    base = k + 1
+    per_key = 1
+    while base ** (per_key + 1) <= 2 ** 63:
+        per_key += 1
+    keys = []
+    for start in range(0, letters.shape[1], per_key):
+        key = np.zeros(len(letters), dtype=np.int64)
+        for col in letters.T[start:start + per_key]:
+            key *= base
+            key += col
+            key += 1
+        keys.append(key)
+    return np.lexsort(keys[::-1])
+
+
 class Frontier:
     """The undecided words of one length in a level-by-level word-tree walk.
 
@@ -333,8 +356,10 @@ class Frontier:
                       max_len: int) -> WordSet:
         """The minimal words whose ``statistic(self)`` drops to ``2^-n``.
 
-        The result is sorted lexicographically; a branch still above the
-        threshold at length ``max_len`` raises :class:`NotContracting`.
+        The result is sorted lexicographically, a word before its
+        extensions, by packed integer keys (:func:`_lex_order`); a branch
+        still above the threshold at length ``max_len`` raises
+        :class:`NotContracting`.
         """
         threshold = 2.0 ** (-n)
         blocks: list[np.ndarray] = []
@@ -353,7 +378,7 @@ class Frontier:
             np.pad(b, ((0, 0), (0, self.letters.shape[1] - b.shape[1])), constant_values=-1)
             for b in blocks])
         lengths = np.concatenate([np.full(len(b), b.shape[1], dtype=np.int32) for b in blocks])
-        order = np.lexsort(letters.T[::-1])
+        order = _lex_order(letters, len(self.steps[0]))
         return WordSet(letters[order], lengths[order])
 
 

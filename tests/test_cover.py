@@ -15,7 +15,7 @@ from projdim.cover import (
 from projdim.errors import DomainError, FloatRange, NotPositive, TooFewScales
 from projdim.linalg import Matrix3
 from projdim.pressure import rauzy_gamma_system, zeta_truncated
-from projdim.projective import PointCloud, attractor_points
+from projdim.projective import DenominatorZero, PointCloud, attractor_points, lft_apply
 from projdim.semigroup import SystemSpec
 from projdim.systems import gamma_letter, positivizing_conjugator, rauzy_system
 
@@ -49,16 +49,88 @@ def test_cone_constant_rejects_raw_system():
         cone_constant(rauzy_system())
 
 
+def _image_radius(mat, center, r):
+    """Radius of a ball containing the chart image of B(center, r), from 16 circle points."""
+    angles = 2.0 * math.pi * np.arange(16) / 16
+    circle = center + r * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    tilde = np.concatenate([circle, np.ones((16, 1))], axis=1)
+    dens = tilde @ mat[2]
+    if np.abs(dens).min() < 1e-9 or abs(center @ mat[2, :2] + mat[2, 2]) < 1e-9:
+        return None
+    imgs = (tilde @ mat[:2].T) / dens[:, None]
+    c_img = lft_apply(mat, center)
+    return float(np.linalg.norm(imgs - c_img, axis=1).max())
+
+
+def cone_reference(sys):
+    """The per-ball loop: one ``_image_radius`` call per letter, center, factor and radius."""
+    centers = attractor_points(sys, "chaos", budget=16, seed=0, coords="plane_P").points
+    best = 1.0
+    for m in sys.letters_float:
+        v, d, u = svd_vdu(m)
+        for center in centers:
+            for r in (1e-3, 1e-4):
+                ri = _image_radius(u, center, r)
+                if ri is not None:
+                    best = max(best, ri / r)
+            try:
+                z = lft_apply(d, lft_apply(u, center))
+            except DenominatorZero:
+                continue
+            for r in (1e-3, 1e-4):
+                ri = _image_radius(v, z, r)
+                if ri is not None:
+                    best = max(best, ri / r)
+    return best
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rauzy_gamma_system(1),
+    lambda: rauzy_gamma_system(2),
+    lambda: rauzy_gamma_system(10),
+    lambda: SystemSpec.uniform("d", (Matrix3.diagonal(1, F(1, 4), 4),)),
+], ids=["gamma1", "gamma2", "gamma10", "diagonal"])
+def test_cone_constant_matches_the_per_ball_loop_bit_for_bit(make):
+    sys = make()
+    assert cone_constant(sys) == cone_reference(sys)
+
+
+def _diagonal_step_hits_zero(monkeypatch, den_value):
+    # the diagonal factor's chart step divides by den_value at the first letter and center
+    real = cover._chart
+
+    def chart(mats, pts):
+        img, den = real(mats, pts)
+        if np.array_equal(mats, mats * np.eye(3)):
+            img, den = img.copy(), den.copy()
+            img[0, 0], den[0, 0] = np.nan, den_value
+        return img, den
+
+    monkeypatch.setattr(cover, "_chart", chart)
+
+
 def test_cone_constant_skips_only_zero_denominators(monkeypatch):
-    # a FloatRange from the diagonal factor must reach the caller, not be skipped
-    real = cover.lft_apply
+    sys = rauzy_gamma_system(1)
+    _diagonal_step_hits_zero(monkeypatch, 0.0)
+    c = cone_constant(sys)  # the V balls of that center are skipped
+    assert math.isfinite(c) and c >= 1.0
+    _diagonal_step_hits_zero(monkeypatch, 1e-300)
+    with pytest.raises(FloatRange):
+        cone_constant(sys)
 
-    def lft_apply(m, x):
-        if np.array_equal(m, np.diag(np.diagonal(m))):
-            raise FloatRange("diagonal factor out of range")
-        return real(m, x)
 
-    monkeypatch.setattr(cover, "lft_apply", lft_apply)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_cone_constant_raises_on_a_non_finite_probe(monkeypatch, bad):
+    # one probe image outside the float range must reach the caller, not be skipped
+    real = cover._circle_images
+
+    def circle_images(mats, circles):
+        imgs, dens = real(mats, circles)
+        imgs = imgs.copy()
+        imgs[0, 0, 0] = bad
+        return imgs, dens
+
+    monkeypatch.setattr(cover, "_circle_images", circle_images)
     with pytest.raises(FloatRange):
         cone_constant(rauzy_gamma_system(1))
 

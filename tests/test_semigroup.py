@@ -27,6 +27,7 @@ from projdim.semigroup import (
     Frontier,
     SystemSpec,
     WordSet,
+    _lex_order,
     diophantine_check,
     irreducibility_probe,
     is_primitive_nonnegative,
@@ -178,6 +179,27 @@ def test_first_passage_wordset_matches_reference(case, monkeypatch):
     assert all(type(x) is int for w in (ws[0], ws[-1], next(iter(ws))) for x in w.letters)
 
 
+@pytest.mark.parametrize("k, length", [
+    (2, 9),  # one key: base 3 holds 39 columns
+    (60, 12),  # Gamma_10's alphabet: base 61 holds 10 columns, so two keys
+    (2 ** 20, 8),  # base 2**20 + 1 holds 3 columns, so three keys
+    (2 ** 31 - 1, 5),  # letter + 1 reaches the int32 maximum; base 2**31 holds 2 columns
+])
+def test_packed_key_order_matches_lexsort(k, length):
+    rng = np.random.default_rng(length)
+    letters = rng.integers(0, k, size=(3000, length), dtype=np.int32)
+    lengths = rng.integers(1, length + 1, size=3000)
+    letters[np.arange(length) >= lengths[:, None]] = -1
+    # rows that differ only in -1 padding: words extended by letter 0, and cut by one letter
+    longer = letters[lengths < length][:500].copy()
+    longer[np.arange(len(longer)), lengths[lengths < length][:500]] = 0
+    shorter = letters[lengths > 1][:500].copy()
+    shorter[np.arange(len(shorter)), lengths[lengths > 1][:500] - 1] = -1
+    letters = np.concatenate([letters, longer, shorter, letters[:200]])  # and repeats
+    letters = letters[rng.permutation(len(letters))]
+    assert np.array_equal(_lex_order(letters, k), np.lexsort(letters.T[::-1]))
+
+
 def test_walks_stay_in_float_range():
     sys = SystemSpec.uniform("big", (BIG,))
     # first passages of the xi ratio, checked in exact arithmetic
@@ -233,15 +255,19 @@ def test_psi_is_prefix_free_with_full_mass():
 
     sys = rauzy_gamma_system(10)
     words = stopping_partition_psi(sys, 8)
-    keys = {w.letters for w in words}
-    assert len(keys) == len(words)
-    for w in words:
-        for m in range(1, len(w)):
-            assert w.letters[:m] not in keys
+    letters, lengths = words.letters, words.lengths
+    assert ((letters >= 0) == (np.arange(letters.shape[1]) < lengths[:, None])).all()
+    differ = letters[1:] != letters[:-1]
+    assert differ.any(axis=1).all()  # no word twice
+    first = differ.argmax(axis=1)  # the first column where a word and its successor differ
+    rows = np.arange(len(first))
+    assert (letters[rows, first] < letters[rows + 1, first]).all()  # strictly increasing
+    # in a sorted set every extension of a word follows it directly, so it
+    # is enough that no word is a prefix of its successor
+    assert (first < lengths[:-1]).all()
     # uniform letters: exact mass by length counts
-    from collections import Counter
-    counts = Counter(len(w) for w in words)
-    mass = sum((cnt * F(1, len(sys)) ** length for length, cnt in counts.items()), F(0))
+    counts = np.bincount(lengths)
+    mass = sum((int(cnt) * F(1, len(sys)) ** length for length, cnt in enumerate(counts)), F(0))
     assert mass == 1
 
 
