@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, FloatRange, TooFewScales
 from .pressure import DimensionEstimate
-from .projective import PointCloud, attractor_points
+from .projective import PointCloud, attractor_points, dyadic_cells
 from .semigroup import Frontier, SystemSpec, require_positive_like
 
 _PROBES = 16  # circle points mapped per probe ball by cone_constant
@@ -187,13 +187,9 @@ def box_dimension_estimate(cloud: PointCloud,
     if len(resolutions) < 3:
         raise TooFewScales("need at least three resolutions")
     pts = cloud.points[:, :2]
-    top, n_max = float(np.abs(pts).max()), resolutions[-1]
-    # exponent arithmetic, as in ergodic._cell_counts: top * 2.0 ** n overflows for n >= 1024
-    if not math.isfinite(top) or (top > 0 and math.frexp(top)[1] + n_max > 63):
-        raise FloatRange(f"max |point| = {top} times 2^{n_max} leaves the int64 box range")
     counts = []
     for n in resolutions:
-        b = np.floor(pts * (2.0 ** n)).astype(np.int64)
+        b = dyadic_cells(pts, n)
         # sorted rows put equal boxes next to each other; np.unique(b, axis=0)
         # counts the same but is about 5x slower on a million points
         b = b[np.lexsort(b.T)]

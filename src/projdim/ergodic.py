@@ -17,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadVector, DegenerateSpectrum, DomainError, FloatRange
+from .errors import BadVector, DegenerateSpectrum, DomainError
 from .linalg import opnorm_batch
 from .rng import letter_sampler, make_rng
 from .pressure import DimensionEstimate
-from .projective import frame_for_plane, project_measure_samples
+from .projective import dyadic_cells, frame_for_plane, project_measure_samples
 from .semigroup import SystemSpec, require_positive_like
 
 LOG2 = math.log(2.0)
@@ -152,11 +152,7 @@ def _cell_counts(samples, n: int) -> tuple[np.ndarray, np.ndarray]:
     vals = np.asarray(samples, dtype=float)
     if vals.size == 0:
         raise BadVector("dyadic_entropy needs samples")
-    top = float(np.abs(vals).max())
-    # exponent arithmetic: top * 2.0 ** n itself overflows for n >= 1024
-    if not math.isfinite(top) or (top > 0 and math.frexp(top)[1] + n > 63):
-        raise FloatRange(f"max |sample| = {top} times 2^{n} leaves the int64 cell range")
-    cells = np.floor(vals * (2.0 ** n)).astype(np.int64).ravel()
+    cells = dyadic_cells(vals, n).ravel()
     cells.sort()
     starts = _run_starts(cells)
     return cells[starts], np.diff(np.append(starts, cells.size))

@@ -101,6 +101,10 @@ class Matrix3:
     def __matmul__(self, other: "Matrix3") -> "Matrix3":
         return mat_mul(self, other)
 
+    def __sub__(self, other: "Matrix3") -> "Matrix3":
+        return Matrix3(tuple(tuple(x - y for x, y in zip(r, q))
+                             for r, q in zip(self.entries, other.entries)))
+
     def scale(self, c: Rational) -> "Matrix3":
         c = _as_fraction(c)
         return Matrix3(tuple(tuple(c * x for x in row) for row in self.entries))

@@ -10,7 +10,8 @@ level arrays; after that every evaluation at a new ``s`` is a vectorized
 log-sum-exp over the cached arrays, and each level sum is kept on the
 system too, so a repeated ``(s, n)`` is summed once.  The word order and
 the reduction tree are fixed, so results are bitwise reproducible and do
-not depend on the number of threads.
+not depend on the number of threads.  The multiplicativity fit and the
+truncated zeta series read the same table; its build is the only walk here.
 
 The ``rauzy`` ladder builds one table: Γ_n's letters are the first ``6n``
 letters of Γ_N, with the same conjugator, so each level of Γ_n's table is
@@ -36,7 +37,6 @@ from .semigroup import Frontier, SystemSpec, check_budget, require_positive_like
 from .systems import gamma_letter, positivizing_conjugator
 
 _PAIR_SAMPLE_CAP = 10_000
-_PRUNE_TOL = 1e-15  # zeta subtrees below this share of the running total are cut
 _LN2 = math.log(2.0)
 # threads of the level build: its subtree walks spend their time in numpy
 # calls that release the interpreter lock
@@ -78,31 +78,25 @@ class DimensionEstimate:
 
 class ZetaTruncation(NamedTuple):
     value: float
-    pruning_loss: float
     words_evaluated: int
 
 
 # ---------------------------------------------------------------------------
 # cached per-level contraction ratios
 
-def _log_ratios(prod: np.ndarray, prod_ext: np.ndarray, e1: np.ndarray,
-                e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(log(a2/a1), log(a3/a1))`` of words stored as ``prod * 2**e1`` with
-    exterior squares ``prod_ext * 2**e2`` (see :class:`Frontier`)."""
-    la21, la31 = log_ratio_batch(prod, prod_ext)
-    return la21 + (e2 - 2 * e1) * _LN2, la31 - (e1 + e2) * _LN2
-
-
 def _subtree_levels(sys: SystemSpec, top: int,
                     levels: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
-    """Write the ratios of the words that start with ``top`` into their
-    slice ``[top * k**(n-1), (top + 1) * k**(n-1))`` of each level ``n``."""
+    """Write ``(log(a2/a1), log(a3/a1))`` of the words that start with ``top``
+    into their slice ``[top * k**(n-1), (top + 1) * k**(n-1))`` of each level
+    ``n``; a walk state stands for ``states * 2**exps`` (see :class:`Frontier`)."""
     walk = Frontier(sys, tops=[top])
     for n, (la21, la31) in enumerate(levels, start=1):
         if n > 1:
             walk.grow()
         lo, hi = top * len(walk), (top + 1) * len(walk)
-        la21[lo:hi], la31[lo:hi] = _log_ratios(*walk.states, *walk.exps)
+        (r21, r31), (e1, e2) = log_ratio_batch(*walk.states), walk.exps
+        la21[lo:hi] = r21 + (e2 - 2 * e1) * _LN2
+        la31[lo:hi] = r31 - (e1 + e2) * _LN2
 
 
 def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -183,15 +177,25 @@ def partition_sum(sys: SystemSpec, s: float, n: int) -> float:
 # sampled multiplicativity constants
 
 def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
-    """Sampled max/min of ``phi^s(AB) / (phi^s(A) phi^s(B))`` over word pairs."""
+    """Sampled max/min of ``phi^s(AB) / (phi^s(A) phi^s(B))`` over word pairs.
+
+    The pool holds the words of lengths ``1..top``, ``top <= max_len`` the
+    deepest whose level holds at most 4,000 words, in table order.  Every
+    ``phi^s`` is read from the word table of depth ``2 * top``: word ``i`` of
+    length ``a`` followed by word ``j`` of length ``b`` is word ``i * k**b + j``
+    of length ``a + b``.
+    """
     k = len(sys)
-    walk = Frontier(sys)
-    levels = [walk.states + walk.exps]
-    while len(levels) < max_len and len(walk) * k <= 4000:
-        walk.grow()
-        levels.append(walk.states + walk.exps)
-    pool, pool_ext, e1, e2 = (np.concatenate(parts) for parts in zip(*levels))
-    m = len(pool)
+    top = 1
+    while top < max_len and k ** (top + 1) <= 4000:
+        top += 1
+    sizes = [k ** n for n in range(1, top + 1)]
+    m = sum(sizes)
+    if s == 0.0:  # every phi^0 is 1, as in partition_sum: no table is needed
+        return {"fitted_C": 1.0, "fitted_c": 1.0, "pairs": min(m * m, _PAIR_SAMPLE_CAP)}
+    levels = _ratio_levels(sys, 2 * top)
+    lengths = np.repeat(np.arange(1, top + 1), sizes)
+    index = np.concatenate([np.arange(size) for size in sizes])
 
     if m * m <= _PAIR_SAMPLE_CAP:
         ia, ib = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
@@ -201,11 +205,14 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
         ia = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
         ib = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
 
-    ab = np.einsum("aij,ajk->aik", pool[ia], pool[ib])
-    ab_ext = np.einsum("aij,ajk->aik", pool_ext[ia], pool_ext[ib])
+    length_ab = lengths[ia] + lengths[ib]
+    word_ab = index[ia] * k ** lengths[ib] + index[ib]
     # in log space: phi^s of a long word can underflow, and 0/0 would hide in max()
-    log_num = _log_phi(s, *_log_ratios(ab, ab_ext, e1[ia] + e1[ib], e2[ia] + e2[ib]))
-    log_phi = _log_phi(s, *_log_ratios(pool, pool_ext, e1, e2))
+    log_num = np.empty(len(ia))
+    for n in range(2, 2 * top + 1):
+        at = length_ab == n
+        log_num[at] = _log_phi(s, *(arr[word_ab[at]] for arr in levels[n - 1]))
+    log_phi = np.concatenate([_log_phi(s, *level) for level in levels[:top]])
     ratio = np.exp(log_num - log_phi[ia] - log_phi[ib])
     return {
         "fitted_C": float(ratio.max()),
@@ -224,11 +231,14 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int) -> PressureEstimate
     the constants are sampled, not proven.
     """
     require_positive_like(sys, "pressure_estimate")
+    if n_max == 1 and s != 0.0:
+        _ratio_levels(sys, 2)  # the fit reads two-letter pairs: build their table first
+    # deepest first, so the word levels are built once: the rest, and the
+    # fit's pairs (2 * top <= n_max letters), read prefixes
+    raws = [partition_sum(sys, s, n) for n in range(n_max, 0, -1)][::-1]
     fit = _fit_multiplicativity(sys, s, max(1, n_max // 2))
     c_up = max(1.0, fit["fitted_C"])
     c_lo = min(1.0, fit["fitted_c"])
-    # deepest first, so the word levels are built once and the rest are prefixes
-    raws = [partition_sum(sys, s, n) for n in range(n_max, 0, -1)][::-1]
     upper = min((r + math.log(c_up)) / n for n, r in enumerate(raws, start=1))
     lower = max((r + math.log(c_lo)) / n for n, r in enumerate(raws, start=1))
     return PressureEstimate(
@@ -324,47 +334,20 @@ def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3) -> Di
 
 
 # ---------------------------------------------------------------------------
-# truncated zeta function with pruning
+# truncated zeta function
 
 def zeta_truncated(sys: SystemSpec, s: float, n_max: int) -> ZetaTruncation:
-    """Partial sum of the zeta series up to depth ``n_max`` with subtree pruning.
+    """Partial sum ``sum_{n <= n_max} sum_{|w| = n} phi^s(w)`` of the zeta series.
 
-    A subtree is cut once its (heuristically bounded) remaining mass drops
-    below ``_PRUNE_TOL`` of the running total; the accumulated bound on the
-    discarded mass is returned alongside the value.
+    Each level is one :func:`partition_sum`, taken deepest first so the
+    word table is built once; ``words_evaluated`` counts every word of
+    every level.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    walk = Frontier(sys)
-    level_values = np.exp(_log_phi(s, *_log_ratios(*walk.states, *walk.exps)))
-
-    fit = _fit_multiplicativity(sys, s, 1)
-    c_up = max(1.0, fit["fitted_C"])
-    s1 = float(np.sum(level_values))
-
-    def tail_bound(phi: np.ndarray, remaining: int) -> np.ndarray:
-        # geometric bound on sum over nonempty extensions within the horizon
-        g = c_up * s1
-        if g == 1.0:
-            factor = float(remaining)
-        else:
-            factor = g * (g ** remaining - 1.0) / (g - 1.0)
-        return phi * factor
-
-    total = 0.0
-    loss = 0.0
-    for depth in range(1, n_max + 1):
-        total += float(np.sum(level_values))
-        if depth == n_max:
-            break
-        bounds = tail_bound(level_values, n_max - depth)
-        keep = bounds >= _PRUNE_TOL * total
-        loss += float(np.sum(bounds[~keep]))
-        if not np.any(keep):
-            break
-        walk.grow(keep)
-        level_values = np.exp(_log_phi(s, *_log_ratios(*walk.states, *walk.exps)))
-    return ZetaTruncation(total, loss, walk.visited)
+    sums = [partition_sum(sys, s, n) for n in range(n_max, 0, -1)]
+    return ZetaTruncation(sum(math.exp(x) for x in reversed(sums)),
+                          sum(len(sys) ** n for n in range(1, n_max + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     BadDirection,
     DegenerateGap,
     DomainError,
+    FloatRange,
     NotContracting,
     NotPositive,
     ProjdimError,
@@ -205,6 +206,18 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def dyadic_cells(vals: np.ndarray, n: int) -> np.ndarray:
+    """``floor(vals * 2^n)`` as ``int64``: the dyadic cells of side ``2^-n``.
+
+    Raises :class:`FloatRange` when a cell would leave ``int64``.
+    """
+    top = float(np.abs(vals).max())
+    # exponent arithmetic: top * 2.0 ** n itself overflows for n >= 1024
+    if not math.isfinite(top) or (top > 0 and math.frexp(top)[1] + n > 63):
+        raise FloatRange(f"max |value| = {top} times 2^{n} leaves the int64 cell range")
+    return np.floor(vals * (2.0 ** n)).astype(np.int64)
 
 
 def _require_nonnegative_action(sys: SystemSpec, what: str) -> None:
@@ -404,7 +417,9 @@ def save_cloud_csv(cloud: PointCloud, path: str | Path) -> None:
 def load_cloud_csv(path: str | Path) -> PointCloud:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"cloud file {path} has no header row")
         rows = [[float(x) for x in row] for row in reader if row]
     coords = header[0].rsplit("_", 1)[0]
     return PointCloud(np.array(rows), coords, seed=-1)

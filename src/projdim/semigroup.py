@@ -538,21 +538,12 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
         new: list[Matrix3] = []
         for x in frontier:
             for y in mats:
-                b = _bracket(x, y)
+                b = x @ y - y @ x
                 if span.add(_flat9(b)):
                     new.append(b)
         mats.extend(new)
         frontier = new
     return span.dim
-
-
-def _bracket(x: Matrix3, y: Matrix3) -> Matrix3:
-    xy = mat_mul(x, y)
-    yx = mat_mul(y, x)
-    rows = [
-        [xy.entries[i][j] - yx.entries[i][j] for j in range(3)] for i in range(3)
-    ]
-    return Matrix3.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +609,7 @@ def _kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 
 def _shift(a: Matrix3, lam: Fraction) -> Matrix3:
-    rows = [
-        [a.entries[i][j] - (lam if i == j else 0) for j in range(3)] for i in range(3)
-    ]
-    return Matrix3.from_rows(rows)
+    return a - Matrix3.identity().scale(lam)
 
 
 def _eigenvector_candidates(letters: Sequence[Matrix3]) -> list[list[Fraction]]:

@@ -75,22 +75,11 @@ def positivizing_conjugator(eps: Fraction = Fraction(1, 5)) -> Matrix3:
 def rauzy_curve_derivatives() -> tuple[Matrix3, ...]:
     """Tangent matrices of the six one-parameter families ``A_i^x A_j`` at 0.
 
-    Differentiating the closed-form rows of :func:`gamma_letter` in ``n``
-    leaves a single nonzero row: 1 at positions ``i`` and ``j`` and 2 at the
-    remaining position.
+    Every entry of :func:`gamma_letter` is affine in ``n``, so each tangent
+    is the exact difference of two consecutive letters.
     """
-    out = []
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            k = 3 - i - j
-            rows = [[0, 0, 0] for _ in range(3)]
-            rows[i][i] = 1
-            rows[i][j] = 1
-            rows[i][k] = 2
-            out.append(Matrix3.from_rows(rows))
-    return tuple(out)
+    return tuple(gamma_letter(i, j, 2) - gamma_letter(i, j, 1)
+                 for i in range(3) for j in range(3) if i != j)
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +97,20 @@ def system_to_dict(sys: SystemSpec) -> dict:
 
 
 def system_from_dict(doc: dict) -> SystemSpec:
+    if not isinstance(doc, dict):
+        raise ValueError("a system file holds one JSON object")
     unknown = set(doc) - _SYSTEM_KEYS
     if unknown:
         raise ValueError(f"unknown system fields: {sorted(unknown)}")
     for key in ("label", "matrices", "probabilities"):
         if key not in doc:
             raise ValueError(f"system file missing field {key!r}")
-    alphabet = tuple(Matrix3.from_rows(m) for m in doc["matrices"])
-    probs = tuple(Fraction(p) for p in doc["probabilities"])
-    conj = Matrix3.from_rows(doc["conjugator"]) if "conjugator" in doc else None
+    try:
+        alphabet = tuple(Matrix3.from_rows(m) for m in doc["matrices"])
+        probs = tuple(Fraction(p) for p in doc["probabilities"])
+        conj = Matrix3.from_rows(doc["conjugator"]) if "conjugator" in doc else None
+    except TypeError as exc:  # a number or null where an exact entry or a row belongs
+        raise ValueError(f"malformed system file: {exc}") from None
     return SystemSpec(doc["label"], alphabet, probs, conj)
 
 

@@ -99,6 +99,18 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps({"label": "x", "matrices": [], "probabilities": [],
                                "weird": 1}))
     assert main(["lyapunov", "--system", str(bad)]) == 2
+    # a JSON number where an exact "p/q" entry belongs is a malformed file, not a crash
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"label": "x", "probabilities": ["1"], "matrices": [
+        [[1.5, 0, 0], [0, 1, 0], [0, 0, 1]]]}))
+    assert main(["check", "--system", str(malformed)]) == 2
+    assert "projdim: malformed system file" in capsys.readouterr().err
+    malformed.write_text("5")  # not a JSON object
+    assert main(["check", "--system", str(malformed)]) == 2
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["boxdim", "--cloud", str(empty), "--res", "4:8"]) == 2
+    assert "no header" in capsys.readouterr().err
     # the level build sizes its own thread pool; there is no flag for it
     with pytest.raises(SystemExit) as exc:
         main(["rauzy", "--N", "1", "--threads", "2"])
@@ -146,6 +158,25 @@ def test_memory_exhaustion_exits_3(tmp_path, argv):
     assert proc.returncode == 3, proc.stderr
     assert "projdim: out of memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_zeta_on_gamma10_fits_in_4_gb():
+    resource = pytest.importorskip("resource")
+    limit = 4_000_000_000  # bytes of address space, in the child interpreter only
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    code = ("from projdim.pressure import rauzy_gamma_system, zeta_truncated; "
+            "z = zeta_truncated(rauzy_gamma_system(10), 1.9, 4); "
+            "print(z.value, z.words_evaluated)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          preexec_fn=cap_address_space, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    value, words = proc.stdout.split()
+    assert 0.0 < float(value) < math.inf
+    assert int(words) == sum(60 ** n for n in range(1, 5))
 
 
 def _child_env() -> dict:

@@ -166,7 +166,7 @@ def test_cover_cost_bounded_by_zeta_shape():
     z = zeta_truncated(sys, 1.9, 8)
     bound = rep.cone_constant ** (2 * 1.9) * rep.diagnostics["enclosing_radius"] ** 1.9
     # the stopped family is a subset of all words; +1 ball slack per word
-    assert rep.cover_cost <= bound * (z.value + z.pruning_loss) * 2.0
+    assert rep.cover_cost <= bound * z.value * 2.0
 
 
 def test_cover_domain_checks():

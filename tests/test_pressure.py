@@ -11,7 +11,11 @@ import pytest
 from projdim.cli import main
 from projdim.errors import DomainError, NotPositive
 from projdim.linalg import Matrix3
+from projdim.linalg import log_ratio_batch
 from projdim.pressure import (
+    _PAIR_SAMPLE_CAP,
+    _fit_multiplicativity,
+    _log_phi,
     _logsumexp,
     _ratio_levels,
     affinity_dimension,
@@ -21,7 +25,8 @@ from projdim.pressure import (
     rauzy_gamma_system,
     zeta_truncated,
 )
-from projdim.semigroup import SystemSpec
+from projdim.rng import make_rng
+from projdim.semigroup import Frontier, SystemSpec
 from projdim.systems import gamma_letter, rauzy_system, triple9_system
 
 
@@ -102,6 +107,72 @@ def test_pressure_requires_positive_like():
         affinity_dimension(rauzy_system())
 
 
+def reference_fit(sys, s, max_len):
+    """The multiplicativity fit as a pool walk of its own with einsum pair products."""
+    k = len(sys)
+    walk = Frontier(sys)
+    levels = [walk.states + walk.exps]
+    while len(levels) < max_len and len(walk) * k <= 4000:
+        walk.grow()
+        levels.append(walk.states + walk.exps)
+    pool, pool_ext, e1, e2 = (np.concatenate(parts) for parts in zip(*levels))
+    m = len(pool)
+    if m * m <= _PAIR_SAMPLE_CAP:
+        ia, ib = (g.ravel() for g in np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
+    else:
+        rng = make_rng(0)
+        ia = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
+        ib = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
+
+    def log_phi(prod, prod_ext, f1, f2):
+        la21, la31 = log_ratio_batch(prod, prod_ext)
+        return _log_phi(s, la21 + (f2 - 2 * f1) * math.log(2.0),
+                        la31 - (f1 + f2) * math.log(2.0))
+
+    ab = np.einsum("aij,ajk->aik", pool[ia], pool[ib])
+    ab_ext = np.einsum("aij,ajk->aik", pool_ext[ia], pool_ext[ib])
+    one = log_phi(pool, pool_ext, e1, e2)
+    ratio = np.exp(log_phi(ab, ab_ext, e1[ia] + e1[ib], e2[ia] + e2[ib]) - one[ia] - one[ib])
+    return {"fitted_C": float(ratio.max()), "fitted_c": float(ratio.min()), "pairs": len(ratio)}
+
+
+# one letter whose products pass 2**64 and whose phi^1.5 underflows by length 30
+BIG = Matrix3.diagonal(10 ** 4, 9000, F(1, 9 * 10 ** 7))
+
+
+@pytest.mark.parametrize("make, max_len, sampled", [
+    (lambda: rauzy_gamma_system(1), 2, False),
+    (lambda: rauzy_gamma_system(2), 2, True),
+    (lambda: rauzy_gamma_system(20), 1, True),  # m**2 = 14,400 pairs
+    (triple9_system, 3, False),
+    (lambda: SystemSpec.uniform("big", (BIG,)), 30, False),
+], ids=["gamma1", "gamma2", "gamma20", "triple9", "big"])
+def test_table_fit_matches_the_pool_walk(make, max_len, sampled):
+    for s in (0.0, 0.75, 1.5, 2.5):
+        sys = make()
+        fit, ref = _fit_multiplicativity(sys, s, max_len), reference_fit(sys, s, max_len)
+        assert fit["pairs"] == ref["pairs"] and (fit["pairs"] == _PAIR_SAMPLE_CAP) == sampled
+        for key in ("fitted_C", "fitted_c"):
+            assert fit[key] == pytest.approx(ref[key], rel=1e-14)
+
+
+@pytest.mark.parametrize("run, walks", [
+    (lambda sys: pressure_estimate(sys, 1.5, 1), True),
+    (lambda sys: pressure_estimate(sys, 1.5, 3), True),
+    (lambda sys: affinity_dimension(sys), True),
+    (lambda sys: pressure_estimate(sys, 0.0, 4), False),  # every phi^0 is 1
+], ids=["pressure-1", "pressure-3", "dimension", "pressure-s0"])
+def test_pressure_layer_walks_each_top_letter_once(run, walks, monkeypatch):
+    import projdim.pressure as pressure_mod
+
+    real, tops = pressure_mod.Frontier, []
+    monkeypatch.setattr(pressure_mod, "Frontier",
+                        lambda sys, **kw: tops.append(kw.get("tops")) or real(sys, **kw))
+    sys = rauzy_gamma_system(2)
+    run(sys)
+    assert sorted(tops) == ([[top] for top in range(len(sys))] if walks else [])
+
+
 def test_affinity_dimension_triple9():
     est = affinity_dimension(triple9_system(), tol=1e-4, n_max=3)
     assert est.diagnostics["gate"] == "diagonal"
@@ -155,7 +226,7 @@ def test_zeta_truncated_geometric():
     z = zeta_truncated(singleton9(), 1.0, 6)
     want = (1 - 9.0 ** -6) / 8.0
     assert z.value == pytest.approx(want, rel=1e-12)
-    assert z.pruning_loss <= 1e-12 * z.value + 1e-300
+    assert z.words_evaluated == 6
 
 
 def test_zeta_truncated_s0_partial_sum():
