@@ -23,13 +23,7 @@ from . import __version__
 from .cover import box_dimension_estimate, svd_cover_upper
 from .ergodic import empirical_delta, lyapunov_exponents, shannon_entropy
 from .errors import BudgetExceeded, ProjdimError
-from .pressure import (
-    affinity_dimension,
-    partition_sum,
-    pressure_estimate,
-    rauzy_dimension,
-    rauzy_gamma_system,
-)
+from .pressure import affinity_dimension, pressure_estimate, rauzy_dimension
 from .projective import attractor_points, load_cloud_csv, render_svg, save_cloud_csv
 from .semigroup import (
     diophantine_check,

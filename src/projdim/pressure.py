@@ -13,6 +13,18 @@ the reduction tree are fixed, so results are bitwise reproducible and do
 not depend on the number of threads.  The multiplicativity fit and the
 truncated zeta series read the same table; its build is the only walk here.
 
+The build walks one subtree per orbit of the system's exact letter
+symmetries (:attr:`SystemSpec.letter_symmetries`, found on the Fraction
+entries of the acting letters) and fills the others by relabelling.  Every
+Rauzy generator is ``I + e_i (1 - e_i)^T``, so a 3x3 permutation matrix ``P``
+of ``sigma`` has ``P A_i P^-1 = A_sigma(i)``; the positivizing conjugator
+commutes with ``P``, so it maps ``gamma_letter(i, j, n)`` to
+``gamma_letter(sigma(i), sigma(j), n)`` and a word to one with the same
+singular values.  On Γ_N, N of the 6N subtrees are walked.  A copied value
+can differ from a walked one in the last bit, so the stopping walks of ψ,
+ξ and the cover, which decide per word, do not use the symmetry.  A system
+whose only symmetry is the identity walks every subtree.
+
 The ``rauzy`` ladder builds one table: Γ_n's letters are the first ``6n``
 letters of Γ_N, with the same conjugator, so each level of Γ_n's table is
 the corner of Γ_N's level (reshaped to one axis per letter) where every
@@ -33,7 +45,7 @@ import numpy as np
 from .errors import DomainError, NotPositive
 from .rng import make_rng
 from .linalg import log_ratio_batch
-from .semigroup import Frontier, SystemSpec, check_budget, require_positive_like
+from .semigroup import Frontier, SystemSpec, check_budget, node_cap, require_positive_like
 from .systems import gamma_letter, positivizing_conjugator
 
 _PAIR_SAMPLE_CAP = 10_000
@@ -99,6 +111,25 @@ def _subtree_levels(sys: SystemSpec, top: int,
         la31[lo:hi] = r31 - (e1 + e2) * _LN2
 
 
+def _table_words(k: int, depth: int) -> int:
+    """Words of lengths 1..``depth`` over ``k`` letters."""
+    return sum(k ** n for n in range(1, depth + 1))
+
+
+def _relabel_subtree(levels: tuple[tuple[np.ndarray, np.ndarray], ...], rep: int,
+                     top: int, g: tuple[int, ...]) -> None:
+    """Fill the slices of the words that start with ``top = g[rep]`` from those
+    of ``rep``: word ``(top, g[a_2], ..., g[a_n])`` is ``g`` applied to
+    ``(rep, a_2, ..., a_n)``, so it has the same ratios."""
+    k = len(g)
+    for n, level in enumerate(levels, start=1):
+        size, shape = k ** (n - 1), (k,) * (n - 1)
+        at = np.ix_(*[g] * (n - 1))
+        for arr in level:
+            arr[top * size:(top + 1) * size].reshape(shape)[at] = \
+                arr[rep * size:(rep + 1) * size].reshape(shape)
+
+
 def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-level arrays ``(log(a2/a1), log(a3/a1))`` for words of length 1..depth.
 
@@ -106,12 +137,15 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
     The subtree under each top letter is walked on its own (one walk over
     every top would hold Γ₂₀'s 1.73 M depth-3 states at once), on a pool of
     ``_WORKERS`` threads, and writes its fixed slice of arrays allocated
-    once; the pool only changes the schedule, never the result.  The arrays
-    are kept on the system, one table for the deepest request so far.
+    once; the pool only changes the schedule, never the result.  Only the
+    least top of each orbit of the letter symmetries is walked; every other
+    top's slices are its orbit representative's, relabelled by the first
+    symmetry that maps one to the other.  The arrays are kept on the
+    system, one table for the deepest request so far.
     """
     k = len(sys)
     # the subtrees are full, so the whole walk is checked before any is built
-    check_budget(sum(k ** n for n in range(1, depth + 1)))
+    check_budget(_table_words(k, depth))
     # the levels of a deeper table start with these: serve its prefix
     for built, levels in sys.word_levels.items():
         if built >= depth:
@@ -120,9 +154,14 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
     levels = tuple((np.empty(k ** n), np.empty(k ** n)) for n in range(1, depth + 1))
     # cached properties take no lock from Python 3.12 on: build them before the threads
     sys.letters_float, sys.letters_ext2_float
+    syms = sys.letter_symmetries
+    reps = [min(g[top] for g in syms) for top in range(k)]  # the least top of each orbit
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         # reading every result raises the first exception a walk raised
-        list(pool.map(lambda top: _subtree_levels(sys, top, levels), range(k)))
+        list(pool.map(lambda top: _subtree_levels(sys, top, levels), sorted(set(reps))))
+    for top, rep in enumerate(reps):
+        if top != rep:
+            _relabel_subtree(levels, rep, top, next(g for g in syms if g[rep] == top))
     sys.word_levels.clear()  # every cached table is a prefix of this one
     sys.word_levels[depth] = _read_only(levels)
     return levels
@@ -183,7 +222,8 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
     deepest whose level holds at most 4,000 words, in table order.  Every
     ``phi^s`` is read from the word table of depth ``2 * top``: word ``i`` of
     length ``a`` followed by word ``j`` of length ``b`` is word ``i * k**b + j``
-    of length ``a + b``.
+    of length ``a + b``; at ``top = 1`` a two-letter table over the node cap
+    is not built, and the sampled letter pairs are multiplied instead.
     """
     k = len(sys)
     top = 1
@@ -193,10 +233,6 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
     m = sum(sizes)
     if s == 0.0:  # every phi^0 is 1, as in partition_sum: no table is needed
         return {"fitted_C": 1.0, "fitted_c": 1.0, "pairs": min(m * m, _PAIR_SAMPLE_CAP)}
-    levels = _ratio_levels(sys, 2 * top)
-    lengths = np.repeat(np.arange(1, top + 1), sizes)
-    index = np.concatenate([np.arange(size) for size in sizes])
-
     if m * m <= _PAIR_SAMPLE_CAP:
         ia, ib = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         ia, ib = ia.ravel(), ib.ravel()
@@ -205,13 +241,23 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
         ia = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
         ib = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
 
-    length_ab = lengths[ia] + lengths[ib]
-    word_ab = index[ia] * k ** lengths[ib] + index[ib]
     # in log space: phi^s of a long word can underflow, and 0/0 would hide in max()
-    log_num = np.empty(len(ia))
-    for n in range(2, 2 * top + 1):
-        at = length_ab == n
-        log_num[at] = _log_phi(s, *(arr[word_ab[at]] for arr in levels[n - 1]))
+    if top == 1 and _table_words(k, 2) > node_cap():
+        # the pool is the letters and no caller needs the k**2 pairs: multiply the sampled ones
+        levels = _ratio_levels(sys, 1)
+        letters, ext2 = sys.letters_float, sys.letters_ext2_float
+        log_num = _log_phi(s, *log_ratio_batch(np.matmul(letters[ia], letters[ib]),
+                                               np.matmul(ext2[ia], ext2[ib])))
+    else:
+        levels = _ratio_levels(sys, 2 * top)
+        lengths = np.repeat(np.arange(1, top + 1), sizes)
+        index = np.concatenate([np.arange(size) for size in sizes])
+        length_ab = lengths[ia] + lengths[ib]
+        word_ab = index[ia] * k ** lengths[ib] + index[ib]
+        log_num = np.empty(len(ia))
+        for n in range(2, 2 * top + 1):
+            at = length_ab == n
+            log_num[at] = _log_phi(s, *(arr[word_ab[at]] for arr in levels[n - 1]))
     log_phi = np.concatenate([_log_phi(s, *level) for level in levels[:top]])
     ratio = np.exp(log_num - log_phi[ia] - log_phi[ib])
     return {
@@ -231,7 +277,7 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int) -> PressureEstimate
     the constants are sampled, not proven.
     """
     require_positive_like(sys, "pressure_estimate")
-    if n_max == 1 and s != 0.0:
+    if n_max == 1 and s != 0.0 and _table_words(len(sys), 2) <= node_cap():
         _ratio_levels(sys, 2)  # the fit reads two-letter pairs: build their table first
     # deepest first, so the word levels are built once: the rest, and the
     # fit's pairs (2 * top <= n_max letters), read prefixes
@@ -401,9 +447,9 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstim
     Runs the estimate along the ladder ``N//4, N//2, N`` so the
     monotone-in-``N`` approximation is visible in the diagnostics; the
     returned value is the ``N`` estimate.  The ``N`` rung runs first and
-    builds the only word table: each smaller rung's letters are its first
-    letters, so that rung's levels are corners of it (see the module
-    docstring).
+    builds the only word table: each smaller rung's system is made of its
+    first letters, exact and conjugated, so that rung's levels are corners
+    of it (see the module docstring).
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -411,7 +457,9 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstim
     final = affinity_dimension(top, tol=tol, n_max=n_max)
     ests = {N: final}
     for n in sorted({max(1, N // 4), max(1, N // 2)} - {N}, reverse=True):
-        sys = rauzy_gamma_system(n)
+        sys = SystemSpec.uniform(f"rauzy-gamma-{n}", top.alphabet[:6 * n], top.conjugator)
+        # Γ_N's acting letters, already checked for negative entries
+        vars(sys)["effective_alphabet"] = top.effective_alphabet[:6 * n]
         sys.word_levels[n_max] = _corner_levels(top, len(sys), n_max)
         ests[n] = affinity_dimension(sys, tol=tol, n_max=n_max)
     diagnostics = dict(final.diagnostics)

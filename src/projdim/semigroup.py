@@ -8,6 +8,7 @@ letters ``M^-1 A M``).  The word-tree walks (:class:`Frontier`) and
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -114,6 +115,30 @@ class SystemSpec:
         if is_primitive_nonnegative(self):
             return "primitive"
         return None
+
+    @cached_property
+    def letter_symmetries(self) -> tuple[tuple[int, ...], ...]:
+        """The letter maps of the 3x3 permutation matrices that permute the
+        acting letters, found exactly on their entries.
+
+        Map ``g`` has ``P A_i P^-1 = A_g[i]`` for every acting letter ``A_i``
+        and one permutation matrix ``P``, so word ``g(w)`` has the product
+        ``P A_w P^-1``: the same singular values.  A ``P`` whose letter map is
+        not one to one (duplicate letters) is dropped.  The identity comes
+        first, the others in :func:`itertools.permutations` order; they form
+        a group.
+        """
+        index = {a.entries: i for i, a in enumerate(self.effective_alphabet)}
+        found = [tuple(range(len(self)))]
+        for p in itertools.permutations(range(3)):
+            if p == (0, 1, 2):
+                continue
+            image = tuple(index.get(tuple(tuple(a.entries[p[r]][p[c]] for c in range(3))
+                                          for r in range(3)))
+                          for a in self.effective_alphabet)
+            if None not in image and len(set(image)) == len(image):
+                found.append(image)
+        return tuple(found)
 
     @cached_property
     def word_levels(self) -> dict:

@@ -18,6 +18,7 @@ from projdim.pressure import (
     _log_phi,
     _logsumexp,
     _ratio_levels,
+    _subtree_levels,
     affinity_dimension,
     partition_sum,
     pressure_estimate,
@@ -27,7 +28,7 @@ from projdim.pressure import (
 )
 from projdim.rng import make_rng
 from projdim.semigroup import Frontier, SystemSpec
-from projdim.systems import gamma_letter, rauzy_system, triple9_system
+from projdim.systems import gamma_letter, positivizing_conjugator, rauzy_system, triple9_system
 
 
 def singleton9():
@@ -170,7 +171,8 @@ def test_pressure_layer_walks_each_top_letter_once(run, walks, monkeypatch):
                         lambda sys, **kw: tops.append(kw.get("tops")) or real(sys, **kw))
     sys = rauzy_gamma_system(2)
     run(sys)
-    assert sorted(tops) == ([[top] for top in range(len(sys))] if walks else [])
+    # one walk per orbit of the letter symmetries: Γ_2's tops 0 and 6
+    assert sorted(tops) == ([[0], [6]] if walks else [])
 
 
 def test_affinity_dimension_triple9():
@@ -203,8 +205,6 @@ def test_affinity_dimension_singleton_is_zero():
 def test_affinity_dimension_bound_only_when_supercritical():
     # many copies of one mild letter: level sums grow like 100^n * phi^s(g^n)
     g = gamma_letter(0, 1, 1)
-    from projdim.systems import positivizing_conjugator
-
     sys = SystemSpec.uniform("fat", tuple([g] * 100), conjugator=positivizing_conjugator())
     est = affinity_dimension(sys, tol=1e-3, n_max=2)
     assert est.diagnostics["bound_only"] == "lower"
@@ -279,7 +279,7 @@ def test_partition_sum_independent_of_worker_count(tmp_path, monkeypatch):
     import projdim.pressure as pressure_mod
 
     runs = []
-    for workers in (1, 4):
+    for workers in (1, 2, 4):
         monkeypatch.setattr(pressure_mod, "_WORKERS", workers)
         sys = rauzy_gamma_system(2)  # each system builds its own word levels
         values = [partition_sum(sys, s, n) for s in (0.5, 1.3, 2.5) for n in (3, 2, 1)]
@@ -287,7 +287,7 @@ def test_partition_sum_independent_of_worker_count(tmp_path, monkeypatch):
         assert main(["rauzy", "--N", "2", "--depth", "2", "--out", str(out)]) == 0
         tables = [arr.tobytes() for level in sys.word_levels[3] for arr in level]
         runs.append((tables, values, out.read_bytes()))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
@@ -299,17 +299,17 @@ def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
                         lambda sys, top, levels: built.append(top) or build(sys, top, levels))
     sys = rauzy_gamma_system(2)
     first = partition_sum(sys, 1.3, 3)
-    assert sorted(built) == list(range(len(sys)))  # one subtree per top letter
+    assert sorted(built) == [0, 6]  # one subtree per orbit of the letter symmetries
     assert partition_sum(sys, 1.3, 3) == first
     partition_sum(sys, 0.7, 3)
-    assert len(built) == len(sys)
+    assert len(built) == 2
 
     # depth 4 is built once and replaces depth 3, whose levels are its prefix
     pressure_estimate(sys, 1.5, 4)
-    assert len(built) == 2 * len(sys) and list(sys.word_levels) == [4]
-    assert sorted(built[len(sys):]) == list(range(len(sys)))
+    assert len(built) == 4 and list(sys.word_levels) == [4]
+    assert sorted(built[2:]) == [0, 6]
     assert partition_sum(sys, 1.3, 3) == first
-    assert len(built) == 2 * len(sys)
+    assert len(built) == 4
 
     spec, level = weakref.ref(sys), weakref.ref(sys.word_levels[4][-1][0])
     del sys
@@ -358,22 +358,91 @@ def test_ladder_rungs_are_corners_of_the_top_table(monkeypatch):
     import projdim.pressure as pressure_mod
 
     make, build = pressure_mod.rauzy_gamma_system, pressure_mod._subtree_levels
-    made, built = [], []
+    solve = pressure_mod.affinity_dimension
+    made, built, solved = [], [], []
     monkeypatch.setattr(pressure_mod, "rauzy_gamma_system",
                         lambda N: made.append(make(N)) or made[-1])
     monkeypatch.setattr(pressure_mod, "_subtree_levels",
-                        lambda sys, top, levels: built.append(sys) or build(sys, top, levels))
+                        lambda sys, top, levels: built.append((sys, top))
+                        or build(sys, top, levels))
+    monkeypatch.setattr(pressure_mod, "affinity_dimension",
+                        lambda sys, **kw: solved.append(sys) or solve(sys, **kw))
     est = rauzy_dimension(4, 3, 1e-3)
-    assert [len(sys) for sys in made] == [24, 12, 6]  # the top rung first
-    assert len(built) == len(made[0]) and all(sys is made[0] for sys in built)
+    assert [len(sys) for sys in made] == [24]  # the rungs are slices of the top rung
+    assert [len(sys) for sys in solved] == [24, 12, 6] and solved[0] is made[0]
+    # one walk per orbit of Γ_4's letter symmetries
+    assert sorted(top for _, top in built) == [0, 6, 12, 18]
+    assert all(sys is made[0] for sys, _ in built)
     assert [step["N"] for step in est.diagnostics["ladder"]] == [1, 2, 4]
 
-    for sys in made[1:]:
+    for sys in solved[1:]:
+        ref = make(len(sys) // 6)
+        assert (sys.label, sys.alphabet, sys.probabilities, sys.conjugator) == \
+            (ref.label, ref.alphabet, ref.probabilities, ref.conjugator)
+        assert sys.effective_alphabet == ref.effective_alphabet
         corner = [arr for level in sys.word_levels[3] for arr in level]
-        own = [arr for level in _ratio_levels(make(len(sys) // 6), 3) for arr in level]
+        own = [arr for level in _ratio_levels(ref, 3) for arr in level]
         assert list(sys.word_levels) == [3]
         assert [arr.tobytes() for arr in corner] == [arr.tobytes() for arr in own]
         assert not any(arr.flags.writeable for arr in corner)
+
+
+def walked_table(sys, depth):
+    """The word table with the subtree under every top letter walked."""
+    k = len(sys)
+    levels = tuple((np.empty(k ** n), np.empty(k ** n)) for n in range(1, depth + 1))
+    for top in range(k):
+        _subtree_levels(sys, top, levels)
+    return levels
+
+
+def generic_gamma2():
+    """Γ_2's letters under a conjugator that no permutation matrix commutes with."""
+    conj = Matrix3.from_rows([[1, F(-1, 5), F(-1, 7)], [F(-1, 6), 1, F(-1, 5)],
+                              [F(-1, 9), F(-1, 8), 1]])
+    return SystemSpec.uniform("generic", rauzy_gamma_system(2).alphabet, conj)
+
+
+def test_symmetric_table_matches_the_full_build():
+    sym, full = rauzy_gamma_system(5), rauzy_gamma_system(5)
+    vars(full)["letter_symmetries"] = (tuple(range(len(full))),)  # walk every top
+    for level, ref in zip(_ratio_levels(sym, 3), _ratio_levels(full, 3)):
+        for arr, want in zip(level, ref):
+            np.testing.assert_allclose(arr, want, rtol=1e-15, atol=0)
+    for s in (0.5, 1.25, 1.6):
+        for n in (1, 2, 3):
+            assert abs(partition_sum(sym, s, n) - partition_sum(full, s, n)) <= 1e-14
+
+
+@pytest.mark.parametrize("make, depth", [(triple9_system, 4), (generic_gamma2, 3)],
+                         ids=["triple9", "generic"])
+def test_system_without_symmetry_walks_every_top(make, depth):
+    sys = make()
+    assert sys.letter_symmetries == (tuple(range(len(sys))),)
+    table = [arr.tobytes() for level in _ratio_levels(sys, depth) for arr in level]
+    assert table == [arr.tobytes() for level in walked_table(make(), depth) for arr in level]
+
+
+@pytest.mark.parametrize("k", [100, 102], ids=["all-pairs", "sampled"])
+def test_depth_one_fit_over_the_node_cap(k, monkeypatch):
+    # k + k**2 words exceed the cap: the fit multiplies the sampled letter pairs
+    monkeypatch.setenv("PROJDIM_NODE_CAP", "1000")
+
+    def make():
+        return SystemSpec.uniform("gamma-k", rauzy_gamma_system(17).alphabet[:k],
+                                  positivizing_conjugator())
+
+    for s in (0.75, 1.5, 2.5):
+        fit, ref = _fit_multiplicativity(make(), s, 1), reference_fit(make(), s, 1)
+        assert fit["pairs"] == ref["pairs"] == min(k * k, _PAIR_SAMPLE_CAP)
+        for key in ("fitted_C", "fitted_c"):
+            assert fit[key] == pytest.approx(ref[key], rel=1e-14)
+    sys = make()
+    est = pressure_estimate(sys, 1.5, 1)
+    assert est.lower <= est.raw <= est.upper
+    dim = affinity_dimension(sys, n_max=1)
+    assert dim.bracket_lo <= dim.value <= dim.bracket_hi
+    assert list(sys.word_levels) == [1]
 
 
 def test_uniform_contraction_decay_fit():

@@ -358,6 +358,46 @@ def test_contraction_gate_is_decided_once(monkeypatch):
         require_positive_like(rauzy_system(), "pressure_estimate")
 
 
+PERMUTATION_MATRICES = [Matrix3.from_rows([[int(p[r] == c) for c in range(3)] for r in range(3)])
+                        for p in itertools.permutations(range(3))]
+# Γ_2's letters under a conjugator that no permutation matrix commutes with
+GENERIC = Matrix3.from_rows([[1, F(-1, 5), F(-1, 7)], [F(-1, 6), 1, F(-1, 5)],
+                             [F(-1, 9), F(-1, 8), 1]])
+
+
+def exact_letter_maps(sys):
+    """The one-to-one letter maps ``i -> j`` with ``P A_i P^-1 = A_j``, by exact products."""
+    letters = list(sys.effective_alphabet)
+    maps = set()
+    for p in PERMUTATION_MATRICES:
+        image = [mat_mul(mat_mul(p, a), p.inverse()) for a in letters]
+        if all(b in letters for b in image):
+            g = tuple(letters.index(b) for b in image)
+            if len(set(g)) == len(g):
+                maps.add(g)
+    return maps
+
+
+@pytest.mark.parametrize("make, count", [
+    (rauzy_system, 6),
+    (lambda: rauzy_gamma_system(1), 6),
+    (lambda: rauzy_gamma_system(20), 6),
+    (triple9_system, 1),  # three equal letters: no map is one to one but the identity
+    # a letter twice and its image under (0 1) once: (0 1) maps the letters two to one
+    (lambda: SystemSpec.uniform("twice", (gamma_letter(0, 1, 1),) * 2
+                                + (gamma_letter(1, 0, 1),)), 1),
+    (lambda: SystemSpec.uniform("generic", rauzy_gamma_system(2).alphabet, GENERIC), 1),
+], ids=["rauzy", "gamma1", "gamma20", "triple9", "twice", "generic"])
+def test_letter_symmetries_are_the_permutation_conjugations(make, count):
+    sys = make()
+    syms = sys.letter_symmetries
+    identity = tuple(range(len(sys)))
+    assert len(syms) == count and syms[0] == identity
+    assert set(syms) == exact_letter_maps(sys) | {identity}
+    # a group: closed under composition
+    assert {tuple(g[i] for i in h) for g in syms for h in syms} == set(syms)
+
+
 def test_diophantine_rauzy_distinct():
     rep = diophantine_check(rauzy_system(), 5)
     assert rep["all_distinct"] is True
