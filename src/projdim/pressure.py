@@ -45,10 +45,11 @@ import numpy as np
 from .errors import DomainError, NotPositive
 from .rng import make_rng
 from .linalg import log_ratio_batch
-from .semigroup import Frontier, SystemSpec, check_budget, node_cap, require_positive_like
+from .semigroup import Frontier, SystemSpec, check_budget, require_positive_like
 from .systems import gamma_letter, positivizing_conjugator
 
 _PAIR_SAMPLE_CAP = 10_000
+_GAMMA_LABEL = "rauzy-gamma-{}"
 _LN2 = math.log(2.0)
 # threads of the level build: its subtree walks spend their time in numpy
 # calls that release the interpreter lock
@@ -111,11 +112,6 @@ def _subtree_levels(sys: SystemSpec, top: int,
         la31[lo:hi] = r31 - (e1 + e2) * _LN2
 
 
-def _table_words(k: int, depth: int) -> int:
-    """Words of lengths 1..``depth`` over ``k`` letters."""
-    return sum(k ** n for n in range(1, depth + 1))
-
-
 def _relabel_subtree(levels: tuple[tuple[np.ndarray, np.ndarray], ...], rep: int,
                      top: int, g: tuple[int, ...]) -> None:
     """Fill the slices of the words that start with ``top = g[rep]`` from those
@@ -145,7 +141,7 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
     """
     k = len(sys)
     # the subtrees are full, so the whole walk is checked before any is built
-    check_budget(_table_words(k, depth))
+    check_budget(sum(k ** n for n in range(1, depth + 1)))
     # the levels of a deeper table start with these: serve its prefix
     for built, levels in sys.word_levels.items():
         if built >= depth:
@@ -222,8 +218,9 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
     deepest whose level holds at most 4,000 words, in table order.  Every
     ``phi^s`` is read from the word table of depth ``2 * top``: word ``i`` of
     length ``a`` followed by word ``j`` of length ``b`` is word ``i * k**b + j``
-    of length ``a + b``; at ``top = 1`` a two-letter table over the node cap
-    is not built, and the sampled letter pairs are multiplied instead.
+    of length ``a + b``.  At ``top = 1`` the pool is the letters and the
+    sampled pairs are multiplied instead: at most ``_PAIR_SAMPLE_CAP``
+    products, where the two-letter table would hold ``k**2`` words.
     """
     k = len(sys)
     top = 1
@@ -242,8 +239,7 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
         ib = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
 
     # in log space: phi^s of a long word can underflow, and 0/0 would hide in max()
-    if top == 1 and _table_words(k, 2) > node_cap():
-        # the pool is the letters and no caller needs the k**2 pairs: multiply the sampled ones
+    if top == 1:
         levels = _ratio_levels(sys, 1)
         letters, ext2 = sys.letters_float, sys.letters_ext2_float
         log_num = _log_phi(s, *log_ratio_batch(np.matmul(letters[ia], letters[ib]),
@@ -277,8 +273,6 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int) -> PressureEstimate
     the constants are sampled, not proven.
     """
     require_positive_like(sys, "pressure_estimate")
-    if n_max == 1 and s != 0.0 and _table_words(len(sys), 2) <= node_cap():
-        _ratio_levels(sys, 2)  # the fit reads two-letter pairs: build their table first
     # deepest first, so the word levels are built once: the rest, and the
     # fit's pairs (2 * top <= n_max letters), read prefixes
     raws = [partition_sum(sys, s, n) for n in range(n_max, 0, -1)][::-1]
@@ -420,7 +414,7 @@ def rauzy_gamma_system(N: int, epsilon: Fraction = Fraction(1, 5)) -> SystemSpec
                 if i != j:
                     letters.append(gamma_letter(i, j, n))
     conj = positivizing_conjugator(epsilon)
-    sys = SystemSpec.uniform(f"rauzy-gamma-{N}", tuple(letters), conjugator=conj)
+    sys = SystemSpec.uniform(_GAMMA_LABEL.format(N), tuple(letters), conjugator=conj)
     for pos, a in enumerate(sys.effective_alphabet):
         for row in a.entries:
             for x in row:
@@ -457,9 +451,8 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstim
     final = affinity_dimension(top, tol=tol, n_max=n_max)
     ests = {N: final}
     for n in sorted({max(1, N // 4), max(1, N // 2)} - {N}, reverse=True):
-        sys = SystemSpec.uniform(f"rauzy-gamma-{n}", top.alphabet[:6 * n], top.conjugator)
-        # Γ_N's acting letters, already checked for negative entries
-        vars(sys)["effective_alphabet"] = top.effective_alphabet[:6 * n]
+        # Γ_N's letters, whose conjugates are already checked for negative entries
+        sys = top.first_letters(6 * n, _GAMMA_LABEL.format(n))
         sys.word_levels[n_max] = _corner_levels(top, len(sys), n_max)
         ests[n] = affinity_dimension(sys, tol=tol, n_max=n_max)
     diagnostics = dict(final.diagnostics)

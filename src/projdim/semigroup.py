@@ -80,6 +80,14 @@ class SystemSpec:
         return cls(label, tuple(alphabet), tuple(Fraction(1, k) for _ in range(k)),
                    conjugator)
 
+    def first_letters(self, m: int, label: str) -> "SystemSpec":
+        """The uniform system of the first ``m`` letters, with the same
+        conjugator; its acting letters are sliced from this system's, not
+        conjugated again."""
+        sub = SystemSpec.uniform(label, self.alphabet[:m], self.conjugator)
+        vars(sub)["effective_alphabet"] = self.effective_alphabet[:m]
+        return sub
+
     @cached_property
     def effective_alphabet(self) -> tuple[Matrix3, ...]:
         """The acting letters: ``M^-1 A M`` when a conjugator is set."""

@@ -161,8 +161,9 @@ def test_table_fit_matches_the_pool_walk(make, max_len, sampled):
     (lambda sys: pressure_estimate(sys, 1.5, 1), True),
     (lambda sys: pressure_estimate(sys, 1.5, 3), True),
     (lambda sys: affinity_dimension(sys), True),
+    (lambda sys: affinity_dimension(sys, n_max=1), True),  # the fit multiplies letter pairs
     (lambda sys: pressure_estimate(sys, 0.0, 4), False),  # every phi^0 is 1
-], ids=["pressure-1", "pressure-3", "dimension", "pressure-s0"])
+], ids=["pressure-1", "pressure-3", "dimension", "dimension-1", "pressure-s0"])
 def test_pressure_layer_walks_each_top_letter_once(run, walks, monkeypatch):
     import projdim.pressure as pressure_mod
 
