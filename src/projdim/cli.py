@@ -92,14 +92,16 @@ def _parse_resolutions(arg: str) -> list[int]:
 # the report's config, and returns the report's result.
 
 def _cmd_pressure(args, system) -> dict:
-    args.depth = args.depth or _default_depth(len(system))
+    if args.depth is None:
+        args.depth = _default_depth(len(system))
     est = pressure_estimate(system, args.s, args.depth)
     return {"raw": est.raw, "upper": est.upper, "lower": est.lower,
             "submult_constant": est.submult_constant, "diagnostics": est.diagnostics}
 
 
 def _cmd_dimension(args, system) -> dict:
-    args.depth = args.depth or _default_depth(len(system))
+    if args.depth is None:
+        args.depth = _default_depth(len(system))
     return affinity_dimension(system, tol=args.tol, n_max=args.depth).as_dict()
 
 

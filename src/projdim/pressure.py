@@ -173,8 +173,8 @@ def _read_only(levels: tuple[tuple[np.ndarray, np.ndarray], ...]):
 
 def _log_phi(s: float, la21: np.ndarray, la31: np.ndarray) -> np.ndarray:
     """``log phi^s`` per word from the two log contraction ratios."""
-    if s < 0:
-        raise DomainError("exponent must be >= 0")
+    if not 0.0 <= s < math.inf:
+        raise DomainError("exponent must be finite and >= 0")
     if s <= 1.0:
         return s * la21
     if s <= 2.0:
@@ -272,6 +272,8 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int) -> PressureEstimate
     fitted and the clamped values are reported.  Brackets are heuristic:
     the constants are sampled, not proven.
     """
+    if n_max < 1:
+        raise ValueError("depth must be >= 1")
     require_positive_like(sys, "pressure_estimate")
     # deepest first, so the word levels are built once: the rest, and the
     # fit's pairs (2 * top <= n_max letters), read prefixes
@@ -310,9 +312,9 @@ def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3) -> Di
     on the interval (diagnostics flag ``bound_only``).  The bracket comes
     from the zeros of the heuristic upper/lower pressure curves.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be finite and positive")
     require_positive_like(sys, "affinity_dimension")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
 
     def raw(s: float) -> float:
         return partition_sum(sys, s, n_max) / n_max
@@ -351,6 +353,8 @@ def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3) -> Di
             return hi, hi
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent floats: a smaller tol cannot be met
+                break
             if f(mid) > 0.0:
                 lo = mid
             else:

@@ -250,14 +250,17 @@ def is_primitive_nonnegative(sys: SystemSpec) -> bool:
     is run: it gives uniform projective contraction at lag two, which is
     enough for the desk-scale brackets (boundary conjugations can place
     exact zeros in single letters).  For nonnegative letters ``(AB)_ij > 0``
-    exactly when ``A_ij' > 0`` and ``B_j'j > 0`` for some ``j'``, so one
-    integer product of the 0/1 zero patterns decides it exactly.
+    exactly when ``A_ij' > 0`` and ``B_j'j > 0`` for some ``j'``: so the
+    positive pattern of each row of each letter must meet that of each
+    column of each letter.  At most eight 0/1 patterns of each kind occur,
+    whatever the alphabet's size.
     """
     if not is_nonnegative(sys):
         return False
-    support = np.array([[[x > 0 for x in row] for row in a.entries]
-                        for a in sys.effective_alphabet], dtype=np.int64)
-    return bool(np.einsum("aij,bjk->abik", support, support).all())
+    letters = [a.entries for a in sys.effective_alphabet]
+    rows = {tuple(x > 0 for x in row) for a in letters for row in a}
+    cols = {tuple(x > 0 for x in col) for a in letters for col in zip(*a)}
+    return all(any(map(operator.and_, r, c)) for r in rows for c in cols)
 
 
 def _is_contracting_diagonal(sys: SystemSpec) -> bool:
@@ -288,29 +291,6 @@ def require_positive_like(sys: SystemSpec, what: str) -> None:
 # the level-by-level word-tree walk
 
 _RESCALE_ABOVE = 2.0 ** 64
-
-
-def _lex_order(letters: np.ndarray, k: int) -> np.ndarray:
-    """The permutation ``np.lexsort(letters.T[::-1])``: the rows of
-    ``letters`` in lexicographic order, stable.
-
-    Each entry, a letter below ``k`` or the -1 padding, is the digit
-    ``letter + 1`` in base ``k + 1``; each ``int64`` key packs as many
-    columns as its range holds, so one sort runs over a few keys.
-    """
-    base = k + 1
-    per_key = 1
-    while base ** (per_key + 1) <= 2 ** 63:
-        per_key += 1
-    keys = []
-    for start in range(0, letters.shape[1], per_key):
-        key = np.zeros(len(letters), dtype=np.int64)
-        for col in letters.T[start:start + per_key]:
-            key *= base
-            key += col
-            key += 1
-        keys.append(key)
-    return np.lexsort(keys[::-1])
 
 
 class Frontier:
@@ -389,30 +369,41 @@ class Frontier:
                       max_len: int) -> WordSet:
         """The minimal words whose ``statistic(self)`` drops to ``2^-n``.
 
-        The result is sorted lexicographically, a word before its
-        extensions, by packed integer keys (:func:`_lex_order`); a branch
-        still above the threshold at length ``max_len`` raises
-        :class:`NotContracting`.
+        The result is in the walk's preorder, a word before its extensions:
+        lexicographic, as :meth:`grow` places each word's extensions next
+        to each other in letter order.  A branch still above the threshold
+        at length ``max_len`` raises :class:`NotContracting`.
         """
         threshold = 2.0 ** (-n)
-        blocks: list[np.ndarray] = []
+        levels: list[tuple[np.ndarray, np.ndarray]] = []  # (stopped words, stop mask)
         while True:
             ratio = statistic(self)
             stopped = ratio <= threshold
-            blocks.append(self.letters[stopped])
+            levels.append((self.letters[stopped], stopped))
             if stopped.all():
                 break
             if self.letters.shape[1] >= max_len:
                 raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
                                      f"above 2^-{n} at depth {max_len}")
             self.grow(~stopped)
-        # -1 pads each word past its end, so it sorts before its extensions
-        letters = np.concatenate([
-            np.pad(b, ((0, 0), (0, self.letters.shape[1] - b.shape[1])), constant_values=-1)
-            for b in blocks])
-        lengths = np.concatenate([np.full(len(b), b.shape[1], dtype=np.int32) for b in blocks])
-        order = _lex_order(letters, len(self.steps[0]))
-        return WordSet(letters[order], lengths[order])
+        # the stopped words under each word, from the leaves up
+        sizes = [levels[-1][1].astype(np.int64)]
+        for _, stopped in levels[-2::-1]:
+            size = stopped.astype(np.int64)
+            size[~stopped] = sizes[-1].reshape(-1, len(self.steps[0])).sum(axis=1)
+            sizes.append(size)
+        sizes.reverse()
+        letters = np.full((sizes[0].sum(), len(levels)), -1, dtype=np.int32)
+        lengths = np.empty(len(letters), dtype=np.int32)
+        # each word's first row: its parent's, after its elder siblings' words
+        rank = np.zeros(1, dtype=np.int64)
+        for depth, ((block, stopped), size) in enumerate(zip(levels, sizes), 1):
+            siblings = size.reshape(len(rank), -1)
+            rank = (rank[:, None] + np.cumsum(siblings, axis=1) - siblings).ravel()
+            letters[rank[stopped], :depth] = block
+            lengths[rank[stopped]] = depth
+            rank = rank[~stopped]
+        return WordSet(letters, lengths)
 
 
 def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64) -> WordSet:

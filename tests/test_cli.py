@@ -125,6 +125,24 @@ def test_exit_codes(tmp_path, capsys):
         del os.environ["PROJDIM_NODE_CAP"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--s", "nan", "--depth", "2"],
+    ["pressure", "--s", "inf", "--depth", "2"],
+    ["pressure", "--s", "1", "--depth", "0"],  # not the default depth
+    ["dimension", "--depth", "0"],
+    ["dimension", "--tol", "nan", "--depth", "2"],
+    ["rauzy", "--N", "2", "--tol", "nan"],
+    ["rauzy", "--N", "2", "--tol", "inf"],
+], ids=["s-nan", "s-inf", "pressure-depth-0", "dimension-depth-0", "dimension-tol-nan",
+        "rauzy-tol-nan", "rauzy-tol-inf"])
+def test_non_finite_exponents_tolerances_and_depth_zero_exit_2(tmp_path, argv):
+    if argv[0] != "rauzy":
+        save_system(rauzy_gamma_system(2), tmp_path / "gamma2.json")
+        argv = [argv[0], "--system", str(tmp_path / "gamma2.json"), *argv[1:]]
+    code, rep = run_cli(argv, tmp_path)
+    assert code == 2 and rep is None
+
+
 @pytest.mark.parametrize("extra", [
     ["--planes", "0"],
     ["--samples", "0"],

@@ -5,7 +5,8 @@ import pytest
 
 import projdim
 
-MODULES = sorted(p for p in Path(projdim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(projdim.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -21,11 +22,45 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private module-level functions, classes and constants of ``sources``
+    (``_name``, not ``__name__``) that no source reads, by name or as an
+    attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nimport numpy as np\nfrom a import b, c\nc()\n") == [
         "os", "np", "b"]
 
 
+def test_the_check_sees_an_unread_private_name():
+    sources = ["_A = 1\n_B: int = 2\n__all__ = []\ndef _f(): pass\nclass _C: pass\n"
+               "def g(): return _A\n", "from m import _f\nm._B\n_f()\n"]
+    assert unread_private_names(sources) == ["_C"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_private_name_is_read_in_the_package():
+    assert unread_private_names([p.read_text(encoding="utf-8") for p in PACKAGE]) == []

@@ -181,6 +181,9 @@ def test_svf_cross_oracle():
 def test_svf_via_norms_domain():
     with pytest.raises(DomainError):
         svf_via_norms(Matrix3.identity(), 2.5)
+    for s in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            svf(Matrix3.identity(), s)
     d = Matrix3.diagonal(4, 1, F(1, 4))
     assert svf_via_norms(d, 1.0) == pytest.approx(0.25, rel=1e-12)
     assert svf_via_norms(Matrix3.identity(), 1.0) == 1.0

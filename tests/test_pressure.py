@@ -256,6 +256,33 @@ def test_gamma_system_letters_and_positivity():
     assert positivity_report(sys6)["positive"] is True
 
 
+def test_pressure_rejects_non_finite_exponents_and_depth_zero():
+    sys = rauzy_gamma_system(1)
+    for s in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            pressure_estimate(sys, s, 2)
+        with pytest.raises(DomainError, match="finite"):
+            affinity_dimension(sys, tol=s, n_max=2)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        pressure_estimate(sys, 1.0, 0)
+
+
+def test_bisection_ends_below_float_resolution(monkeypatch):
+    import projdim.pressure as pressure_mod
+
+    calls = []
+    real = pressure_mod.partition_sum
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) < 10_000, "the bisection does not end"
+        return real(*args)
+
+    monkeypatch.setattr(pressure_mod, "partition_sum", counted)
+    est = affinity_dimension(rauzy_gamma_system(1), tol=1e-300, n_max=2)
+    assert est.bracket_lo <= est.value <= est.bracket_hi
+
+
 def test_gamma_system_rejects_bad_epsilon():
     with pytest.raises(NotPositive):
         rauzy_gamma_system(1, F(1, 3))

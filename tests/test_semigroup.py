@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,7 +28,6 @@ from projdim.semigroup import (
     Frontier,
     SystemSpec,
     WordSet,
-    _lex_order,
     diophantine_check,
     irreducibility_probe,
     is_primitive_nonnegative,
@@ -151,6 +151,7 @@ def _reference_first_passage(walk, statistic, n, max_len):
 
 FIRST_PASSAGES = {
     "psi-gamma2": (lambda: rauzy_gamma_system(2), lambda sys: stopping_partition_psi(sys, 6)),
+    "psi-gamma10": (lambda: rauzy_gamma_system(10), lambda sys: stopping_partition_psi(sys, 4)),
     "xi-gamma2": (lambda: rauzy_gamma_system(2), lambda sys: xi_partition(FRAME, sys, 6)),
     "psi-big2": (lambda: SystemSpec.uniform("big", (BIG,) * 2),
                  lambda sys: stopping_partition_psi(sys, 2)),
@@ -177,27 +178,6 @@ def test_first_passage_wordset_matches_reference(case, monkeypatch):
     assert isinstance(view, WordSet) and not view.letters.flags.writeable
     assert list(view) == list(ws)[::7]
     assert all(type(x) is int for w in (ws[0], ws[-1], next(iter(ws))) for x in w.letters)
-
-
-@pytest.mark.parametrize("k, length", [
-    (2, 9),  # one key: base 3 holds 39 columns
-    (60, 12),  # Gamma_10's alphabet: base 61 holds 10 columns, so two keys
-    (2 ** 20, 8),  # base 2**20 + 1 holds 3 columns, so three keys
-    (2 ** 31 - 1, 5),  # letter + 1 reaches the int32 maximum; base 2**31 holds 2 columns
-])
-def test_packed_key_order_matches_lexsort(k, length):
-    rng = np.random.default_rng(length)
-    letters = rng.integers(0, k, size=(3000, length), dtype=np.int32)
-    lengths = rng.integers(1, length + 1, size=3000)
-    letters[np.arange(length) >= lengths[:, None]] = -1
-    # rows that differ only in -1 padding: words extended by letter 0, and cut by one letter
-    longer = letters[lengths < length][:500].copy()
-    longer[np.arange(len(longer)), lengths[lengths < length][:500]] = 0
-    shorter = letters[lengths > 1][:500].copy()
-    shorter[np.arange(len(shorter)), lengths[lengths > 1][:500] - 1] = -1
-    letters = np.concatenate([letters, longer, shorter, letters[:200]])  # and repeats
-    letters = letters[rng.permutation(len(letters))]
-    assert np.array_equal(_lex_order(letters, k), np.lexsort(letters.T[::-1]))
 
 
 def test_walks_stay_in_float_range():
@@ -341,6 +321,22 @@ def test_contraction_gate_against_exact_products(case):
     sys = make()
     assert sys.contraction == branch
     assert is_primitive_nonnegative(sys) == primitive_by_exact_products(sys)
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["gamma-letters", "gamma167"])
+def test_primitive_gate_memory_does_not_grow_with_the_pairs(conjugated):
+    """1,002 letters: the 0/1 patterns of all letter pairs would take 72 MB."""
+    letters = [gamma_letter(i, j, n) for n in range(1, 168)
+               for i in range(3) for j in range(3) if i != j]
+    sys = SystemSpec.uniform("big", letters, positivizing_conjugator() if conjugated else None)
+    sys.effective_alphabet
+    tracemalloc.start()
+    try:
+        # unconjugated, the unit row of each letter misses column i: A_w A_w has a zero
+        assert is_primitive_nonnegative(sys) == conjugated
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_contraction_gate_is_decided_once(monkeypatch):
