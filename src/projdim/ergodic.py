@@ -146,13 +146,9 @@ def furstenberg_plane_sample(sys: SystemSpec, steps: int, seed=0) -> np.ndarray:
     return n if n[imax] > 0 else -n
 
 
-def _cell_counts(samples, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied cells ``floor(v * 2^n)`` in increasing order and their
-    counts, as ``np.unique`` gives them."""
-    vals = np.asarray(samples, dtype=float)
-    if vals.size == 0:
-        raise BadVector("dyadic_entropy needs samples")
-    cells = dyadic_cells(vals, n).ravel()
+def _cell_counts(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied cells in increasing order and their counts, as ``np.unique``
+    gives them; sorts the 1-d ``cells`` in place."""
     cells.sort()
     starts = _run_starts(cells)
     return cells[starts], np.diff(np.append(starts, cells.size))
@@ -178,17 +174,21 @@ def dyadic_entropy(samples, n: int) -> float:
     ``FloatRange`` once ``max |v| * 2^n`` reaches ``2^63``, where the cell
     indices would leave ``int64``.
     """
-    return _plugin_entropy(_cell_counts(samples, n)[1])
+    vals = np.asarray(samples, dtype=float)
+    if vals.size == 0:
+        raise BadVector("dyadic_entropy needs samples")
+    return _plugin_entropy(_cell_counts(dyadic_cells(vals, n).ravel())[1])
 
 
-def _entropy_slope(samples, n: int) -> float:
-    """``dyadic_entropy(v, n) - dyadic_entropy(v, n - 4)`` from one sort.
+def _entropy_slope(cells: np.ndarray) -> float:
+    """``dyadic_entropy(v, n) - dyadic_entropy(v, n - 4)`` from the 1-d cells
+    ``floor(v 2^n)`` and one sort, done in place.
 
     ``floor(v 2^n) >> 4 == floor(v 2^(n-4))`` exactly, and shifting keeps
     the sorted cells sorted, so the coarse counts are sums over runs of
     equal shifted fine cells, in the order ``np.unique`` gives them.
     """
-    cells, counts = _cell_counts(samples, n)
+    cells, counts = _cell_counts(cells)
     coarse = np.add.reduceat(counts, _run_starts(cells >> 4))
     return _plugin_entropy(counts) - _plugin_entropy(coarse)
 
@@ -217,8 +217,8 @@ def empirical_delta(sys: SystemSpec, planes: int = 32, samples: int = 100_000,
     for w in range(planes):
         normal = furstenberg_plane_sample(sys, 300, seed=(seed, 1, w))
         frame = frame_for_plane(normal)
-        vals = project_measure_samples(sys, frame, samples, seed=(seed, 2, w))
-        est = _entropy_slope(vals, n) / (4 * LOG2)
+        cells = project_measure_samples(sys, frame, samples, seed=(seed, 2, w), cells=n)
+        est = _entropy_slope(cells) / (4 * LOG2)
         ests.append(est)
         normals.append([float(x) for x in normal])
     value = float(np.mean(ests))

@@ -4,31 +4,36 @@ The pressure of a system at exponent ``s`` is the exponential growth rate
 of the level sums ``sum phi^s`` over all words of a given length; the
 affinity dimension is its unique zero.  Level sums are evaluated from
 cached per-word contraction ratios: products and their exterior squares
-are pushed level by level in float, one subtree per top letter, on one
-thread per available CPU, and each subtree writes its own slice of the
-level arrays; after that every evaluation at a new ``s`` is a vectorized
+are pushed level by level in float, one subtree per orbit representative
+(below), on one thread per available CPU, and each subtree writes its own
+block of the level arrays; after that every evaluation at a new ``s`` is a vectorized
 log-sum-exp over the cached arrays, and each level sum is kept on the
 system too, so a repeated ``(s, n)`` is summed once.  The word order and
 the reduction tree are fixed, so results are bitwise reproducible and do
 not depend on the number of threads.  The multiplicativity fit and the
 truncated zeta series read the same table; its build is the only walk here.
 
-The build walks one subtree per orbit of the system's exact letter
+The table keeps one subtree per orbit of the system's exact letter
 symmetries (:attr:`SystemSpec.letter_symmetries`, found on the Fraction
-entries of the acting letters) and fills the others by relabelling.  Every
-Rauzy generator is ``I + e_i (1 - e_i)^T``, so a 3x3 permutation matrix ``P``
-of ``sigma`` has ``P A_i P^-1 = A_sigma(i)``; the positivizing conjugator
-commutes with ``P``, so it maps ``gamma_letter(i, j, n)`` to
+entries of the acting letters): only the words that start with the least
+letter of an orbit are walked and stored, and each level sum weighs a
+representative's block by its orbit size.  Every Rauzy generator is
+``I + e_i (1 - e_i)^T``, so a 3x3 permutation matrix ``P`` of ``sigma`` has
+``P A_i P^-1 = A_sigma(i)``; the positivizing conjugator commutes with
+``P``, so it maps ``gamma_letter(i, j, n)`` to
 ``gamma_letter(sigma(i), sigma(j), n)`` and a word to one with the same
-singular values.  On Γ_N, N of the 6N subtrees are walked.  A copied value
-can differ from a walked one in the last bit, so the stopping walks of ψ,
-ξ and the cover, which decide per word, do not use the symmetry.  A system
-whose only symmetry is the identity walks every subtree.
+singular values.  On Γ_N, N of the 6N subtrees are walked and kept.  The
+multiplicativity fit reads any other word at its representative's place
+(:func:`_table_index`).  A relabelled word's own product can differ from its
+representative's in the last bit, so the stopping walks of ψ, ξ and the
+cover, which decide per word, do not use the symmetry.  A system whose only
+symmetry is the identity walks and keeps every subtree.
 
 The ``rauzy`` ladder builds one table: Γ_n's letters are the first ``6n``
-letters of Γ_N, with the same conjugator, so each level of Γ_n's table is
-the corner of Γ_N's level (reshaped to one axis per letter) where every
-letter is below ``6n``, in the same order and bit for bit.
+letters of Γ_N, with the same conjugator and the first ``n`` of its
+representatives, so each level of Γ_n's table is the corner of Γ_N's level
+(reshaped to one axis per letter) where every letter is below ``6n``, in the
+same order and bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotPositive
+from .errors import DomainError, FloatRange, NotPositive
 from .rng import make_rng
 from .linalg import log_ratio_batch
 from .semigroup import Frontier, SystemSpec, check_budget, require_positive_like
@@ -97,70 +102,74 @@ class ZetaTruncation(NamedTuple):
 # ---------------------------------------------------------------------------
 # cached per-level contraction ratios
 
-def _subtree_levels(sys: SystemSpec, top: int,
+def _check_table_budget(k: int, depth: int) -> None:
+    """The node cap on a word table of ``k`` letters and depths ``1..depth``:
+    every word is counted, walked or not."""
+    check_budget(sum(k ** n for n in range(1, depth + 1)))
+
+
+def _subtree_levels(sys: SystemSpec, top: int, slot: int,
                     levels: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
     """Write ``(log(a2/a1), log(a3/a1))`` of the words that start with ``top``
-    into their slice ``[top * k**(n-1), (top + 1) * k**(n-1))`` of each level
-    ``n``; a walk state stands for ``states * 2**exps`` (see :class:`Frontier`)."""
+    into block ``slot``, ``[slot * k**(n-1), (slot + 1) * k**(n-1))``, of each
+    level ``n``; a walk state stands for ``states * 2**exps`` (see :class:`Frontier`)."""
     walk = Frontier(sys, tops=[top])
     for n, (la21, la31) in enumerate(levels, start=1):
         if n > 1:
             walk.grow()
-        lo, hi = top * len(walk), (top + 1) * len(walk)
+        lo, hi = slot * len(walk), (slot + 1) * len(walk)
         (r21, r31), (e1, e2) = log_ratio_batch(*walk.states), walk.exps
         la21[lo:hi] = r21 + (e2 - 2 * e1) * _LN2
         la31[lo:hi] = r31 - (e1 + e2) * _LN2
 
 
-def _relabel_subtree(levels: tuple[tuple[np.ndarray, np.ndarray], ...], rep: int,
-                     top: int, g: tuple[int, ...]) -> None:
-    """Fill the slices of the words that start with ``top = g[rep]`` from those
-    of ``rep``: word ``(top, g[a_2], ..., g[a_n])`` is ``g`` applied to
-    ``(rep, a_2, ..., a_n)``, so it has the same ratios."""
-    k = len(g)
-    for n, level in enumerate(levels, start=1):
-        size, shape = k ** (n - 1), (k,) * (n - 1)
-        at = np.ix_(*[g] * (n - 1))
-        for arr in level:
-            arr[top * size:(top + 1) * size].reshape(shape)[at] = \
-                arr[rep * size:(rep + 1) * size].reshape(shape)
-
-
 def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per-level arrays ``(log(a2/a1), log(a3/a1))`` for words of length 1..depth.
+    """Per-level arrays ``(log(a2/a1), log(a3/a1))`` of the words of length
+    1..depth that start with an orbit representative.
 
-    Words appear in lexicographic order, which fixes the summation tree.
-    The subtree under each top letter is walked on its own (one walk over
-    every top would hold Γ₂₀'s 1.73 M depth-3 states at once), on a pool of
-    ``_WORKERS`` threads, and writes its fixed slice of arrays allocated
-    once; the pool only changes the schedule, never the result.  Only the
-    least top of each orbit of the letter symmetries is walked; every other
-    top's slices are its orbit representative's, relabelled by the first
-    symmetry that maps one to the other.  The arrays are kept on the
-    system, one table for the deepest request so far.
+    Level ``n`` holds one block of ``k**(n-1)`` words per representative in
+    ``sys.letter_orbits.reps``, in lexicographic order, which fixes the
+    summation tree; every other word has the ratios of one of these
+    (:class:`LetterOrbits`).  The subtree under each representative is
+    walked on its own (one walk over every top would hold Γ₂₀'s 1.73 M
+    depth-3 states at once), on a pool of ``_WORKERS`` threads, and writes
+    its fixed block of arrays allocated once; the pool only changes the
+    schedule, never the result.  The arrays are kept on the system, one
+    table for the deepest request so far.
     """
     k = len(sys)
     # the subtrees are full, so the whole walk is checked before any is built
-    check_budget(sum(k ** n for n in range(1, depth + 1)))
+    _check_table_budget(k, depth)
     # the levels of a deeper table start with these: serve its prefix
     for built, levels in sys.word_levels.items():
         if built >= depth:
             return levels[:depth]
 
-    levels = tuple((np.empty(k ** n), np.empty(k ** n)) for n in range(1, depth + 1))
     # cached properties take no lock from Python 3.12 on: build them before the threads
+    reps = sys.letter_orbits.reps
     sys.letters_float, sys.letters_ext2_float
-    syms = sys.letter_symmetries
-    reps = [min(g[top] for g in syms) for top in range(k)]  # the least top of each orbit
+    levels = tuple((np.empty(len(reps) * k ** (n - 1)), np.empty(len(reps) * k ** (n - 1)))
+                   for n in range(1, depth + 1))
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         # reading every result raises the first exception a walk raised
-        list(pool.map(lambda top: _subtree_levels(sys, top, levels), sorted(set(reps))))
-    for top, rep in enumerate(reps):
-        if top != rep:
-            _relabel_subtree(levels, rep, top, next(g for g in syms if g[rep] == top))
+        list(pool.map(lambda slot: _subtree_levels(sys, reps[slot], slot, levels),
+                      range(len(reps))))
     sys.word_levels.clear()  # every cached table is a prefix of this one
     sys.word_levels[depth] = _read_only(levels)
     return levels
+
+
+def _table_index(sys: SystemSpec, words: np.ndarray, n: int) -> np.ndarray:
+    """Positions in level ``n`` of :func:`_ratio_levels` of the words at
+    positions ``words`` of the full lexicographic level: word
+    ``(t, a_2, ..., a_n)`` is read as ``(rep, h[a_2], ..., h[a_n])``, with
+    ``t``'s representative and ``h`` as in :class:`LetterOrbits`."""
+    k, orbits = len(sys), sys.letter_orbits
+    first, rest = np.divmod(words, k ** (n - 1))
+    index, g = orbits.slot[first], orbits.move[first]
+    for place in range(n - 2, -1, -1):
+        index = index * k + orbits.inverses[g, rest // k ** place % k]
+    return index
 
 
 def _read_only(levels: tuple[tuple[np.ndarray, np.ndarray], ...]):
@@ -179,14 +188,25 @@ def _log_phi(s: float, la21: np.ndarray, la31: np.ndarray) -> np.ndarray:
         return s * la21
     if s <= 2.0:
         return la21 + (s - 1.0) * la31
-    return 0.5 * s * (la21 + la31)
+    with np.errstate(over="ignore"):  # a phi^s below the float range: -inf, see _logsumexp
+        return 0.5 * s * (la21 + la31)
 
 
-def _logsumexp(logs: np.ndarray) -> float:
-    """``log sum exp(logs)``; overwrites ``logs`` (a fresh :func:`_log_phi` array)."""
+def _logsumexp(logs: np.ndarray, weights: np.ndarray) -> float:
+    """``log sum_i weights[i] sum exp(block i)``, the blocks ``len(weights)``
+    equal slices of ``logs``; overwrites ``logs`` (a fresh :func:`_log_phi` array).
+
+    Raises :class:`FloatRange` when the largest term is not finite.
+    """
     m = float(logs.max())
+    if not math.isfinite(m):
+        raise FloatRange(f"the largest log phi^s of the level is {m}")
     logs -= m
-    return m + math.log(float(np.sum(np.exp(logs, out=logs))))
+    np.exp(logs, out=logs)
+    if (weights == weights[0]).all():
+        return m + math.log(float(np.sum(logs))) + math.log(weights[0])
+    blocks = np.sum(logs.reshape(len(weights), -1), axis=1)
+    return m + math.log(float(np.sum(weights * blocks)))
 
 
 def partition_sum(sys: SystemSpec, s: float, n: int) -> float:
@@ -194,8 +214,9 @@ def partition_sum(sys: SystemSpec, s: float, n: int) -> float:
 
     ``s = 0`` short-circuits to ``n * log |alphabet|`` (every summand is 1).
     The general path is a shifted exponential sum over the cached log
-    ratios with a fixed pairwise reduction, kept in
-    :attr:`SystemSpec.level_sums` for the next call with the same ``(s, n)``.
+    ratios with a fixed pairwise reduction, each representative's block
+    weighted by its orbit size, kept in :attr:`SystemSpec.level_sums` for
+    the next call with the same ``(s, n)``.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
@@ -204,7 +225,8 @@ def partition_sum(sys: SystemSpec, s: float, n: int) -> float:
     total = sys.level_sums.get((s, n))
     if total is None:
         la21, la31 = _ratio_levels(sys, n)[n - 1]
-        total = sys.level_sums[s, n] = _logsumexp(_log_phi(s, la21, la31))
+        total = sys.level_sums[s, n] = _logsumexp(_log_phi(s, la21, la31),
+                                                   sys.letter_orbits.sizes)
     return total
 
 
@@ -221,6 +243,7 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
     of length ``a + b``.  At ``top = 1`` the pool is the letters and the
     sampled pairs are multiplied instead: at most ``_PAIR_SAMPLE_CAP``
     products, where the two-letter table would hold ``k**2`` words.
+    Raises :class:`FloatRange` when a ratio is not a positive float.
     """
     k = len(sys)
     top = 1
@@ -253,9 +276,15 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
         log_num = np.empty(len(ia))
         for n in range(2, 2 * top + 1):
             at = length_ab == n
-            log_num[at] = _log_phi(s, *(arr[word_ab[at]] for arr in levels[n - 1]))
-    log_phi = np.concatenate([_log_phi(s, *level) for level in levels[:top]])
-    ratio = np.exp(log_num - log_phi[ia] - log_phi[ib])
+            words = _table_index(sys, word_ab[at], n)
+            log_num[at] = _log_phi(s, *(arr[words] for arr in levels[n - 1]))
+    log_phi = np.concatenate([_log_phi(s, *level)[_table_index(sys, np.arange(size), n)]
+                              for n, (size, level) in enumerate(zip(sizes, levels), start=1)])
+    with np.errstate(invalid="ignore", over="ignore"):  # -inf - -inf, exp(710): checked below
+        ratio = np.exp(log_num - log_phi[ia] - log_phi[ib])
+    if not np.all((0.0 < ratio) & (ratio < math.inf)):
+        raise FloatRange(f"a ratio phi^s(AB) / (phi^s(A) phi^s(B)) at s = {s} "
+                         "leaves the float range")
     return {
         "fitted_C": float(ratio.max()),
         "fitted_c": float(ratio.min()),
@@ -429,14 +458,17 @@ def rauzy_gamma_system(N: int, epsilon: Fraction = Fraction(1, 5)) -> SystemSpec
     return sys
 
 
-def _corner_levels(sys: SystemSpec, k: int, depth: int):
-    """Read-only copies of ``sys``'s levels restricted to words over its
-    first ``k`` letters, in the same (lexicographic) order."""
-    big = len(sys)
+def _corner_levels(big: SystemSpec, sub: SystemSpec, depth: int):
+    """Read-only copies of ``big``'s levels restricted to the words over
+    ``sub``'s letters, the first of ``big``'s, that start with one of
+    ``sub``'s representatives (each also one of ``big``'s), in the same
+    (lexicographic) order."""
+    k, blocks = len(big), big.letter_orbits.reps
+    rows = [blocks.index(rep) for rep in sub.letter_orbits.reps]
     return _read_only(tuple(
-        tuple(np.ascontiguousarray(arr.reshape((big,) * n)[(slice(k),) * n]).reshape(-1)
-              for arr in level)
-        for n, level in enumerate(_ratio_levels(sys, depth), start=1)))
+        tuple(arr.reshape((len(blocks),) + (k,) * (n - 1))[
+            (rows,) + (slice(len(sub)),) * (n - 1)].reshape(-1) for arr in level)
+        for n, level in enumerate(_ratio_levels(big, depth), start=1)))
 
 
 def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstimate:
@@ -451,13 +483,15 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstim
     """
     if N < 1:
         raise DomainError("N must be >= 1")
+    # refuse the top rung's table before its 6N letters are conjugated exactly
+    _check_table_budget(6 * N, n_max)
     top = rauzy_gamma_system(N)
     final = affinity_dimension(top, tol=tol, n_max=n_max)
     ests = {N: final}
     for n in sorted({max(1, N // 4), max(1, N // 2)} - {N}, reverse=True):
         # Γ_N's letters, whose conjugates are already checked for negative entries
         sys = top.first_letters(6 * n, _GAMMA_LABEL.format(n))
-        sys.word_levels[n_max] = _corner_levels(top, len(sys), n_max)
+        sys.word_levels[n_max] = _corner_levels(top, sys, n_max)
         ests[n] = affinity_dimension(sys, tol=tol, n_max=n_max)
     diagnostics = dict(final.diagnostics)
     diagnostics["ladder"] = [{"N": n, "value": est.value,

@@ -237,8 +237,8 @@ def _chaos_homogeneous(sys: SystemSpec, count: int, seed, record=None) -> np.nda
     states are three (chains,) rows, and each round draws its letters as it
     starts.  After burn-in each round's states are copied into a contiguous
     (n, 3) block and ``record(block)`` (the block itself by default) is
-    kept, so a caller that keeps one value per point never holds the
-    (count, 3) states.  Coordinate ``i`` is summed as
+    kept, in ``record``'s dtype, so a caller that keeps one value per point
+    never holds the (count, 3) states.  Coordinate ``i`` is summed as
     ``(a_i0 x0 + a_i2 x2) + a_i1 x1``, the order numpy's batched
     ``einsum("cij,cj->ci", ...)`` takes, so the samples are bit-identical to
     that contraction's.
@@ -270,7 +270,7 @@ def _chaos_homogeneous(sys: SystemSpec, count: int, seed, record=None) -> np.nda
             block[...] = x.T
             vals = block[:n] if record is None else record(block[:n])
             if out is None:
-                out = np.empty((count,) + vals.shape[1:])
+                out = np.empty((count,) + vals.shape[1:], dtype=vals.dtype)
             out[start:start + n] = vals
     return out
 
@@ -313,11 +313,18 @@ def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_00
     raise ValueError(f"unknown sampling method {method!r}")
 
 
-def project_measure_samples(sys: SystemSpec, frame: PlaneFrame, count: int, seed) -> np.ndarray:
-    """``count`` samples of the frame image of the stationary measure."""
+def project_measure_samples(sys: SystemSpec, frame: PlaneFrame, count: int, seed,
+                            cells: int | None = None) -> np.ndarray:
+    """``count`` samples of the frame image of the stationary measure, or,
+    given ``cells = n``, their dyadic cells (:func:`dyadic_cells`) as
+    ``int64``, binned block by block so that the float samples are never
+    all held."""
     if count < 1:
         raise DomainError("project_measure_samples needs count >= 1")
-    return _chaos_homogeneous(sys, count, seed, frame.apply_homogeneous)
+    if cells is None:
+        return _chaos_homogeneous(sys, count, seed, frame.apply_homogeneous)
+    return _chaos_homogeneous(sys, count, seed,
+                              lambda block: dyadic_cells(frame.apply_homogeneous(block), cells))
 
 
 # ---------------------------------------------------------------------------

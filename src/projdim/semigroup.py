@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,6 +49,23 @@ def check_budget(words: int) -> None:
     cap = node_cap()
     if words > cap:
         raise BudgetExceeded(f"{words} words exceed the node cap {cap}")
+
+
+class LetterOrbits(NamedTuple):
+    """The orbits of :attr:`SystemSpec.letter_symmetries` on the letters.
+
+    Word ``(t, a_2, ..., a_n)`` is ``g`` applied to
+    ``(reps[slot[t]], h[a_2], ..., h[a_n])``, where ``g`` is the first
+    symmetry that maps ``t``'s representative to ``t`` (number ``move[t]``)
+    and ``h = inverses[move[t]]`` its inverse: both words have the same
+    singular values.
+    """
+
+    reps: tuple[int, ...]  # the least letter of each orbit, increasing
+    sizes: np.ndarray  # the size of each orbit, in the order of ``reps``
+    slot: np.ndarray  # per letter: the position in ``reps`` of its orbit
+    move: np.ndarray  # per letter: the number of its ``g`` in ``letter_symmetries``
+    inverses: np.ndarray  # row ``i``: the inverse of symmetry ``i``, as a letter map
 
 
 @dataclass(frozen=True)
@@ -147,6 +164,22 @@ class SystemSpec:
             if None not in image and len(set(image)) == len(image):
                 found.append(image)
         return tuple(found)
+
+    @cached_property
+    def letter_orbits(self) -> LetterOrbits:
+        """The orbits of :attr:`letter_symmetries`; a system whose only
+        symmetry is the identity has one orbit per letter."""
+        syms = self.letter_symmetries
+        rep_of = [min(g[t] for g in syms) for t in range(len(self))]  # syms is a group
+        reps = sorted(set(rep_of))
+        return LetterOrbits(
+            reps=tuple(reps),
+            sizes=np.bincount(rep_of)[reps],
+            slot=np.searchsorted(reps, rep_of),
+            move=np.array([next(i for i, g in enumerate(syms) if g[r] == t)
+                           for t, r in enumerate(rep_of)]),
+            inverses=np.argsort(np.array(syms), axis=1),
+        )
 
     @cached_property
     def word_levels(self) -> dict:

@@ -143,6 +143,15 @@ def test_non_finite_exponents_tolerances_and_depth_zero_exit_2(tmp_path, argv):
     assert code == 2 and rep is None
 
 
+@pytest.mark.parametrize("s", ["1e308", "1e300"])
+def test_huge_exponent_exits_2(tmp_path, s):
+    # 1e308: log phi^s of every word overflows to -inf; 1e300: the fit's ratios overflow
+    save_system(rauzy_gamma_system(1), tmp_path / "gamma1.json")
+    argv = ["pressure", "--system", str(tmp_path / "gamma1.json"), "--s", s, "--depth", "2"]
+    code, rep = run_cli(argv, tmp_path)
+    assert code == 2 and rep is None
+
+
 @pytest.mark.parametrize("extra", [
     ["--planes", "0"],
     ["--samples", "0"],

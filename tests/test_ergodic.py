@@ -18,7 +18,7 @@ from projdim.ergodic import (
 )
 from projdim.linalg import Matrix3, mat_mul
 from projdim.pressure import rauzy_gamma_system
-from projdim.projective import plane_frame_orthonormal, project_measure_samples
+from projdim.projective import dyadic_cells, plane_frame_orthonormal, project_measure_samples
 from projdim.semigroup import SystemSpec
 from projdim.systems import (
     gamma_letter,
@@ -224,7 +224,8 @@ def test_dyadic_entropy_scaling_that_underflows():
 ])
 def test_entropy_slope_equals_two_entropies(vals):
     for n in (5, 6, 10, 12):
-        assert _entropy_slope(vals, n) == dyadic_entropy(vals, n) - dyadic_entropy(vals, n - 4)
+        cells = dyadic_cells(vals, n).ravel()
+        assert _entropy_slope(cells) == dyadic_entropy(vals, n) - dyadic_entropy(vals, n - 4)
 
 
 def test_dyadic_entropy_raises_when_cells_leave_int64():

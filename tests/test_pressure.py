@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from projdim.cli import main
-from projdim.errors import DomainError, NotPositive
+from projdim.errors import BudgetExceeded, DomainError, NotPositive
 from projdim.linalg import Matrix3
 from projdim.linalg import log_ratio_batch
 from projdim.pressure import (
@@ -19,6 +19,7 @@ from projdim.pressure import (
     _logsumexp,
     _ratio_levels,
     _subtree_levels,
+    _table_index,
     affinity_dimension,
     partition_sum,
     pressure_estimate,
@@ -28,7 +29,13 @@ from projdim.pressure import (
 )
 from projdim.rng import make_rng
 from projdim.semigroup import Frontier, SystemSpec
-from projdim.systems import gamma_letter, positivizing_conjugator, rauzy_system, triple9_system
+from projdim.systems import (
+    gamma_letter,
+    positivizing_conjugator,
+    rauzy_alphabet,
+    rauzy_system,
+    triple9_system,
+)
 
 
 def singleton9():
@@ -324,10 +331,13 @@ def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
     build = pressure_mod._subtree_levels
     built = []
     monkeypatch.setattr(pressure_mod, "_subtree_levels",
-                        lambda sys, top, levels: built.append(top) or build(sys, top, levels))
+                        lambda sys, top, slot, levels: built.append((top, slot))
+                        or build(sys, top, slot, levels))
     sys = rauzy_gamma_system(2)
     first = partition_sum(sys, 1.3, 3)
-    assert sorted(built) == [0, 6]  # one subtree per orbit of the letter symmetries
+    # one subtree per orbit of the letter symmetries, kept in its own block
+    assert sorted(built) == [(0, 0), (6, 1)]
+    assert [len(arr) for level in sys.word_levels[3] for arr in level] == [2, 2, 24, 24, 288, 288]
     assert partition_sum(sys, 1.3, 3) == first
     partition_sum(sys, 0.7, 3)
     assert len(built) == 2
@@ -335,7 +345,7 @@ def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
     # depth 4 is built once and replaces depth 3, whose levels are its prefix
     pressure_estimate(sys, 1.5, 4)
     assert len(built) == 4 and list(sys.word_levels) == [4]
-    assert sorted(built[2:]) == [0, 6]
+    assert sorted(built[2:]) == [(0, 0), (6, 1)]
     assert partition_sum(sys, 1.3, 3) == first
     assert len(built) == 4
 
@@ -360,7 +370,7 @@ def test_in_place_logsumexp_leaves_the_word_levels_unchanged():
     logs = np.random.default_rng(9).normal(scale=30.0, size=10_001)
     m = float(logs.max())
     allocating = m + math.log(float(np.sum(np.exp(logs - m))))
-    assert _logsumexp(logs.copy()) == allocating
+    assert _logsumexp(logs.copy(), np.ones(1, dtype=int)) == allocating
 
 
 def test_level_sums_are_summed_once_and_freed_with_the_system(monkeypatch):
@@ -368,7 +378,8 @@ def test_level_sums_are_summed_once_and_freed_with_the_system(monkeypatch):
 
     lse = pressure_mod._logsumexp
     summed = []
-    monkeypatch.setattr(pressure_mod, "_logsumexp", lambda logs: summed.append(1) or lse(logs))
+    monkeypatch.setattr(pressure_mod, "_logsumexp",
+                        lambda logs, weights: summed.append(1) or lse(logs, weights))
     sys = rauzy_gamma_system(2)
     grid = [(s, n) for s in (0.5, 1.5) for n in (2, 1)]
     first = [partition_sum(sys, s, n) for s, n in grid]
@@ -391,8 +402,8 @@ def test_ladder_rungs_are_corners_of_the_top_table(monkeypatch):
     monkeypatch.setattr(pressure_mod, "rauzy_gamma_system",
                         lambda N: made.append(make(N)) or made[-1])
     monkeypatch.setattr(pressure_mod, "_subtree_levels",
-                        lambda sys, top, levels: built.append((sys, top))
-                        or build(sys, top, levels))
+                        lambda sys, top, slot, levels: built.append((sys, top))
+                        or build(sys, top, slot, levels))
     monkeypatch.setattr(pressure_mod, "affinity_dimension",
                         lambda sys, **kw: solved.append(sys) or solve(sys, **kw))
     est = rauzy_dimension(4, 3, 1e-3)
@@ -411,17 +422,28 @@ def test_ladder_rungs_are_corners_of_the_top_table(monkeypatch):
         corner = [arr for level in sys.word_levels[3] for arr in level]
         own = [arr for level in _ratio_levels(ref, 3) for arr in level]
         assert list(sys.word_levels) == [3]
+        # the rung's own representatives, one block of (6n)**(d-1) words each
+        n = len(sys) // 6
+        assert sys.letter_orbits.reps == tuple(range(0, 6 * n, 6))
+        assert [len(arr) for arr in corner] == [n * (6 * n) ** d for d in (0, 0, 1, 1, 2, 2)]
         assert [arr.tobytes() for arr in corner] == [arr.tobytes() for arr in own]
         assert not any(arr.flags.writeable for arr in corner)
 
 
 def walked_table(sys, depth):
-    """The word table with the subtree under every top letter walked."""
+    """The word table with the subtree under every top letter walked, in
+    the full lexicographic order."""
     k = len(sys)
     levels = tuple((np.empty(k ** n), np.empty(k ** n)) for n in range(1, depth + 1))
     for top in range(k):
-        _subtree_levels(sys, top, levels)
+        _subtree_levels(sys, top, top, levels)
     return levels
+
+
+def full_build(sys):
+    """``sys`` told that its only symmetry is the identity: every top is walked and kept."""
+    vars(sys)["letter_symmetries"] = (tuple(range(len(sys))),)
+    return sys
 
 
 def generic_gamma2():
@@ -431,15 +453,38 @@ def generic_gamma2():
     return SystemSpec.uniform("generic", rauzy_gamma_system(2).alphabet, conj)
 
 
+def mixed_orbits():
+    """The three Rauzy generators and Γ_1's six letters, conjugated: S3 orbits of sizes 3 and 6."""
+    return SystemSpec.uniform("mixed", rauzy_alphabet() + rauzy_gamma_system(1).alphabet,
+                              positivizing_conjugator())
+
+
 def test_symmetric_table_matches_the_full_build():
-    sym, full = rauzy_gamma_system(5), rauzy_gamma_system(5)
-    vars(full)["letter_symmetries"] = (tuple(range(len(full))),)  # walk every top
-    for level, ref in zip(_ratio_levels(sym, 3), _ratio_levels(full, 3)):
+    sys, depth = rauzy_gamma_system(5), 3
+    k, reps = len(sys), sys.letter_orbits.reps
+    assert reps == (0, 6, 12, 18, 24) and list(sys.letter_orbits.sizes) == [6] * 5
+    walked = walked_table(rauzy_gamma_system(5), depth)
+    for n, (level, ref) in enumerate(zip(_ratio_levels(sys, depth), walked), start=1):
         for arr, want in zip(level, ref):
-            np.testing.assert_allclose(arr, want, rtol=1e-15, atol=0)
+            blocks = want.reshape(k, -1)[list(reps)].reshape(-1)
+            assert arr.tobytes() == blocks.tobytes()  # bit for bit
+            # every other word is read at its representative's place, within rounding
+            at = _table_index(sys, np.arange(k ** n), n)
+            np.testing.assert_allclose(arr[at], want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("make, sizes", [(lambda: rauzy_gamma_system(5), [6] * 5),
+                                         (mixed_orbits, [3, 6])], ids=["gamma5", "mixed"])
+def test_orbit_weighted_sums_match_the_full_build(make, sizes):
+    sym, full = make(), full_build(make())
+    assert list(sym.letter_orbits.sizes) == sizes
     for s in (0.5, 1.25, 1.6):
-        for n in (1, 2, 3):
-            assert abs(partition_sum(sym, s, n) - partition_sum(full, s, n)) <= 1e-14
+        for n in (1, 2, 3, 4):
+            assert abs(partition_sum(sym, s, n) - partition_sum(full, s, n)) <= 1e-15 * n
+    # the fit reads the words of lengths 2..4 through the representative map
+    fit, ref = _fit_multiplicativity(sym, 1.5, 2), _fit_multiplicativity(full, 1.5, 2)
+    for key in ("fitted_C", "fitted_c"):
+        assert fit[key] == pytest.approx(ref[key], rel=1e-14)
 
 
 @pytest.mark.parametrize("make, depth", [(triple9_system, 4), (generic_gamma2, 3)],
@@ -447,8 +492,27 @@ def test_symmetric_table_matches_the_full_build():
 def test_system_without_symmetry_walks_every_top(make, depth):
     sys = make()
     assert sys.letter_symmetries == (tuple(range(len(sys))),)
+    assert sys.letter_orbits.reps == tuple(range(len(sys)))
     table = [arr.tobytes() for level in _ratio_levels(sys, depth) for arr in level]
     assert table == [arr.tobytes() for level in walked_table(make(), depth) for arr in level]
+    # the unweighted sum of the parent layout, bit for bit
+    full = walked_table(make(), depth)
+    for s in (0.5, 1.5, 2.5):
+        for n in range(1, depth + 1):
+            m = _log_phi(s, *full[n - 1])
+            top = float(m.max())
+            assert partition_sum(sys, s, n) == top + math.log(float(np.sum(np.exp(m - top))))
+
+
+def test_rauzy_budget_is_checked_before_the_top_rung_is_made(monkeypatch):
+    import projdim.pressure as pressure_mod
+
+    made = []
+    monkeypatch.setattr(pressure_mod, "rauzy_gamma_system", lambda N: made.append(N))
+    monkeypatch.setenv("PROJDIM_NODE_CAP", str(6 * 50 + (6 * 50) ** 2 - 1))
+    with pytest.raises(BudgetExceeded):
+        rauzy_dimension(50, n_max=2)
+    assert made == []
 
 
 @pytest.mark.parametrize("k", [100, 102], ids=["all-pairs", "sampled"])

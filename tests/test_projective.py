@@ -14,6 +14,7 @@ from projdim.projective import (
     PlaneFrame,
     PointCloud,
     attractor_points,
+    dyadic_cells,
     frame_for_plane,
     lft_apply,
     load_cloud_csv,
@@ -344,6 +345,8 @@ def test_chaos_samples_match_the_batched_reference_bit_for_bit(sys, count, seed)
     frame = frame_for_plane(np.array([0.3, -0.8, 0.5]))
     vals = project_measure_samples(sys, frame, count, seed)
     assert vals.shape == (count,) and np.array_equal(vals, frame.apply_homogeneous(want))
+    cells = project_measure_samples(sys, frame, count, seed, cells=10)
+    assert cells.dtype == np.int64 and np.array_equal(cells, dyadic_cells(vals, 10))
 
 
 def test_project_measure_mean_stable_across_seeds():
