@@ -334,6 +334,11 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int) -> PressureEstimate
 _GRID = tuple(i / 4 for i in range(9))  # 0, 0.25, ..., 2
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be finite and positive")
+
+
 def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3) -> DimensionEstimate:
     """Zero of the depth-``n_max`` pressure by bisection on ``[0, 2]``.
 
@@ -341,8 +346,7 @@ def affinity_dimension(sys: SystemSpec, tol: float = 1e-3, n_max: int = 3) -> Di
     on the interval (diagnostics flag ``bound_only``).  The bracket comes
     from the zeros of the heuristic upper/lower pressure curves.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be finite and positive")
+    _check_tol(tol)
     require_positive_like(sys, "affinity_dimension")
 
     def raw(s: float) -> float:
@@ -483,6 +487,7 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstim
     """
     if N < 1:
         raise DomainError("N must be >= 1")
+    _check_tol(tol)
     # refuse the top rung's table before its 6N letters are conjugated exactly
     _check_table_budget(6 * N, n_max)
     top = rauzy_gamma_system(N)

@@ -133,8 +133,9 @@ def test_exit_codes(tmp_path, capsys):
     ["dimension", "--tol", "nan", "--depth", "2"],
     ["rauzy", "--N", "2", "--tol", "nan"],
     ["rauzy", "--N", "2", "--tol", "inf"],
+    ["rauzy", "--N", "300", "--tol", "nan"],  # checked before the node cap
 ], ids=["s-nan", "s-inf", "pressure-depth-0", "dimension-depth-0", "dimension-tol-nan",
-        "rauzy-tol-nan", "rauzy-tol-inf"])
+        "rauzy-tol-nan", "rauzy-tol-inf", "rauzy-tol-nan-over-cap"])
 def test_non_finite_exponents_tolerances_and_depth_zero_exit_2(tmp_path, argv):
     if argv[0] != "rauzy":
         save_system(rauzy_gamma_system(2), tmp_path / "gamma2.json")
