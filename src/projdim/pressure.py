@@ -10,8 +10,8 @@ block of the level arrays; after that every evaluation at a new ``s`` is a vecto
 log-sum-exp over the cached arrays, and each level sum is kept on the
 system too, so a repeated ``(s, n)`` is summed once.  The word order and
 the reduction tree are fixed, so results are bitwise reproducible and do
-not depend on the number of threads.  The multiplicativity fit and the
-truncated zeta series read the same table; its build is the only walk here.
+not depend on the number of threads.  The truncated zeta series reads the
+same table; the multiplicativity fit walks a pool of short words of its own.
 
 The table keeps one subtree per orbit of the system's exact letter
 symmetries (:attr:`SystemSpec.letter_symmetries`, found on the Fraction
@@ -22,12 +22,12 @@ representative's block by its orbit size.  Every Rauzy generator is
 ``P A_i P^-1 = A_sigma(i)``; the positivizing conjugator commutes with
 ``P``, so it maps ``gamma_letter(i, j, n)`` to
 ``gamma_letter(sigma(i), sigma(j), n)`` and a word to one with the same
-singular values.  On Γ_N, N of the 6N subtrees are walked and kept.  The
-multiplicativity fit reads any other word at its representative's place
-(:func:`_table_index`).  A relabelled word's own product can differ from its
-representative's in the last bit, so the stopping walks of ψ, ξ and the
-cover, which decide per word, do not use the symmetry.  A system whose only
-symmetry is the identity walks and keeps every subtree.
+singular values.  On Γ_N, N of the 6N subtrees are walked and kept.  A
+relabelled word's own product can differ from its representative's in the
+last bit, so what reads single words does not use the symmetry: the
+stopping walks of ψ, ξ and the cover, which decide per word, and the
+multiplicativity fit, whose constants are a max and a min over words.  A
+system whose only symmetry is the identity walks and keeps every subtree.
 
 The ``rauzy`` ladder builds one table: Γ_n's letters are the first ``6n``
 letters of Γ_N, with the same conjugator and the first ``n`` of its
@@ -50,7 +50,8 @@ import numpy as np
 from .errors import DomainError, FloatRange, NotPositive
 from .rng import make_rng
 from .linalg import log_ratio_batch
-from .semigroup import Frontier, SystemSpec, check_budget, require_positive_like
+from .semigroup import (Frontier, SystemSpec, check_budget, is_nonnegative,
+                        require_positive_like)
 from .systems import gamma_letter, positivizing_conjugator
 
 _PAIR_SAMPLE_CAP = 10_000
@@ -108,6 +109,14 @@ def _check_table_budget(k: int, depth: int) -> None:
     check_budget(sum(k ** n for n in range(1, depth + 1)))
 
 
+def _log_ratios(prod: np.ndarray, ext2: np.ndarray, e1: np.ndarray,
+                e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(log(a2/a1), log(a3/a1))`` of the words whose products are
+    ``prod * 2**e1``, with exterior squares ``ext2 * 2**e2``."""
+    r21, r31 = log_ratio_batch(prod, ext2)
+    return r21 + (e2 - 2 * e1) * _LN2, r31 - (e1 + e2) * _LN2
+
+
 def _subtree_levels(sys: SystemSpec, top: int, slot: int,
                     levels: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
     """Write ``(log(a2/a1), log(a3/a1))`` of the words that start with ``top``
@@ -118,9 +127,7 @@ def _subtree_levels(sys: SystemSpec, top: int, slot: int,
         if n > 1:
             walk.grow()
         lo, hi = slot * len(walk), (slot + 1) * len(walk)
-        (r21, r31), (e1, e2) = log_ratio_batch(*walk.states), walk.exps
-        la21[lo:hi] = r21 + (e2 - 2 * e1) * _LN2
-        la31[lo:hi] = r31 - (e1 + e2) * _LN2
+        la21[lo:hi], la31[lo:hi] = _log_ratios(*walk.states, *walk.exps)
 
 
 def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -129,8 +136,8 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
 
     Level ``n`` holds one block of ``k**(n-1)`` words per representative in
     ``sys.letter_orbits.reps``, in lexicographic order, which fixes the
-    summation tree; every other word has the ratios of one of these
-    (:class:`LetterOrbits`).  The subtree under each representative is
+    summation tree; every other word has the singular values of one of
+    these (:class:`LetterOrbits`).  The subtree under each representative is
     walked on its own (one walk over every top would hold Γ₂₀'s 1.73 M
     depth-3 states at once), on a pool of ``_WORKERS`` threads, and writes
     its fixed block of arrays allocated once; the pool only changes the
@@ -157,19 +164,6 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
     sys.word_levels.clear()  # every cached table is a prefix of this one
     sys.word_levels[depth] = _read_only(levels)
     return levels
-
-
-def _table_index(sys: SystemSpec, words: np.ndarray, n: int) -> np.ndarray:
-    """Positions in level ``n`` of :func:`_ratio_levels` of the words at
-    positions ``words`` of the full lexicographic level: word
-    ``(t, a_2, ..., a_n)`` is read as ``(rep, h[a_2], ..., h[a_n])``, with
-    ``t``'s representative and ``h`` as in :class:`LetterOrbits`."""
-    k, orbits = len(sys), sys.letter_orbits
-    first, rest = np.divmod(words, k ** (n - 1))
-    index, g = orbits.slot[first], orbits.move[first]
-    for place in range(n - 2, -1, -1):
-        index = index * k + orbits.inverses[g, rest // k ** place % k]
-    return index
 
 
 def _read_only(levels: tuple[tuple[np.ndarray, np.ndarray], ...]):
@@ -237,22 +231,20 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
     """Sampled max/min of ``phi^s(AB) / (phi^s(A) phi^s(B))`` over word pairs.
 
     The pool holds the words of lengths ``1..top``, ``top <= max_len`` the
-    deepest whose level holds at most 4,000 words, in table order.  Every
-    ``phi^s`` is read from the word table of depth ``2 * top``: word ``i`` of
-    length ``a`` followed by word ``j`` of length ``b`` is word ``i * k**b + j``
-    of length ``a + b``.  At ``top = 1`` the pool is the letters and the
-    sampled pairs are multiplied instead: at most ``_PAIR_SAMPLE_CAP``
-    products, where the two-letter table would hold ``k**2`` words.
+    deepest whose level holds at most 4,000 words, in lexicographic order:
+    one walk over every top letter, separate from the word table.  Each
+    sampled pair is multiplied from the pool's states, at most
+    ``_PAIR_SAMPLE_CAP`` products.  No word is read at an orbit-mate's
+    place, so the constants do not depend on the letter symmetries.
     Raises :class:`FloatRange` when a ratio is not a positive float.
     """
-    k = len(sys)
-    top = 1
-    while top < max_len and k ** (top + 1) <= 4000:
-        top += 1
-    sizes = [k ** n for n in range(1, top + 1)]
-    m = sum(sizes)
-    if s == 0.0:  # every phi^0 is 1, as in partition_sum: no table is needed
-        return {"fitted_C": 1.0, "fitted_c": 1.0, "pairs": min(m * m, _PAIR_SAMPLE_CAP)}
+    walk = Frontier(sys)
+    pool = [walk.states + walk.exps]
+    while len(pool) < max_len and len(walk) * len(sys) <= 4000:
+        walk.grow()
+        pool.append(walk.states + walk.exps)
+    prod, ext2, e1, e2 = (np.concatenate(parts) for parts in zip(*pool))
+    m = len(prod)
     if m * m <= _PAIR_SAMPLE_CAP:
         ia, ib = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         ia, ib = ia.ravel(), ib.ravel()
@@ -262,24 +254,10 @@ def _fit_multiplicativity(sys: SystemSpec, s: float, max_len: int) -> dict:
         ib = rng.integers(0, m, size=_PAIR_SAMPLE_CAP)
 
     # in log space: phi^s of a long word can underflow, and 0/0 would hide in max()
-    if top == 1:
-        levels = _ratio_levels(sys, 1)
-        letters, ext2 = sys.letters_float, sys.letters_ext2_float
-        log_num = _log_phi(s, *log_ratio_batch(np.matmul(letters[ia], letters[ib]),
-                                               np.matmul(ext2[ia], ext2[ib])))
-    else:
-        levels = _ratio_levels(sys, 2 * top)
-        lengths = np.repeat(np.arange(1, top + 1), sizes)
-        index = np.concatenate([np.arange(size) for size in sizes])
-        length_ab = lengths[ia] + lengths[ib]
-        word_ab = index[ia] * k ** lengths[ib] + index[ib]
-        log_num = np.empty(len(ia))
-        for n in range(2, 2 * top + 1):
-            at = length_ab == n
-            words = _table_index(sys, word_ab[at], n)
-            log_num[at] = _log_phi(s, *(arr[words] for arr in levels[n - 1]))
-    log_phi = np.concatenate([_log_phi(s, *level)[_table_index(sys, np.arange(size), n)]
-                              for n, (size, level) in enumerate(zip(sizes, levels), start=1)])
+    log_phi = _log_phi(s, *_log_ratios(prod, ext2, e1, e2))
+    log_num = _log_phi(s, *_log_ratios(np.matmul(prod[ia], prod[ib]),
+                                       np.matmul(ext2[ia], ext2[ib]),
+                                       e1[ia] + e1[ib], e2[ia] + e2[ib]))
     with np.errstate(invalid="ignore", over="ignore"):  # -inf - -inf, exp(710): checked below
         ratio = np.exp(log_num - log_phi[ia] - log_phi[ib])
     if not np.all((0.0 < ratio) & (ratio < math.inf)):
@@ -304,8 +282,7 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int) -> PressureEstimate
     if n_max < 1:
         raise ValueError("depth must be >= 1")
     require_positive_like(sys, "pressure_estimate")
-    # deepest first, so the word levels are built once: the rest, and the
-    # fit's pairs (2 * top <= n_max letters), read prefixes
+    # deepest first, so the word levels are built once and the rest read prefixes
     raws = [partition_sum(sys, s, n) for n in range(n_max, 0, -1)][::-1]
     fit = _fit_multiplicativity(sys, s, max(1, n_max // 2))
     c_up = max(1.0, fit["fitted_C"])
@@ -452,13 +429,8 @@ def rauzy_gamma_system(N: int, epsilon: Fraction = Fraction(1, 5)) -> SystemSpec
                     letters.append(gamma_letter(i, j, n))
     conj = positivizing_conjugator(epsilon)
     sys = SystemSpec.uniform(_GAMMA_LABEL.format(N), tuple(letters), conjugator=conj)
-    for pos, a in enumerate(sys.effective_alphabet):
-        for row in a.entries:
-            for x in row:
-                if x < 0:
-                    raise NotPositive(
-                        f"conjugated letter {pos} has a negative entry; epsilon too large"
-                    )
+    if not is_nonnegative(sys):
+        raise NotPositive("a conjugated letter has a negative entry; epsilon too large")
     return sys
 
 

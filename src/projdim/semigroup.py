@@ -54,18 +54,14 @@ def check_budget(words: int) -> None:
 class LetterOrbits(NamedTuple):
     """The orbits of :attr:`SystemSpec.letter_symmetries` on the letters.
 
-    Word ``(t, a_2, ..., a_n)`` is ``g`` applied to
-    ``(reps[slot[t]], h[a_2], ..., h[a_n])``, where ``g`` is the first
-    symmetry that maps ``t``'s representative to ``t`` (number ``move[t]``)
-    and ``h = inverses[move[t]]`` its inverse: both words have the same
-    singular values.
+    A word that starts with any letter of an orbit is a symmetry applied to
+    a word that starts with the orbit's representative: both words have the
+    same singular values, so the pressure table keeps the representatives'
+    words only and weighs each by its orbit's size.
     """
 
     reps: tuple[int, ...]  # the least letter of each orbit, increasing
     sizes: np.ndarray  # the size of each orbit, in the order of ``reps``
-    slot: np.ndarray  # per letter: the position in ``reps`` of its orbit
-    move: np.ndarray  # per letter: the number of its ``g`` in ``letter_symmetries``
-    inverses: np.ndarray  # row ``i``: the inverse of symmetry ``i``, as a letter map
 
 
 @dataclass(frozen=True)
@@ -172,14 +168,7 @@ class SystemSpec:
         syms = self.letter_symmetries
         rep_of = [min(g[t] for g in syms) for t in range(len(self))]  # syms is a group
         reps = sorted(set(rep_of))
-        return LetterOrbits(
-            reps=tuple(reps),
-            sizes=np.bincount(rep_of)[reps],
-            slot=np.searchsorted(reps, rep_of),
-            move=np.array([next(i for i, g in enumerate(syms) if g[r] == t)
-                           for t, r in enumerate(rep_of)]),
-            inverses=np.argsort(np.array(syms), axis=1),
-        )
+        return LetterOrbits(reps=tuple(reps), sizes=np.bincount(rep_of)[reps])
 
     @cached_property
     def word_levels(self) -> dict:

@@ -7,6 +7,7 @@ import projdim
 
 PACKAGE = sorted(Path(projdim.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,6 +47,23 @@ def unread_private_names(sources: list[str]) -> list[str]:
             if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
+def unread_named_tuple_fields(package: list[str], readers: list[str]) -> list[str]:
+    """Fields ``Class.field`` of the ``NamedTuple`` classes defined in
+    ``package`` that no source of ``package`` or ``readers`` reads as an
+    attribute."""
+    defined = []
+    for tree in map(ast.parse, package):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base) in ("NamedTuple", "typing.NamedTuple")
+                    for base in node.bases):
+                defined += [(node.name, item.target.id) for item in node.body
+                            if isinstance(item, ast.AnnAssign)]
+    read = {node.attr for tree in map(ast.parse, package + readers)
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [f"{cls}.{name}" for cls, name in defined if name not in read]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nimport numpy as np\nfrom a import b, c\nc()\n") == [
         "os", "np", "b"]
@@ -57,6 +75,13 @@ def test_the_check_sees_an_unread_private_name():
     assert unread_private_names(sources) == ["_C"]
 
 
+def test_the_check_sees_an_unread_named_tuple_field():
+    package = ["from typing import NamedTuple\nclass P(NamedTuple):\n    x: int\n"
+               "    y: int = 0\n    z: int = 1\n    def f(self): return self.x\n"
+               "class Q:\n    w: int\n"]
+    assert unread_named_tuple_fields(package, ["p.y\n"]) == ["P.z"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -64,3 +89,8 @@ def test_every_module_level_import_is_used(path):
 
 def test_every_private_name_is_read_in_the_package():
     assert unread_private_names([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def test_every_named_tuple_field_is_read():
+    assert unread_named_tuple_fields([p.read_text(encoding="utf-8") for p in PACKAGE],
+                                     [p.read_text(encoding="utf-8") for p in TESTS]) == []
