@@ -259,8 +259,8 @@ def svf(a: Matrix3, s: float) -> float:
     ``s = 2``; the dimension formulas only evaluate ``s <= 2`` so the
     choice is unobservable there.
     """
-    if not s >= 0:  # NaN fails this test too
-        raise DomainError("svf requires s >= 0")
+    if not 0.0 <= s < math.inf:  # NaN fails this test too
+        raise DomainError("svf requires a finite s >= 0")
     sv = singular_values(a)
     r21, r31 = sv.ratios()
     if s <= 1.0:

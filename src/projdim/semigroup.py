@@ -52,7 +52,7 @@ def check_budget(words: int) -> None:
 
 
 class LetterOrbits(NamedTuple):
-    """The orbits of :attr:`SystemSpec.letter_symmetries` on the letters.
+    """The orbits of the letters' exact symmetries (:attr:`SystemSpec.letter_orbits`).
 
     A word that starts with any letter of an orbit is a symmetry applied to
     a word that starts with the orbit's representative: both words have the
@@ -138,35 +138,26 @@ class SystemSpec:
         return None
 
     @cached_property
-    def letter_symmetries(self) -> tuple[tuple[int, ...], ...]:
-        """The letter maps of the 3x3 permutation matrices that permute the
-        acting letters, found exactly on their entries.
+    def letter_orbits(self) -> LetterOrbits:
+        """The orbits of the letters under the 3x3 permutation matrices that
+        permute the acting letters, found exactly on their entries.
 
-        Map ``g`` has ``P A_i P^-1 = A_g[i]`` for every acting letter ``A_i``
-        and one permutation matrix ``P``, so word ``g(w)`` has the product
-        ``P A_w P^-1``: the same singular values.  A ``P`` whose letter map is
-        not one to one (duplicate letters) is dropped.  The identity comes
-        first, the others in :func:`itertools.permutations` order; they form
-        a group.
+        A map ``g`` has ``P A_i P^-1 = A_g[i]`` for every acting letter
+        ``A_i`` and one permutation matrix ``P``, so word ``g(w)`` has the
+        product ``P A_w P^-1``: the same singular values.  A ``P`` whose
+        letter map is not one to one (duplicate letters) is dropped.  The
+        maps found form a subgroup of S3, so the least image of a letter
+        under them is the least letter of its orbit.  A system with no map
+        but the identity has one orbit per letter.
         """
         index = {a.entries: i for i, a in enumerate(self.effective_alphabet)}
-        found = [tuple(range(len(self)))]
-        for p in itertools.permutations(range(3)):
-            if p == (0, 1, 2):
-                continue
-            image = tuple(index.get(tuple(tuple(a.entries[p[r]][p[c]] for c in range(3))
-                                          for r in range(3)))
-                          for a in self.effective_alphabet)
+        rep_of = list(range(len(self)))  # the identity's map
+        for p in itertools.islice(itertools.permutations(range(3)), 1, None):  # the others
+            image = [index.get(tuple(tuple(a.entries[p[r]][p[c]] for c in range(3))
+                                     for r in range(3)))
+                     for a in self.effective_alphabet]
             if None not in image and len(set(image)) == len(image):
-                found.append(image)
-        return tuple(found)
-
-    @cached_property
-    def letter_orbits(self) -> LetterOrbits:
-        """The orbits of :attr:`letter_symmetries`; a system whose only
-        symmetry is the identity has one orbit per letter."""
-        syms = self.letter_symmetries
-        rep_of = [min(g[t] for g in syms) for t in range(len(self))]  # syms is a group
+                rep_of = list(map(min, rep_of, image))
         reps = sorted(set(rep_of))
         return LetterOrbits(reps=tuple(reps), sizes=np.bincount(rep_of)[reps])
 
@@ -565,7 +556,7 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
 
     Generators are taken modulo scalars (their traceless parts), matching
     the projective action they diagnose; the span is closed under the
-    bracket ``[X, Y] = XY - YX`` until stable.  A nonzero scalar generator
+    bracket ``[X, Y] = XY - YX``.  A nonzero scalar generator
     is rejected because it has no traceless content.
     """
     mats: list[Matrix3] = []
@@ -579,16 +570,13 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
         if span.add(_flat9(t)):
             mats.append(t)
 
-    frontier = list(mats)
-    while frontier:
-        new: list[Matrix3] = []
-        for x in frontier:
-            for y in mats:
-                b = x @ y - y @ x
-                if span.add(_flat9(b)):
-                    new.append(b)
-        mats.extend(new)
-        frontier = new
+    # the brackets of a basis span all brackets, [y, x] = -[x, y] and [x, x] = 0:
+    # each element is bracketed once with every earlier one, new ones included
+    for i, x in enumerate(mats):
+        for y in mats[:i]:
+            b = x @ y - y @ x
+            if span.add(_flat9(b)):
+                mats.append(b)
     return span.dim
 
 
@@ -658,29 +646,21 @@ def _shift(a: Matrix3, lam: Fraction) -> Matrix3:
     return a - Matrix3.identity().scale(lam)
 
 
-def _eigenvector_candidates(letters: Sequence[Matrix3]) -> list[list[Fraction]]:
-    """Common rational eigenvectors of every letter (up to scale)."""
+def _common_eigenvector(letters: Sequence[Matrix3]) -> Optional[list[Fraction]]:
+    """The first common rational eigenvector of every letter, integerized,
+    or ``None``."""
     pools: Optional[list[list[list[Fraction]]]] = None
     for a in letters:
-        lams = _rational_eigenvalues(a)
-        spaces = [_kernel(_shift(a, lam).entries) for lam in lams]
+        spaces = [_kernel(_shift(a, lam).entries) for lam in _rational_eigenvalues(a)]
         spaces = [s for s in spaces if s]
         if pools is None:
             pools = spaces
         else:
-            refined = []
-            for basis in pools:
-                for space in spaces:
-                    inter = _intersect(basis, space)
-                    if inter:
-                        refined.append(inter)
-            pools = refined
+            pools = [inter for basis in pools for space in spaces
+                     if (inter := _intersect(basis, space))]
         if not pools:
-            return []
-    out = []
-    for basis in pools or []:
-        out.append(_integerize(basis[0]))
-    return out
+            return None
+    return _integerize(pools[0][0])
 
 
 def _intersect(b1: list[list[Fraction]], b2: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -714,10 +694,8 @@ def irreducibility_probe(sys: SystemSpec) -> dict:
     single letter, so level-1 candidates are exhaustive for this witness
     class.
     """
-    letters = list(sys.effective_alphabet)
-    lines = _eigenvector_candidates(letters)
-    planes = _eigenvector_candidates([a.transpose() for a in letters])
+    letters = sys.effective_alphabet
     return {
-        "invariant_line": lines[0] if lines else None,
-        "invariant_plane": planes[0] if planes else None,
+        "invariant_line": _common_eigenvector(letters),
+        "invariant_plane": _common_eigenvector([a.transpose() for a in letters]),
     }

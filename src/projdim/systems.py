@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .linalg import Matrix3
@@ -124,7 +123,7 @@ def load_system(path: str | Path) -> SystemSpec:
     if p.exists():
         return system_from_dict(json.loads(p.read_text()))
     name = p.name.removesuffix(".json")
-    bundled = resources.files("projdim").joinpath(f"data/{name}.json")
-    if p.parent == Path(".") and bundled.is_file():
-        return system_from_dict(json.loads(bundled.read_text()))
+    bundled = {"rauzy": rauzy_system, "triple9": triple9_system}
+    if p.parent == Path(".") and name in bundled:
+        return bundled[name]()
     raise FileNotFoundError(f"no system file at {path} and no bundled system {name!r}")

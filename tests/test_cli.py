@@ -12,7 +12,7 @@ import projdim
 from projdim.cli import main, validate_report
 from projdim.pressure import rauzy_gamma_system
 from projdim.projective import PointCloud, save_cloud_csv
-from projdim.systems import rauzy_system, save_system, triple9_system
+from projdim.systems import load_system, rauzy_system, save_system, triple9_system
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -123,6 +123,16 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["dimension", "--system", "triple9.json", "--depth", "3"]) == 3
     finally:
         del os.environ["PROJDIM_NODE_CAP"]
+
+
+def test_a_bare_name_is_bundled_only_when_no_such_file_exists(tmp_path, monkeypatch):
+    # a path with a directory part never falls back to the bundled system
+    assert main(["check", "--system", str(tmp_path / "rauzy.json")]) == 2
+    monkeypatch.chdir(tmp_path)
+    assert load_system("rauzy.json") == rauzy_system()
+    # a file of that name in the working directory wins over the bundled system
+    save_system(rauzy_gamma_system(1), "rauzy.json")
+    assert load_system("rauzy.json") == rauzy_gamma_system(1)
 
 
 @pytest.mark.parametrize("argv", [

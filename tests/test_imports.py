@@ -64,6 +64,21 @@ def unread_named_tuple_fields(package: list[str], readers: list[str]) -> list[st
     return [f"{cls}.{name}" for cls, name in defined if name not in read]
 
 
+def unread_cached_properties(package: list[str]) -> list[str]:
+    """Methods ``Class.name`` of the classes defined in ``package`` that are
+    decorated with ``functools.cached_property`` and that no source of
+    ``package`` reads as an attribute; reads in tests do not count."""
+    trees = [ast.parse(source) for source in package]
+    defined = [(node.name, item.name) for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, ast.FunctionDef) and any(
+                   ast.unparse(d) in ("cached_property", "functools.cached_property")
+                   for d in item.decorator_list)]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls}.{name}" for cls, name in defined if name not in read]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nimport numpy as np\nfrom a import b, c\nc()\n") == [
         "os", "np", "b"]
@@ -82,6 +97,16 @@ def test_the_check_sees_an_unread_named_tuple_field():
     assert unread_named_tuple_fields(package, ["p.y\n"]) == ["P.z"]
 
 
+def test_the_check_sees_an_unread_cached_property():
+    package = ["import functools\nfrom functools import cached_property\n"
+               "class S:\n    @cached_property\n    def a(self): return 1\n"
+               "    @functools.cached_property\n    def b(self): return self.a\n"
+               "    @cached_property\n    def c(self): return 3\n"
+               "    @property\n    def d(self): return 4\n"
+               "def f(s):\n    s.c = 0\n    return vars(s)['c'], s.b\n"]
+    assert unread_cached_properties(package) == ["S.c"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -94,3 +119,7 @@ def test_every_private_name_is_read_in_the_package():
 def test_every_named_tuple_field_is_read():
     assert unread_named_tuple_fields([p.read_text(encoding="utf-8") for p in PACKAGE],
                                      [p.read_text(encoding="utf-8") for p in TESTS]) == []
+
+
+def test_every_cached_property_is_read_in_the_package():
+    assert unread_cached_properties([p.read_text(encoding="utf-8") for p in PACKAGE]) == []

@@ -181,7 +181,7 @@ def test_svf_cross_oracle():
 def test_svf_via_norms_domain():
     with pytest.raises(DomainError):
         svf_via_norms(Matrix3.identity(), 2.5)
-    for s in (-1.0, math.nan):
+    for s in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             svf(Matrix3.identity(), s)
     d = Matrix3.diagonal(4, 1, F(1, 4))

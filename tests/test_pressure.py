@@ -27,7 +27,7 @@ from projdim.pressure import (
     zeta_truncated,
 )
 from projdim.rng import make_rng
-from projdim.semigroup import Frontier, SystemSpec
+from projdim.semigroup import Frontier, LetterOrbits, SystemSpec
 from projdim.systems import (
     gamma_letter,
     positivizing_conjugator,
@@ -446,8 +446,9 @@ def walked_table(sys, depth):
 
 
 def full_build(sys):
-    """``sys`` told that its only symmetry is the identity: every top is walked and kept."""
-    vars(sys)["letter_symmetries"] = (tuple(range(len(sys))),)
+    """``sys`` told that each letter is its own orbit: every top is walked and kept."""
+    k = len(sys)
+    vars(sys)["letter_orbits"] = LetterOrbits(tuple(range(k)), np.ones(k, dtype=np.int64))
     return sys
 
 
@@ -483,6 +484,7 @@ def test_symmetric_table_matches_the_full_build():
 def test_orbit_weighted_sums_match_the_full_build(make, sizes):
     sym, full = make(), full_build(make())
     assert list(sym.letter_orbits.sizes) == sizes
+    assert full.letter_orbits.reps == tuple(range(len(full)))
     for s in (0.5, 1.25, 1.6):
         for n in (1, 2, 3, 4):
             assert abs(partition_sum(sym, s, n) - partition_sum(full, s, n)) <= 1e-15 * n
@@ -495,7 +497,6 @@ def test_orbit_weighted_sums_match_the_full_build(make, sizes):
                          ids=["triple9", "generic"])
 def test_system_without_symmetry_walks_every_top(make, depth):
     sys = make()
-    assert sys.letter_symmetries == (tuple(range(len(sys))),)
     assert sys.letter_orbits.reps == tuple(range(len(sys)))
     table = [arr.tobytes() for level in _ratio_levels(sys, depth) for arr in level]
     assert table == [arr.tobytes() for level in walked_table(make(), depth) for arr in level]

@@ -131,6 +131,23 @@ def test_positive_direction_in_plane_basic():
         positive_direction_in_plane([1.0, 1.0, 1.0])
 
 
+def test_positive_direction_in_plane_wedge_fallback():
+    # the projection of (1, 1, 1) onto this plane has a negative third coordinate,
+    # so the direction is the bisector of the plane's wedge of the octant
+    n = np.array([1.0, -100.0, -200.0])
+    n /= np.linalg.norm(n)
+    u = np.ones(3) - np.ones(3) @ n * n
+    assert u[2] < 0
+    d = positive_direction_in_plane(n)
+    assert d.min() >= 0 and abs(np.linalg.norm(d) - 1.0) <= 1e-12
+    assert abs(d @ n) <= 1e-12
+    assert np.allclose(d, [0.99998, 0.0050, 0.0025], atol=1e-5)
+    frame = frame_for_plane(n)
+    assert np.allclose(frame.rows @ frame.rows.T, np.eye(2), atol=1e-12)
+    assert np.allclose(frame.rows @ n, 0.0, atol=1e-12)
+    assert np.allclose(frame.r2, d, rtol=0, atol=1e-15)
+
+
 def test_attractor_singleton_collapses():
     cloud = attractor_points(gamma_singleton(), "chaos", budget=500, seed=0)
     assert np.ptp(cloud.points, axis=0).max() <= 1e-9

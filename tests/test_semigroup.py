@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from projdim import linalg
 from projdim.cover import svd_cover_upper
 from projdim.errors import (
     BadVector,
@@ -374,24 +375,40 @@ def exact_letter_maps(sys):
     return maps
 
 
-@pytest.mark.parametrize("make, count", [
-    (rauzy_system, 6),
-    (lambda: rauzy_gamma_system(1), 6),
-    (lambda: rauzy_gamma_system(20), 6),
-    (triple9_system, 1),  # three equal letters: no map is one to one but the identity
+def orbit_components(sys):
+    """The connected components of the graph ``i -- g(i)`` over :func:`exact_letter_maps`."""
+    parent = list(range(len(sys)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for g in exact_letter_maps(sys):
+        for i, j in enumerate(g):
+            parent[root(i)] = root(j)
+    comps: dict[int, list[int]] = {}
+    for i in range(len(sys)):
+        comps.setdefault(root(i), []).append(i)
+    return sorted(comps.values())
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (rauzy_system, [3]),
+    (lambda: rauzy_gamma_system(1), [6]),
+    (lambda: rauzy_gamma_system(20), [6] * 20),
+    (triple9_system, [1] * 3),  # three equal letters: no map is one to one but the identity
     # a letter twice and its image under (0 1) once: (0 1) maps the letters two to one
     (lambda: SystemSpec.uniform("twice", (gamma_letter(0, 1, 1),) * 2
-                                + (gamma_letter(1, 0, 1),)), 1),
-    (lambda: SystemSpec.uniform("generic", rauzy_gamma_system(2).alphabet, GENERIC), 1),
+                                + (gamma_letter(1, 0, 1),)), [1] * 3),
+    (lambda: SystemSpec.uniform("generic", rauzy_gamma_system(2).alphabet, GENERIC), [1] * 12),
 ], ids=["rauzy", "gamma1", "gamma20", "triple9", "twice", "generic"])
-def test_letter_symmetries_are_the_permutation_conjugations(make, count):
+def test_letter_orbits_are_the_permutation_conjugation_orbits(make, sizes):
     sys = make()
-    syms = sys.letter_symmetries
-    identity = tuple(range(len(sys)))
-    assert len(syms) == count and syms[0] == identity
-    assert set(syms) == exact_letter_maps(sys) | {identity}
-    # a group: closed under composition
-    assert {tuple(g[i] for i in h) for g in syms for h in syms} == set(syms)
+    comps = orbit_components(sys)
+    orbits = sys.letter_orbits
+    assert orbits.reps == tuple(c[0] for c in comps)
+    assert orbits.sizes.tolist() == [len(c) for c in comps] == sizes
 
 
 def test_diophantine_rauzy_distinct():
@@ -495,6 +512,18 @@ def test_lie_algebra_dimension_examples():
     # monotone under adding generators, capped at 8
     dims = [lie_algebra_dimension(derivs[: k + 1]) for k in range(6)]
     assert dims == sorted(dims) and dims[-1] == 8
+
+
+def test_lie_algebra_brackets_each_basis_pair_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    assert lie_algebra_dimension(rauzy_curve_derivatives()) == 8
+    assert len(calls) == 2 * 28  # XY and YX for each of the 8 * 7 / 2 basis pairs
 
 
 def test_lie_algebra_rejects_scalar():
