@@ -5,8 +5,8 @@ every default resolved (a defaulted ``--depth``, render's full ``--coords``
 name), less the report's own destination (``--out``, or ``--report`` for
 ``render``), plus the system's ``label``; identical configurations (seeds
 included) reproduce byte-identical files.  Exit codes: 0 success, 2 invalid
-input, 3 node budget or memory exhausted.  The enumeration cap can be
-overridden with the PROJDIM_NODE_CAP variable.
+input, 3 node budget or memory exhausted, or a worker process killed.  The
+enumeration cap can be overridden with the PROJDIM_NODE_CAP variable.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import platform
 import sys as _sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         print(f"projdim: out of memory: {exc}", file=_sys.stderr)
+        return 3
+    except BrokenExecutor as exc:  # the kernel's out-of-memory killer, most often
+        print(f"projdim: a worker process died: {exc}", file=_sys.stderr)
         return 3
     except (ProjdimError, ValueError, OSError) as exc:
         print(f"projdim: {exc}", file=_sys.stderr)

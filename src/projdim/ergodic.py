@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import BadVector, DegenerateSpectrum, DomainError
 from .linalg import opnorm_batch
 from .rng import letter_sampler, make_rng
-from .pressure import DimensionEstimate
+from .pressure import _WORKERS, DimensionEstimate
 from .projective import dyadic_cells, frame_for_plane, project_measure_samples
 from .semigroup import SystemSpec, require_positive_like
 
@@ -193,6 +194,38 @@ def _entropy_slope(cells: np.ndarray) -> float:
     return _plugin_entropy(counts) - _plugin_entropy(coarse)
 
 
+def _plane_estimate(sys: SystemSpec, samples: int, n: int, seed, w: int):
+    """Plane ``w``'s entropy-slope estimate and its unit normal, from its own seeds."""
+    normal = furstenberg_plane_sample(sys, 300, seed=(seed, 1, w))
+    cells = project_measure_samples(sys, frame_for_plane(normal), samples, seed=(seed, 2, w),
+                                    cells=n)
+    return _entropy_slope(cells) / (4 * LOG2), [float(x) for x in normal]
+
+
+_pool_system = None  # the system, in each worker of empirical_delta's pool
+
+
+def _keep_system(sys: SystemSpec) -> None:
+    global _pool_system
+    _pool_system = sys
+
+
+def _on_pool_system(fn, *args, **kwargs):
+    """``fn(system, ...)`` in a pool worker, whose system came through fork, unpickled."""
+    return fn(_pool_system, *args, **kwargs)
+
+
+def _fork_context(planes: int):
+    """The ``fork`` context for the plane pool, or None to run serially."""
+    if planes == 1 or _WORKERS == 1:
+        return None
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def empirical_delta(sys: SystemSpec, planes: int = 32, samples: int = 100_000,
                     n: int = 12, seed=0, lyap_steps: int = 20_000) -> DimensionEstimate:
     """Monte-Carlo dimension of typical plane projections of the measure.
@@ -201,6 +234,12 @@ def empirical_delta(sys: SystemSpec, planes: int = 32, samples: int = 100_000,
     between resolutions ``n-4`` and ``n`` estimates the local dimension; the
     plane average is reported next to the theoretical target
     ``min(1, H / (chi1 - chi2))`` computed from the same run's exponents.
+
+    The planes and the Lyapunov run are independent tasks, each drawing
+    from its own seeds, so they run on a pool of forked processes, one per
+    available CPU (at most ``planes + 1``), and the result does not depend
+    on that number.  With one plane, one CPU or no ``fork``, they run in
+    this process.
     """
     if n < 5:
         raise DomainError("resolution must be at least 5")
@@ -208,19 +247,29 @@ def empirical_delta(sys: SystemSpec, planes: int = 32, samples: int = 100_000,
         raise DomainError(f"empirical_delta needs planes >= 1 and samples >= 1, "
                           f"got {planes} and {samples}")
     require_positive_like(sys, "empirical_delta")
-    stats = lyapunov_exponents(sys, lyap_steps, seed=(seed, 0xABCD))
+    lyap_seed = (seed, 0xABCD)
+    context = _fork_context(planes)
+    if context is None:
+        stats = lyapunov_exponents(sys, lyap_steps, seed=lyap_seed)
+        per_plane = [_plane_estimate(sys, samples, n, seed, w) for w in range(planes)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(min(_WORKERS, planes + 1), mp_context=context,
+                                   initializer=_keep_system, initargs=(sys,))
+        try:
+            # the longest task first, so it does not finish last
+            lyap = pool.submit(_on_pool_system, lyapunov_exponents, lyap_steps, seed=lyap_seed)
+            runs = pool.map(partial(_on_pool_system, _plane_estimate, samples, n, seed),
+                            range(planes))
+            stats = lyap.result()
+            per_plane = list(runs)
+        finally:  # joins the workers; after an error, drops the planes not yet started
+            pool.shutdown(cancel_futures=True)
+    ests = [est for est, _ in per_plane]
+    normals = [normal for _, normal in per_plane]
     entropy = shannon_entropy(sys.probabilities)
     target = min(1.0, entropy / (stats.chi1 - stats.chi2))
-
-    ests = []
-    normals = []
-    for w in range(planes):
-        normal = furstenberg_plane_sample(sys, 300, seed=(seed, 1, w))
-        frame = frame_for_plane(normal)
-        cells = project_measure_samples(sys, frame, samples, seed=(seed, 2, w), cells=n)
-        est = _entropy_slope(cells) / (4 * LOG2)
-        ests.append(est)
-        normals.append([float(x) for x in normal])
     value = float(np.mean(ests))
     spread = float(np.std(ests, ddof=1)) if planes > 1 else 0.0
     return DimensionEstimate(

@@ -124,6 +124,10 @@ def load_system(path: str | Path) -> SystemSpec:
         return system_from_dict(json.loads(p.read_text()))
     name = p.name.removesuffix(".json")
     bundled = {"rauzy": rauzy_system, "triple9": triple9_system}
-    if p.parent == Path(".") and name in bundled:
-        return bundled[name]()
-    raise FileNotFoundError(f"no system file at {path} and no bundled system {name!r}")
+    if name not in bundled:
+        raise FileNotFoundError(f"no system file at {path} and no bundled system {name!r}")
+    if p.parent != Path("."):
+        raise FileNotFoundError(f"no system file at {path}; the bundled system {name!r} "
+                                f"is found only by a name without a directory, "
+                                f"such as {p.name!r}")
+    return bundled[name]()

@@ -125,9 +125,15 @@ def test_exit_codes(tmp_path, capsys):
         del os.environ["PROJDIM_NODE_CAP"]
 
 
-def test_a_bare_name_is_bundled_only_when_no_such_file_exists(tmp_path, monkeypatch):
-    # a path with a directory part never falls back to the bundled system
-    assert main(["check", "--system", str(tmp_path / "rauzy.json")]) == 2
+def test_a_bare_name_is_bundled_only_when_no_such_file_exists(tmp_path, monkeypatch, capsys):
+    # a path with a directory part never falls back to the bundled system, and says so
+    missing = tmp_path / "nonexist" / "rauzy.json"
+    assert main(["check", "--system", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"projdim: no system file at {missing}; the bundled system 'rauzy' is found "
+        "only by a name without a directory, such as 'rauzy.json'\n")
+    assert main(["check", "--system", str(tmp_path / "nonexist" / "other.json")]) == 2
+    assert "no bundled system 'other'" in capsys.readouterr().err
     monkeypatch.chdir(tmp_path)
     assert load_system("rauzy.json") == rauzy_system()
     # a file of that name in the working directory wins over the bundled system
@@ -181,7 +187,9 @@ def test_delta_rejects_degenerate_sizes_and_resolutions(tmp_path, extra):
 @pytest.mark.parametrize("argv", [
     ["render", "--system", "rauzy.json", "--points", "300000000", "--out", "cloud.csv"],
     ["delta", "--system", "gamma1.json", "--planes", "1", "--samples", "300000000"],
-], ids=["render", "delta"])
+    # two planes run on the worker pool, so the error is raised in a worker
+    ["delta", "--system", "gamma1.json", "--planes", "2", "--samples", "300000000"],
+], ids=["render", "delta", "delta-pooled"])
 def test_memory_exhaustion_exits_3(tmp_path, argv):
     resource = pytest.importorskip("resource")
     save_system(rauzy_gamma_system(1), tmp_path / "gamma1.json")
@@ -196,6 +204,31 @@ def test_memory_exhaustion_exits_3(tmp_path, argv):
     assert proc.returncode == 3, proc.stderr
     assert "projdim: out of memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_TEST_PID = os.getpid()
+
+
+def _die_in_a_worker(*args):
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    raise AssertionError("the planes ran in the test's own process")
+
+
+def test_a_killed_worker_exits_3(tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
+    import projdim.ergodic as ergodic_mod
+
+    monkeypatch.setattr(ergodic_mod, "_WORKERS", 2)
+    monkeypatch.setattr(ergodic_mod, "_plane_estimate", _die_in_a_worker)
+    save_system(rauzy_gamma_system(1), tmp_path / "gamma1.json")
+    code, rep = run_cli(["delta", "--system", str(tmp_path / "gamma1.json"), "--planes", "2",
+                         "--samples", "2000"], tmp_path)
+    assert code == 3 and rep is None
+    err = capsys.readouterr().err
+    assert err.startswith("projdim: a worker process died: ") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_zeta_on_gamma10_fits_in_4_gb():

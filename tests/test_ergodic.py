@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -258,6 +259,28 @@ def test_empirical_delta_singleton_point_mass():
 def test_empirical_delta_pinned_bits():
     est = empirical_delta(rauzy_gamma_system(2), planes=3, samples=20_000, n=10, seed=5)
     assert est.diagnostics["plane_estimates"] == GAMMA2_PLANE_ESTIMATES
+
+
+def test_empirical_delta_is_independent_of_worker_count(tmp_path, monkeypatch):
+    import multiprocessing
+
+    import projdim.ergodic as ergodic_mod
+    from projdim.cli import main
+    from projdim.systems import save_system
+
+    save_system(rauzy_gamma_system(10), tmp_path / "gamma10.json")
+    runs = []
+    for workers in (1, 2, 3):  # 1 runs the planes in this process
+        monkeypatch.setattr(ergodic_mod, "_WORKERS", workers)
+        est = empirical_delta(rauzy_gamma_system(2), planes=3, samples=20_000, n=10, seed=5)
+        assert multiprocessing.active_children() == []
+        out = tmp_path / f"delta-{workers}.json"
+        assert main(["delta", "--system", str(tmp_path / "gamma10.json"), "--planes", "4",
+                     "--samples", "20000", "--seed", "3", "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert est.diagnostics["plane_estimates"] == GAMMA2_PLANE_ESTIMATES
+        runs.append((json.dumps(est.as_dict(), sort_keys=True), out.read_bytes()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_empirical_delta_rejects_degenerate_sizes():

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,14 @@ def test_every_named_tuple_field_is_read():
 
 def test_every_cached_property_is_read_in_the_package():
     assert unread_cached_properties([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def test_importing_the_command_line_loads_no_process_pool():
+    # the plane pool imports these when it runs: they would add to every start-up
+    code = ("import sys, projdim, projdim.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    src = str(Path(projdim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
