@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys as _sys
 from concurrent.futures import BrokenExecutor
@@ -69,7 +70,8 @@ def validate_report(doc: dict) -> None:
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
+    # a non-finite float is not JSON: fail here rather than write one
+    text = json.dumps(report, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -145,6 +147,8 @@ def _cmd_boxdim(args, system) -> dict:
 def _cmd_check(args, system) -> dict:
     pos = positivity_report(system)
     dio = diophantine_check(system, args.depth)
+    if math.isinf(dio["min_gap"]):  # one product per level: no pair, no gap
+        dio["min_gap"] = None
     irr = irreducibility_probe(system)
     lie_dim = None
     if tuple(system.alphabet) == rauzy_alphabet():

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import DomainError, FloatRange, NotPositive
 from .rng import make_rng
 from .linalg import log_ratio_batch
-from .semigroup import (Frontier, SystemSpec, check_budget, is_nonnegative,
+from .semigroup import (Frontier, SystemSpec, check_table_budget, is_nonnegative,
                         require_positive_like)
 from .systems import gamma_letter, positivizing_conjugator
 
@@ -85,10 +85,15 @@ class DimensionEstimate:
     method: str
     diagnostics: dict = field(default_factory=dict, compare=False)
 
+    @property
+    def bracket(self) -> list:
+        """``[bracket_lo, bracket_hi]`` for a report: ``None`` for an unbounded end."""
+        return [None if math.isinf(x) else x for x in (self.bracket_lo, self.bracket_hi)]
+
     def as_dict(self) -> dict:
         return {
             "value": self.value,
-            "bracket": [self.bracket_lo, self.bracket_hi],
+            "bracket": self.bracket,
             "depth": self.depth,
             "method": self.method,
             "diagnostics": self.diagnostics,
@@ -102,12 +107,6 @@ class ZetaTruncation(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # cached per-level contraction ratios
-
-def _check_table_budget(k: int, depth: int) -> None:
-    """The node cap on a word table of ``k`` letters and depths ``1..depth``:
-    every word is counted, walked or not."""
-    check_budget(sum(k ** n for n in range(1, depth + 1)))
-
 
 def _log_ratios(prod: np.ndarray, ext2: np.ndarray, e1: np.ndarray,
                 e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +145,7 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
     """
     k = len(sys)
     # the subtrees are full, so the whole walk is checked before any is built
-    _check_table_budget(k, depth)
+    check_table_budget(k, depth)
     # the levels of a deeper table start with these: serve its prefix
     for built, levels in sys.word_levels.items():
         if built >= depth:
@@ -461,7 +460,7 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstim
         raise DomainError("N must be >= 1")
     _check_tol(tol)
     # refuse the top rung's table before its 6N letters are conjugated exactly
-    _check_table_budget(6 * N, n_max)
+    check_table_budget(6 * N, n_max)
     top = rauzy_gamma_system(N)
     final = affinity_dimension(top, tol=tol, n_max=n_max)
     ests = {N: final}
@@ -471,8 +470,7 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstim
         sys.word_levels[n_max] = _corner_levels(top, sys, n_max)
         ests[n] = affinity_dimension(sys, tol=tol, n_max=n_max)
     diagnostics = dict(final.diagnostics)
-    diagnostics["ladder"] = [{"N": n, "value": est.value,
-                              "bracket": [est.bracket_lo, est.bracket_hi]}
+    diagnostics["ladder"] = [{"N": n, "value": est.value, "bracket": est.bracket}
                              for n, est in sorted(ests.items())]
     return DimensionEstimate(final.value, final.bracket_lo, final.bracket_hi,
                              final.depth, final.method, diagnostics)

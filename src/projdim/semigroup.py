@@ -51,6 +51,12 @@ def check_budget(words: int) -> None:
         raise BudgetExceeded(f"{words} words exceed the node cap {cap}")
 
 
+def check_table_budget(k: int, depth: int) -> None:
+    """The node cap on every word of ``k`` letters and lengths ``1..depth``,
+    counted before any is built."""
+    check_budget(sum(k ** n for n in range(1, depth + 1)))
+
+
 class LetterOrbits(NamedTuple):
     """The orbits of the letters' exact symmetries (:attr:`SystemSpec.letter_orbits`).
 
@@ -446,25 +452,24 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
     lexicographic word order, ``D`` the common denominator of the acting
     letters: ``int64`` when ``R^n_max < 2**62`` (``R`` the largest absolute
     row sum of the letters ``D A``, so every entry and entry difference
-    fits), Python ints otherwise, never floats.  ``first_collision`` is
-    ``(n, i, j)``: ``j`` is the first repeated product of the first level
-    with one, ``i`` its first occurrence; later levels cannot change the
-    report, so the check stops there.  ``levels_checked`` is the requested
-    depth ``n_max`` either way, not the number of levels built before a
-    collision stopped the check.
+    fits), Python ints otherwise, never floats.  A stable sort of each
+    level, first entry primary, makes a repeat an offset-1 zero.
+    ``first_collision`` is ``(n, i, j)``: ``j`` is the first repeated
+    product of the first level with one, ``i`` its first occurrence; later
+    levels cannot change the report, so the check stops there.
+    ``levels_checked`` is ``n_max`` either way.
 
     ``min_gap`` is the smallest max-abs entry difference over same-level
-    pairs, a lower bound for the operator norm gap, exact for every rational
-    alphabet (``g / D^n``, rounded to float once), so ``gap_is_exact`` is
-    always true.  Its sweep (:func:`_min_linf_gap`) ends at the first
-    offset on every rauzy level, where gap 1 is found at once, but deep
-    rational levels need many: Γ₁₀ at depth 3 (216,000 products) takes
-    1,327 offsets, 27 s on a 2-core Xeon.
+    pairs (``inf`` with none), a lower bound for the operator norm gap,
+    exact for every rational alphabet (``g / D^n``, rounded to float once),
+    so ``gap_is_exact`` is always true.  Its sweep (:func:`_min_linf_gap`)
+    reuses the sort and ends at offset 1 on every rauzy level, where gap 1
+    is found at once, but deep rational levels need many: Γ₁₀ at depth 3
+    (216,000 products) takes 1,327 offsets, 27 s on a 2-core Xeon.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    k = len(sys)
-    check_budget(sum(k ** n for n in range(1, n_max + 1)))
+    check_table_budget(len(sys), n_max)
 
     letters = [a.entries for a in sys.effective_alphabet]
     den = math.lcm(*(x.denominator for a in letters for row in a for x in row))
@@ -475,20 +480,19 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
 
     first_collision = None
     min_gap = math.inf
-    level = np.identity(3, dtype=step.dtype)[None]
+    level = np.identity(3, dtype=step.dtype).reshape(1, 9)
     for n in range(1, n_max + 1):
-        level = np.matmul(level[:, None], step[None]).reshape(-1, 3, 3)
-        flat = level.reshape(-1, 9)
-        seen: dict[tuple, int] = {}
-        for idx, key in enumerate(map(tuple, flat.tolist())):
-            first = seen.setdefault(key, idx)
-            if first != idx:
-                first_collision = (n, first, idx)
-                break
-        if first_collision is not None:
+        level = np.matmul(level.reshape(-1, 1, 3, 3), step[None]).reshape(-1, 9)
+        order = np.lexsort(level.T[::-1])
+        rows = level[order]
+        gaps = np.abs(rows[1:] - rows[:-1]).max(axis=1)
+        repeats = np.flatnonzero(gaps == 0)
+        if len(repeats):
+            p = repeats[np.argmin(order[repeats + 1])]
+            first_collision = (n, int(order[p]), int(order[p + 1]))
             break
-        if len(flat) > 1:
-            min_gap = min(min_gap, Fraction(_min_linf_gap(flat), den ** n))
+        if len(rows) > 1:
+            min_gap = min(min_gap, Fraction(_min_linf_gap(rows, gaps), den ** n))
 
     all_distinct = first_collision is None
     return {
@@ -500,21 +504,21 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
     }
 
 
-def _min_linf_gap(rows: np.ndarray) -> int:
+def _min_linf_gap(rows: np.ndarray, gaps: np.ndarray) -> int:
     """Smallest max-abs difference between two distinct integer rows.
 
-    A sorted sweep (Shamos–Hoey, *Closest-point problems*, 1975): the rows
-    are sorted by their first column, and offset ``d`` compares every row
-    with the ``d``-th next one in one step.  The sweep stops once every
-    lead-column difference at offset ``d`` is at least the best gap (no
-    pair further apart can be closer), or once the best gap is 1 (distinct
-    integer rows are never closer).  The fewer distinct values the first
-    column takes, the more offsets the sweep needs.
+    A sorted sweep (Shamos–Hoey, *Closest-point problems*, 1975): ``rows``
+    are sorted with their first column primary, ``gaps`` are their offset-1
+    max-abs differences, and offset ``d`` compares every row with the
+    ``d``-th next one in one step.  The sweep stops once every lead-column
+    difference at offset ``d`` is at least the best gap (no pair further
+    apart can be closer), or once the best gap is 1 (distinct integer rows
+    are never closer).  The fewer distinct values the first column takes,
+    the more offsets the sweep needs.
     """
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
     lead = rows[:, 0]
-    best = math.inf
-    for d in range(1, len(rows)):
+    best = gaps.min()
+    for d in range(2, len(rows)):
         if best <= 1 or (lead[d:] - lead[:-d]).min() >= best:
             break
         best = min(best, np.abs(rows[d:] - rows[:-d]).max(axis=1).min())

@@ -12,13 +12,21 @@ import projdim
 from projdim.cli import main, validate_report
 from projdim.pressure import rauzy_gamma_system
 from projdim.projective import PointCloud, save_cloud_csv
-from projdim.systems import load_system, rauzy_system, save_system, triple9_system
+from projdim.semigroup import SystemSpec
+from projdim.systems import (gamma_letter, load_system, positivizing_conjugator, rauzy_alphabet,
+                             rauzy_system, save_system, triple9_system)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def run_cli(args, tmp_path, name="report.json"):
+    """Run ``projdim`` with ``--out`` and read the report as strict JSON."""
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
-    return code, (json.loads(out.read_text()) if out.exists() else None)
+    return code, (json.loads(out.read_text(), parse_constant=_refuse_constant)
+                  if out.exists() else None)
 
 
 def test_pressure_triple9_analytic(tmp_path):
@@ -167,6 +175,26 @@ def test_huge_exponent_exits_2(tmp_path, s):
     argv = ["pressure", "--system", str(tmp_path / "gamma1.json"), "--s", s, "--depth", "2"]
     code, rep = run_cli(argv, tmp_path)
     assert code == 2 and rep is None
+
+
+@pytest.mark.parametrize("make,command,path,unbounded", [
+    # one product per level: no pair, so no gap
+    (lambda: SystemSpec.uniform("one", (rauzy_alphabet()[0],)),
+     "check", ("diophantine", "min_gap"), None),
+    # supercritical: the pressure stays positive at s = 2, so the bracket has no top
+    (lambda: SystemSpec.uniform("fat", (gamma_letter(0, 1, 1),) * 100,
+                                conjugator=positivizing_conjugator()),
+     "dimension", ("bracket",), [2.0, None]),
+], ids=["check-one-letter", "dimension-supercritical"])
+def test_unbounded_values_are_written_as_null(tmp_path, make, command, path, unbounded):
+    save_system(make(), tmp_path / "sys.json")
+    code, rep = run_cli([command, "--system", str(tmp_path / "sys.json"), "--depth", "2"],
+                        tmp_path)
+    assert code == 0
+    value = rep["result"]
+    for key in path:
+        value = value[key]
+    assert value == unbounded
 
 
 @pytest.mark.parametrize("extra", [

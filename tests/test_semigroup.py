@@ -473,6 +473,15 @@ def _rational_shears():
     ))
 
 
+def _big_shears(order=(0, 1)):
+    # unimodular shears with a 2**40 entry: (1 + 2**40)**3 passes 2**62, so the
+    # depth-3 products are Python ints, and some entries pass 2**63
+    big = 2 ** 40
+    shears = (Matrix3.from_rows([[1, big, 0], [0, 1, 0], [0, 0, 1]]),
+              Matrix3.from_rows([[1, 0, 0], [big, 1, 0], [0, 0, 1]]))
+    return SystemSpec.uniform("shear", tuple(shears[i] for i in order))
+
+
 @pytest.mark.parametrize("make,depth", [
     (rauzy_system, 5),
     (triple9_system, 4),
@@ -482,6 +491,14 @@ def _rational_shears():
                                 mat_mul(rauzy_alphabet()[0], rauzy_alphabet()[1])),
                         (F(1, 2), F(1, 2))), 6),
     (_rational_shears, 4),
+    # equal letters in both orders: the repeat whose rows sort first is (0, 3)
+    # in one of them, yet the first repeat in word order is (1, 2) in both
+    pytest.param(lambda: SystemSpec.uniform(
+        "abba", tuple(rauzy_alphabet()[i] for i in (0, 1, 1, 0))), 2, id="abba-2"),
+    pytest.param(lambda: SystemSpec.uniform(
+        "baab", tuple(rauzy_alphabet()[i] for i in (1, 0, 0, 1))), 2, id="baab-2"),
+    # a repeated letter; at depth 3 the levels are Python ints
+    pytest.param(lambda: _big_shears((0, 1, 0)), 3, id="big_shears_aba-3"),
 ])
 def test_diophantine_matches_exact_reference(make, depth):
     sys = make()
@@ -490,13 +507,7 @@ def test_diophantine_matches_exact_reference(make, depth):
 
 
 def test_diophantine_exact_past_int64():
-    # unimodular shears with a 2**40 entry: (1 + 2**40)**3 passes 2**62, so the
-    # products are Python ints, and some entries pass 2**63
-    big = 2 ** 40
-    sys = SystemSpec.uniform("shear", (
-        Matrix3.from_rows([[1, big, 0], [0, 1, 0], [0, 0, 1]]),
-        Matrix3.from_rows([[1, 0, 0], [big, 1, 0], [0, 0, 1]]),
-    ))
+    sys = _big_shears()
     assert max(abs(x) for p in exact_products(sys, 3)
                for row in p.entries for x in row) > 2 ** 63
     rep = diophantine_check(sys, 3)
