@@ -2,8 +2,9 @@
 
 A :class:`SystemSpec` bundles an exact alphabet with a rational probability
 vector and an optional conjugator ``M`` (the system then acts through the
-letters ``M^-1 A M``).  The word-tree walks (:class:`Frontier`) and
-:func:`diophantine_check` hold one whole level at a time.
+letters ``M^-1 A M``).  The first passages (:meth:`Frontier.first_passage`)
+walk one top letter's subtree at a time; :func:`diophantine_check` and the
+other word-tree walks (:class:`Frontier`) hold one whole level at a time.
 """
 
 from __future__ import annotations
@@ -323,8 +324,10 @@ class Frontier:
     ``states[i][w] * 2**exps[i][w]``, so later norms stay in float range.
     In range every exponent is 0 and no value is touched.
 
-    Every word the walk visits counts against the node cap (``visited``);
-    :class:`BudgetExceeded` is raised before a level over the cap is built.
+    Every word the walk visits counts against the node cap (``visited``),
+    one count over the whole walk, also when :meth:`first_passage` takes
+    the tops one at a time; :class:`BudgetExceeded` is raised before a
+    level over the cap is built.
     """
 
     def __init__(self, sys: SystemSpec, tops: Optional[Sequence[int]] = None,
@@ -388,40 +391,59 @@ class Frontier:
                       max_len: int) -> WordSet:
         """The minimal words whose ``statistic(self)`` drops to ``2^-n``.
 
-        The result is in the walk's preorder, a word before its extensions:
-        lexicographic, as :meth:`grow` places each word's extensions next
-        to each other in letter order.  A branch still above the threshold
-        at length ``max_len`` raises :class:`NotContracting`.
+        The walk goes down the subtree under each current word (top) to its
+        end before it starts the next, so it holds one top's level at a
+        time; ``visited`` runs on across the tops, so the node cap counts
+        the whole walk.  The result is in the walk's preorder, a word before
+        its extensions: lexicographic, as the tops are taken in order and
+        :meth:`grow` places each word's extensions next to each other in
+        letter order.  Its width is the largest depth over all tops.  A
+        branch still above the threshold at length ``max_len`` raises
+        :class:`NotContracting`, which names the largest ratio left in that
+        top's level.
         """
         threshold = 2.0 ** (-n)
-        levels: list[tuple[np.ndarray, np.ndarray]] = []  # (stopped words, stop mask)
-        while True:
-            ratio = statistic(self)
-            stopped = ratio <= threshold
-            levels.append((self.letters[stopped], stopped))
-            if stopped.all():
-                break
-            if self.letters.shape[1] >= max_len:
-                raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
-                                     f"above 2^-{n} at depth {max_len}")
-            self.grow(~stopped)
-        # the stopped words under each word, from the leaves up
-        sizes = [levels[-1][1].astype(np.int64)]
-        for _, stopped in levels[-2::-1]:
-            size = stopped.astype(np.int64)
-            size[~stopped] = sizes[-1].reshape(-1, len(self.steps[0])).sum(axis=1)
-            sizes.append(size)
-        sizes.reverse()
-        letters = np.full((sizes[0].sum(), len(levels)), -1, dtype=np.int32)
-        lengths = np.empty(len(letters), dtype=np.int32)
-        # each word's first row: its parent's, after its elder siblings' words
-        rank = np.zeros(1, dtype=np.int64)
-        for depth, ((block, stopped), size) in enumerate(zip(levels, sizes), 1):
-            siblings = size.reshape(len(rank), -1)
-            rank = (rank[:, None] + np.cumsum(siblings, axis=1) - siblings).ravel()
-            letters[rank[stopped], :depth] = block
-            lengths[rank[stopped]] = depth
-            rank = rank[~stopped]
+        tops, states, exps = self.letters, self.states, self.exps
+        parts: list[tuple[np.ndarray, np.ndarray]] = []  # (letters, lengths) per top
+        for i in range(len(tops)):
+            self.letters = tops[i:i + 1]
+            self.states = [x[i:i + 1] for x in states]
+            self.exps = [e[i:i + 1] for e in exps]
+            levels: list[tuple[np.ndarray, np.ndarray]] = []  # (stopped words, stop mask)
+            while True:
+                ratio = statistic(self)
+                stopped = ratio <= threshold
+                levels.append((self.letters[stopped], stopped))
+                if stopped.all():
+                    break
+                if self.letters.shape[1] >= max_len:
+                    raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
+                                         f"above 2^-{n} at depth {max_len}")
+                self.grow(~stopped)
+            # the stopped words under each word, from the leaves up
+            sizes = [levels[-1][1].astype(np.int64)]
+            for _, stopped in levels[-2::-1]:
+                size = stopped.astype(np.int64)
+                size[~stopped] = sizes[-1].reshape(-1, len(self.steps[0])).sum(axis=1)
+                sizes.append(size)
+            sizes.reverse()
+            letters = np.full((sizes[0].sum(), len(levels)), -1, dtype=np.int32)
+            lengths = np.empty(len(letters), dtype=np.int32)
+            # each word's first row: its parent's, after its elder siblings' words
+            rank = np.zeros(1, dtype=np.int64)
+            for depth, ((block, stopped), size) in enumerate(zip(levels, sizes), 1):
+                siblings = size.reshape(len(rank), -1)
+                rank = (rank[:, None] + np.cumsum(siblings, axis=1) - siblings).ravel()
+                letters[rank[stopped], :depth] = block
+                lengths[rank[stopped]] = depth
+                rank = rank[~stopped]
+            parts.append((letters, lengths))
+        lengths = np.concatenate([part_lengths for _, part_lengths in parts])
+        letters = np.full((len(lengths), lengths.max()), -1, dtype=np.int32)
+        row = 0
+        for part, _ in parts:
+            letters[row:row + len(part), :part.shape[1]] = part
+            row += len(part)
         return WordSet(letters, lengths)
 
 

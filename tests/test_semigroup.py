@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -101,6 +102,18 @@ def test_psi_raises_not_contracting_on_parabolic_system():
         stopping_partition_psi(rauzy_system(), 8, max_len=12)
 
 
+def test_psi_raises_not_contracting_in_a_later_top():
+    # the first top stops at once; the unipotent top's ratio decays only like
+    # 1/length and is still 0.303 > 2^-2 at length 3
+    sys = SystemSpec.uniform("diag-unipotent", (
+        Matrix3.diagonal(9, 1, F(1, 9)), Matrix3.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])))
+    assert [w.letters for w in stopping_partition_psi(sys, 2, max_len=4)] == [
+        (0,), (1, 0), (1, 1, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
+    # the message names the largest ratio left in the failing top's level
+    with pytest.raises(NotContracting, match=r"^ratio 0\.303 still above 2\^-2 at depth 3$"):
+        stopping_partition_psi(sys, 2, max_len=3)
+
+
 # a2/a1 = 0.9 per letter while the entries grow like 1e4^n: the norms of the
 # exterior-square products overflow from length 14 on unless they are rescaled
 BIG = Matrix3.diagonal(10 ** 4, 9000, F(1, 9 * 10 ** 7))
@@ -157,6 +170,10 @@ FIRST_PASSAGES = {
     "psi-big2": (lambda: SystemSpec.uniform("big", (BIG,) * 2),
                  lambda sys: stopping_partition_psi(sys, 2)),
     "psi-diag": (lambda: diag_system(9, 1, F(1, 9)), lambda sys: stopping_partition_psi(sys, 7)),
+    # the first top's words stop by length 4, the second's only at length 5
+    "psi-two-rates": (lambda: SystemSpec.uniform("diag2", (Matrix3.diagonal(9, 1, F(1, 9)),
+                                                           Matrix3.diagonal(3, 1, F(1, 3)))),
+                      lambda sys: stopping_partition_psi(sys, 7)),
 }
 
 
@@ -172,6 +189,7 @@ def test_first_passage_wordset_matches_reference(case, monkeypatch):
     assert not ws.letters.flags.writeable and not ws.lengths.flags.writeable
     assert [w.letters for w in ws] == ref
     assert len(ws) == len(ref)
+    assert ws.letters.shape[1] == ws.lengths.max()
     assert ws[0].letters == ref[0] and ws[-1].letters == ref[-1]
     with pytest.raises(IndexError):
         ws[len(ws)]
@@ -231,6 +249,26 @@ def test_walks_count_words_against_the_node_cap(walk, monkeypatch):
         run(rauzy_gamma_system(1))  # a fresh system holds no word levels
 
 
+def test_first_passage_node_cap_counts_across_tops(monkeypatch):
+    sys = rauzy_gamma_system(10)
+    k = len(sys)
+    monkeypatch.setenv("PROJDIM_NODE_CAP", "627900")
+    walk = Frontier(sys)
+    words = walk.first_passage(lambda w: w.ratios()[0], 8, 64)
+    assert walk.visited == 627_900
+    # a top whose subtree has l stopped words visited 1 + k (l - 1) / (k - 1)
+    # words: each top's own count is far below the cap
+    per_top = 1 + k * (np.bincount(words.letters[:, 0], minlength=k) - 1) // (k - 1)
+    assert per_top.sum() == walk.visited and per_top.max() < 627_900 // 10
+    monkeypatch.setenv("PROJDIM_NODE_CAP", "627899")
+    with pytest.raises(BudgetExceeded):
+        Frontier(sys).first_passage(lambda w: w.ratios()[0], 8, 64)
+
+
+def _wordset_digest(words):
+    return hashlib.sha256(words.letters.tobytes() + words.lengths.tobytes()).hexdigest()[:16]
+
+
 def test_psi_is_prefix_free_with_full_mass():
     from projdim.pressure import rauzy_gamma_system
 
@@ -250,6 +288,16 @@ def test_psi_is_prefix_free_with_full_mass():
     counts = np.bincount(lengths)
     mass = sum((int(cnt) * F(1, len(sys)) ** length for length, cnt in enumerate(counts)), F(0))
     assert mass == 1
+    # the bytes of the whole-level walk this set was first built by
+    assert letters.shape == (617_436, 6)
+    assert _wordset_digest(words) == "9e3177699e72cac8"
+
+
+def test_xi_wordset_is_pinned():
+    words = xi_partition(FRAME, rauzy_gamma_system(10), 8)
+    # the bytes of the whole-level walk this set was first built by
+    assert words.letters.shape == (363_736, 6)
+    assert _wordset_digest(words) == "02369c820c5a8abd"
 
 
 def test_psi_partition_hits_exactly_one_prefix():
