@@ -251,6 +251,10 @@ def main(argv=None) -> int:
     try:
         system = load_system(args.system) if "system" in vars(args) else None
         result = args.func(args, system)
+        config = {k: v for k, v in vars(args).items() if k not in ("command", "func", dest)}
+        if system is not None:
+            config["label"] = system.label
+        _emit(build_report(args.command, config, result), getattr(args, dest))
     except BudgetExceeded as exc:
         print(f"projdim: budget exhausted: {exc}", file=_sys.stderr)
         return 3
@@ -263,10 +267,6 @@ def main(argv=None) -> int:
     except (ProjdimError, ValueError, OSError) as exc:
         print(f"projdim: {exc}", file=_sys.stderr)
         return 2
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", dest)}
-    if system is not None:
-        config["label"] = system.label
-    _emit(build_report(args.command, config, result), getattr(args, dest))
     return 0
 
 

@@ -6,7 +6,8 @@ by the two projective ratios, the image ellipse is covered by small balls
 and the orthogonal factors inflate radii by at most a measured cone
 constant.  The resulting weighted ball count is the cover cost; staying
 bounded as the stopping scale shrinks indicates finite measure at that
-exponent (heuristically: the constant is measured, not proven).
+exponent (heuristically: the constant is measured, not proven).  Words stop
+in :meth:`~projdim.semigroup.Frontier.first_passage`, one top at a time.
 """
 
 from __future__ import annotations
@@ -133,7 +134,9 @@ def svd_cover_upper(sys: SystemSpec, s: float, delta: float) -> CoverReport:
     Stops words when ``a3/a1`` (or ``a2/a1`` below exponent one) first
     drops under ``delta``; each stopped ellipse contributes
     ``ceil(a2/a3) + 1`` balls of radius ``C^2 (a3/a1) r`` (a single ball of
-    radius ``C^2 (a2/a1) r`` below exponent one).
+    radius ``C^2 (a2/a1) r`` below exponent one).  The node cap, not a depth
+    limit, bounds the walk.  Each length's costs take one ``np.sum`` in word
+    order, added in increasing length: the bits of a whole-level walk.
     """
     if not (0.0 < s < 2.0):
         raise DomainError("cover exponent must lie in (0, 2)")
@@ -146,29 +149,26 @@ def svd_cover_upper(sys: SystemSpec, s: float, delta: float) -> CoverReport:
     center = cloud.points.mean(axis=0)
     r_ball = float(np.linalg.norm(cloud.points - center, axis=1).max()) * 1.05 + 1e-9
 
-    walk = Frontier(sys)
-    cost = 0.0
-    words = 0
-    while True:
+    terms: dict[int, list[np.ndarray]] = {}  # the stopped words' costs, by length
+
+    def statistic(walk: Frontier) -> np.ndarray:
         r21, r31 = walk.ratios()
         ratio = r31 if s >= 1.0 else r21
-        stopped = ratio <= delta
-        if np.any(stopped):
-            words += int(stopped.sum())
-            if s >= 1.0:
-                count = np.ceil(r21[stopped] / r31[stopped]) + 1.0
-                radius = c_cone ** 2 * r31[stopped] * r_ball
-            else:
-                count = 1.0
-                radius = c_cone ** 2 * r21[stopped] * r_ball
-            cost += float(np.sum(count * radius ** s))
-        if stopped.all():
-            break
-        walk.grow(~stopped)
+        stop = ratio <= delta
+        count = np.ceil(r21[stop] / r31[stop]) + 1.0 if s >= 1.0 else 1.0
+        radius = c_cone ** 2 * ratio[stop] * r_ball
+        terms.setdefault(walk.letters.shape[1], []).append(count * radius ** s)
+        return ratio
+
+    walk = Frontier(sys)
+    words = walk.first_passage(statistic, delta, math.inf)
+    cost = 0.0
+    for length in sorted(terms):  # not sum(): from Python 3.12 it rounds differently
+        cost += float(np.sum(np.concatenate(terms[length])))
     return CoverReport(
         s=s,
         delta=delta,
-        word_count=words,
+        word_count=len(words),
         cover_cost=cost,
         cone_constant=c_cone,
         diagnostics={"enclosing_radius": r_ball, "nodes": walk.visited,

@@ -404,7 +404,7 @@ def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64) 
             raise DegenerateGap("transported rows became parallel during the walk")
         return nv / np.sqrt((1.0 + c * c) * n2)
 
-    return walk.first_passage(statistic, n, max_len)
+    return walk.first_passage(statistic, 2.0 ** -n, max_len)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A :class:`SystemSpec` bundles an exact alphabet with a rational probability
 vector and an optional conjugator ``M`` (the system then acts through the
-letters ``M^-1 A M``).  The first passages (:meth:`Frontier.first_passage`)
-walk one top letter's subtree at a time; :func:`diophantine_check` and the
+letters ``M^-1 A M``).  ψ, ξ and the cover stop words in one first passage
+(:meth:`Frontier.first_passage`), one top letter's subtree at a time; the
 other word-tree walks (:class:`Frontier`) hold one whole level at a time.
 """
 
@@ -387,9 +387,9 @@ class Frontier:
         return (np.ldexp(n2 / n1 ** 2, e2 - 2 * e1),
                 np.ldexp(1.0 / (n1 * n2), -(e1 + e2)))
 
-    def first_passage(self, statistic: Callable[["Frontier"], np.ndarray], n: int,
-                      max_len: int) -> WordSet:
-        """The minimal words whose ``statistic(self)`` drops to ``2^-n``.
+    def first_passage(self, statistic: Callable[["Frontier"], np.ndarray], threshold: float,
+                      max_len: float) -> WordSet:
+        """The minimal words whose ``statistic(self)`` drops to ``threshold``.
 
         The walk goes down the subtree under each current word (top) to its
         end before it starts the next, so it holds one top's level at a
@@ -400,9 +400,8 @@ class Frontier:
         letter order.  Its width is the largest depth over all tops.  A
         branch still above the threshold at length ``max_len`` raises
         :class:`NotContracting`, which names the largest ratio left in that
-        top's level.
+        top's level; ``max_len = math.inf`` walks on until every branch stops.
         """
-        threshold = 2.0 ** (-n)
         tops, states, exps = self.letters, self.states, self.exps
         parts: list[tuple[np.ndarray, np.ndarray]] = []  # (letters, lengths) per top
         for i in range(len(tops)):
@@ -418,7 +417,7 @@ class Frontier:
                     break
                 if self.letters.shape[1] >= max_len:
                     raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
-                                         f"above 2^-{n} at depth {max_len}")
+                                         f"above {threshold:.3g} at depth {max_len}")
                 self.grow(~stopped)
             # the stopped words under each word, from the leaves up
             sizes = [levels[-1][1].astype(np.int64)]
@@ -460,8 +459,7 @@ def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64) -> WordSe
     """
     if n < 0:
         raise ValueError("resolution must be >= 0")
-    return Frontier(sys).first_passage(
-        lambda walk: walk.ratios()[0], n, max_len)
+    return Frontier(sys).first_passage(lambda walk: walk.ratios()[0], 2.0 ** -n, max_len)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,14 @@ def test_exit_codes(tmp_path, capsys):
     empty.write_text("")
     assert main(["boxdim", "--cloud", str(empty), "--res", "4:8"]) == 2
     assert "no header" in capsys.readouterr().err
+    # an unwritable report path is an input error, like an unwritable point cloud CSV
+    unwritable = str(tmp_path / "nonexistent" / "r.json")
+    assert main(["check", "--system", "rauzy.json", "--depth", "2", "--out", unwritable]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    cloud = str(tmp_path / "cloud.csv")
+    assert main(["render", "--system", "rauzy.json", "--points", "100", "--out", cloud,
+                 "--report", unwritable]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
     # the level build sizes its own thread pool; there is no flag for it
     with pytest.raises(SystemExit) as exc:
         main(["rauzy", "--N", "1", "--threads", "2"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -167,6 +168,39 @@ def test_cover_cost_bounded_by_zeta_shape():
     bound = rep.cone_constant ** (2 * 1.9) * rep.diagnostics["enclosing_radius"] ** 1.9
     # the stopped family is a subset of all words; +1 ball slack per word
     assert rep.cover_cost <= bound * z.value * 2.0
+
+
+@pytest.mark.parametrize("n, s, delta, words, nodes, cost", [
+    (10, 1.75, 1e-3, 122_544, 124_620, "0x1.6e7f4638aa31bp+14"),
+    (5, 0.8, 1e-2, 33_438, 34_590, "0x1.3fcaea8e6defep+15"),
+], ids=["gamma10-s1.75", "gamma5-s0.8"])
+def test_cover_outputs_pinned(n, s, delta, words, nodes, cost):
+    # one np.sum over all stopped words, or one per top, moves the cost's last bits
+    rep = svd_cover_upper(rauzy_gamma_system(n), s, delta)
+    assert rep.word_count == words
+    assert rep.diagnostics["nodes"] == nodes
+    assert rep.cover_cost.hex() == cost
+
+
+def test_cover_has_no_depth_limit():
+    # a2/a1 = (50/51)^n first drops under 0.1 at length n = 117
+    sys = SystemSpec.uniform("slow", (Matrix3.diagonal(F(51, 50), 1, F(50, 51)),))
+    rep = svd_cover_upper(sys, 0.8, 0.1)
+    assert rep.word_count == 1
+    assert rep.diagnostics["nodes"] == 117
+
+
+def test_cover_holds_one_top_level():
+    sys = rauzy_gamma_system(10)
+    sys.letters_float, sys.letters_ext2_float  # cached before the traced run
+    tracemalloc.start()
+    try:
+        svd_cover_upper(sys, 1.75, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a walk that holds whole levels peaks at 26.9 MB here, one top's level at 6.7 MB
+    assert peak < 12e6
 
 
 def test_cover_domain_checks():

@@ -110,7 +110,7 @@ def test_psi_raises_not_contracting_in_a_later_top():
     assert [w.letters for w in stopping_partition_psi(sys, 2, max_len=4)] == [
         (0,), (1, 0), (1, 1, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
     # the message names the largest ratio left in the failing top's level
-    with pytest.raises(NotContracting, match=r"^ratio 0\.303 still above 2\^-2 at depth 3$"):
+    with pytest.raises(NotContracting, match=r"^ratio 0\.303 still above 0\.25 at depth 3$"):
         stopping_partition_psi(sys, 2, max_len=3)
 
 
@@ -152,11 +152,11 @@ def test_psi_stays_in_float_range_with_negative_entries(copies, n, lengths):
 FRAME = plane_frame_orthonormal(np.ones(3) / math.sqrt(3.0))
 
 
-def _reference_first_passage(walk, statistic, n, max_len):
+def _reference_first_passage(walk, statistic, threshold, max_len):
     """The list-of-tuples first passage: per-level rows, sorted as tuples."""
     out = []
     while True:
-        stopped = statistic(walk) <= 2.0 ** (-n)
+        stopped = statistic(walk) <= threshold
         out.extend(tuple(row) for row in walk.letters[stopped].tolist())
         if stopped.all():
             return sorted(out)
@@ -254,7 +254,7 @@ def test_first_passage_node_cap_counts_across_tops(monkeypatch):
     k = len(sys)
     monkeypatch.setenv("PROJDIM_NODE_CAP", "627900")
     walk = Frontier(sys)
-    words = walk.first_passage(lambda w: w.ratios()[0], 8, 64)
+    words = walk.first_passage(lambda w: w.ratios()[0], 2.0 ** -8, 64)
     assert walk.visited == 627_900
     # a top whose subtree has l stopped words visited 1 + k (l - 1) / (k - 1)
     # words: each top's own count is far below the cap
@@ -262,7 +262,7 @@ def test_first_passage_node_cap_counts_across_tops(monkeypatch):
     assert per_top.sum() == walk.visited and per_top.max() < 627_900 // 10
     monkeypatch.setenv("PROJDIM_NODE_CAP", "627899")
     with pytest.raises(BudgetExceeded):
-        Frontier(sys).first_passage(lambda w: w.ratios()[0], 8, 64)
+        Frontier(sys).first_passage(lambda w: w.ratios()[0], 2.0 ** -8, 64)
 
 
 def _wordset_digest(words):
