@@ -7,7 +7,8 @@ and the orthogonal factors inflate radii by at most a measured cone
 constant.  The resulting weighted ball count is the cover cost; staying
 bounded as the stopping scale shrinks indicates finite measure at that
 exponent (heuristically: the constant is measured, not proven).  Words stop
-in :meth:`~projdim.semigroup.Frontier.first_passage`, one top at a time.
+in :meth:`~projdim.semigroup.Frontier.stopping_walk`, one top at a time,
+and only their count and costs are kept.
 """
 
 from __future__ import annotations
@@ -161,14 +162,15 @@ def svd_cover_upper(sys: SystemSpec, s: float, delta: float) -> CoverReport:
         return ratio
 
     walk = Frontier(sys)
-    words = walk.first_passage(statistic, delta, math.inf)
+    word_count = sum(len(block) for levels in walk.stopping_walk(statistic, delta, math.inf)
+                     for block, _ in levels)
     cost = 0.0
     for length in sorted(terms):  # not sum(): from Python 3.12 it rounds differently
         cost += float(np.sum(np.concatenate(terms[length])))
     return CoverReport(
         s=s,
         delta=delta,
-        word_count=len(words),
+        word_count=word_count,
         cover_cost=cost,
         cone_constant=c_cone,
         diagnostics={"enclosing_radius": r_ball, "nodes": walk.visited,

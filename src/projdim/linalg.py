@@ -188,9 +188,9 @@ def _scaled_norm(a: Matrix3) -> tuple[float, int]:
     float range.
 
     The kernel's closed-form root loses digits as the two largest singular
-    values meet (about 1e-15 relative over their relative gap, half the
-    digits at a repeated root), so below a 1e-2 gap the norm is LAPACK's
-    largest eigenvalue of the Gram matrix instead.
+    values meet (about 1e-15 relative over their relative gap, until its
+    guard takes over below a 1e-4 gap), so below a 1e-2 gap the norm is
+    LAPACK's largest eigenvalue of the Gram matrix instead.
     """
     e = _range_exponent(max(abs(x) for row in a.entries for x in row))
     view = a.float_view if e == 0 else a.scale(_pow2(-e)).float_view
@@ -309,12 +309,20 @@ def ext2_batch(a: np.ndarray) -> np.ndarray:
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
+_TOP_GAP = 1e-4  # relative top gap below which LAPACK recomputes the root
+_SQRT3 = math.sqrt(3.0)
+_GRAM_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
 def sym3_max_eig_batch(s00, s01, s02, s11, s12, s22) -> np.ndarray:
     """Largest eigenvalue of symmetric 3x3 matrices given as the stacks of
     their six upper entries: the closed-form trigonometric root of the
     characteristic cubic, with det B written out as a cofactor expansion.
-    A simple largest root (a positive matrix's) is accurate to near machine
-    precision; a repeated one only to about sqrt(eps).
+
+    The root's error grows like eps over the relative gap between the two
+    largest eigenvalues, so the matrices whose gap is below 1e-4 of the
+    largest are recomputed with LAPACK's ``eigvalsh``: simple or repeated,
+    every root is accurate to near machine precision.
     """
     q = (s00 + s11 + s22) / 3.0
     d0, d1, d2 = s00 - q, s11 - q, s22 - q
@@ -324,22 +332,34 @@ def sym3_max_eig_batch(s00, s01, s02, s11, s12, s22) -> np.ndarray:
     b00, b11, b22, b01, b02, b12 = (x / safe for x in (d0, d1, d2, s01, s02, s12))
     detb = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
             + b02 * (b01 * b12 - b11 * b02))
-    phi = np.arccos(np.clip(detb / 2.0, -1.0, 1.0)) / 3.0
-    return q + 2.0 * p * np.cos(phi)  # q itself where p == 0
+    c = np.cos(np.arccos(np.clip(detb / 2.0, -1.0, 1.0)) / 3.0)
+    lam = q + 2.0 * p * c  # q itself where p == 0
+    # the gap to the second root, q + 2p cos(phi - 2pi/3), is p (3c - sqrt(3 (1 - c^2)))
+    near = p * (3.0 * c - _SQRT3 * np.sqrt(1.0 - c * c)) < _TOP_GAP * lam
+    if near.any():
+        rows = np.stack(np.broadcast_arrays(s00, s01, s02, s01, s11, s12, s02, s12, s22), axis=-1)
+        lam = np.asarray(lam)
+        lam[near] = np.linalg.eigvalsh(rows[near].reshape(-1, 3, 3))[:, -1]
+    return lam
+
+
+def gram_entries(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The six upper entries ``(s00, s01, s02, s11, s12, s22)`` of the Gram
+    matrices ``a^T a`` of a ``(..., 3, 3)`` float stack, written out as
+    ``a0i*a0k + a1i*a1k + a2i*a2k``; an entry past about 1e154 gives inf,
+    without a warning."""
+    c = [[a[..., j, i] for i in range(3)] for j in range(3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(c[0][i] * c[0][k] + c[1][i] * c[1][k] + c[2][i] * c[2][k]
+                     for i, k in _GRAM_INDEX)
 
 
 def opnorm_batch(a: np.ndarray) -> np.ndarray:
-    """Spectral norms of a ``(..., 3, 3)`` float stack, from the six Gram
-    entries written out.  Raises :class:`FloatRange` when a norm is not
+    """Spectral norms of a ``(..., 3, 3)`` float stack, from its Gram entries
+    (:func:`gram_entries`).  Raises :class:`FloatRange` when a norm is not
     finite (an entry past about 1e77 overflows the Gram step)."""
-    c = [[a[..., j, i] for i in range(3)] for j in range(3)]
-
-    def gram(i: int, k: int) -> np.ndarray:
-        return c[0][i] * c[0][k] + c[1][i] * c[1][k] + c[2][i] * c[2][k]
-
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.maximum(sym3_max_eig_batch(
-            gram(0, 0), gram(0, 1), gram(0, 2), gram(1, 1), gram(1, 2), gram(2, 2)), 0.0))
+        norms = np.sqrt(np.maximum(sym3_max_eig_batch(*gram_entries(a)), 0.0))
     if not np.isfinite(norms).all():
         raise FloatRange("a spectral norm is outside the float range")
     return norms

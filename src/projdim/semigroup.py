@@ -2,8 +2,8 @@
 
 A :class:`SystemSpec` bundles an exact alphabet with a rational probability
 vector and an optional conjugator ``M`` (the system then acts through the
-letters ``M^-1 A M``).  ψ, ξ and the cover stop words in one first passage
-(:meth:`Frontier.first_passage`), one top letter's subtree at a time; the
+letters ``M^-1 A M``).  ψ, ξ and the cover stop words in one walk
+(:meth:`Frontier.stopping_walk`), one top letter's subtree at a time; the
 other word-tree walks (:class:`Frontier`) hold one whole level at a time.
 """
 
@@ -31,6 +31,7 @@ from .errors import (
 from .linalg import (
     Matrix3,
     ext2_batch,
+    gram_entries,
     mat_mul,
     opnorm_batch,
     stack_matrices,
@@ -325,7 +326,7 @@ class Frontier:
     In range every exponent is 0 and no value is touched.
 
     Every word the walk visits counts against the node cap (``visited``),
-    one count over the whole walk, also when :meth:`first_passage` takes
+    one count over the whole walk, also when :meth:`stopping_walk` takes
     the tops one at a time; :class:`BudgetExceeded` is raised before a
     level over the cap is built.
     """
@@ -387,23 +388,21 @@ class Frontier:
         return (np.ldexp(n2 / n1 ** 2, e2 - 2 * e1),
                 np.ldexp(1.0 / (n1 * n2), -(e1 + e2)))
 
-    def first_passage(self, statistic: Callable[["Frontier"], np.ndarray], threshold: float,
-                      max_len: float) -> WordSet:
-        """The minimal words whose ``statistic(self)`` drops to ``threshold``.
+    def stopping_walk(self, statistic: Callable[["Frontier"], np.ndarray], threshold: float,
+                      max_len: float) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+        """Stop each word where ``statistic(self)`` first drops to ``threshold``.
 
         The walk goes down the subtree under each current word (top) to its
         end before it starts the next, so it holds one top's level at a
-        time; ``visited`` runs on across the tops, so the node cap counts
-        the whole walk.  The result is in the walk's preorder, a word before
-        its extensions: lexicographic, as the tops are taken in order and
-        :meth:`grow` places each word's extensions next to each other in
-        letter order.  Its width is the largest depth over all tops.  A
-        branch still above the threshold at length ``max_len`` raises
-        :class:`NotContracting`, which names the largest ratio left in that
-        top's level; ``max_len = math.inf`` walks on until every branch stops.
+        time, and yields each top's levels when that top is done: per
+        length, the words stopped there and the stop mask over the level.
+        ``visited`` runs on across the tops, so the node cap counts the
+        whole walk.  A branch still above the threshold at length
+        ``max_len`` raises :class:`NotContracting`, which names the largest
+        ratio left in that top's level; ``max_len = math.inf`` walks on
+        until every branch stops.
         """
         tops, states, exps = self.letters, self.states, self.exps
-        parts: list[tuple[np.ndarray, np.ndarray]] = []  # (letters, lengths) per top
         for i in range(len(tops)):
             self.letters = tops[i:i + 1]
             self.states = [x[i:i + 1] for x in states]
@@ -419,24 +418,19 @@ class Frontier:
                     raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
                                          f"above {threshold:.3g} at depth {max_len}")
                 self.grow(~stopped)
-            # the stopped words under each word, from the leaves up
-            sizes = [levels[-1][1].astype(np.int64)]
-            for _, stopped in levels[-2::-1]:
-                size = stopped.astype(np.int64)
-                size[~stopped] = sizes[-1].reshape(-1, len(self.steps[0])).sum(axis=1)
-                sizes.append(size)
-            sizes.reverse()
-            letters = np.full((sizes[0].sum(), len(levels)), -1, dtype=np.int32)
-            lengths = np.empty(len(letters), dtype=np.int32)
-            # each word's first row: its parent's, after its elder siblings' words
-            rank = np.zeros(1, dtype=np.int64)
-            for depth, ((block, stopped), size) in enumerate(zip(levels, sizes), 1):
-                siblings = size.reshape(len(rank), -1)
-                rank = (rank[:, None] + np.cumsum(siblings, axis=1) - siblings).ravel()
-                letters[rank[stopped], :depth] = block
-                lengths[rank[stopped]] = depth
-                rank = rank[~stopped]
-            parts.append((letters, lengths))
+            yield levels
+
+    def first_passage(self, statistic: Callable[["Frontier"], np.ndarray], threshold: float,
+                      max_len: float) -> WordSet:
+        """The minimal words whose ``statistic(self)`` drops to ``threshold``
+        (:meth:`stopping_walk`), in the walk's preorder, a word before its
+        extensions: lexicographic, as the tops are taken in order and
+        :meth:`grow` places each word's extensions next to each other in
+        letter order.  Its width is the largest depth over all tops.
+        """
+        k = len(self.steps[0])
+        parts = [_preorder(levels, k)
+                 for levels in self.stopping_walk(statistic, threshold, max_len)]
         lengths = np.concatenate([part_lengths for _, part_lengths in parts])
         letters = np.full((len(lengths), lengths.max()), -1, dtype=np.int32)
         row = 0
@@ -444,6 +438,40 @@ class Frontier:
             letters[row:row + len(part), :part.shape[1]] = part
             row += len(part)
         return WordSet(letters, lengths)
+
+
+def _preorder(levels: list[tuple[np.ndarray, np.ndarray]],
+              k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(letters, lengths)`` of one top's stopped words (its levels from
+    :meth:`Frontier.stopping_walk`, ``k`` letters) in preorder."""
+    # the stopped words under each word, from the leaves up
+    sizes = [levels[-1][1].astype(np.int64)]
+    for _, stopped in levels[-2::-1]:
+        size = stopped.astype(np.int64)
+        size[~stopped] = sizes[-1].reshape(-1, k).sum(axis=1)
+        sizes.append(size)
+    sizes.reverse()
+    letters = np.full((sizes[0].sum(), len(levels)), -1, dtype=np.int32)
+    lengths = np.empty(len(letters), dtype=np.int32)
+    # each word's first row: its parent's, after its elder siblings' words
+    rank = np.zeros(1, dtype=np.int64)
+    for depth, ((block, stopped), size) in enumerate(zip(levels, sizes), 1):
+        siblings = size.reshape(len(rank), -1)
+        rank = (rank[:, None] + np.cumsum(siblings, axis=1) - siblings).ravel()
+        letters[rank[stopped], :depth] = block
+        lengths[rank[stopped]] = depth
+        rank = rank[~stopped]
+    return letters, lengths
+
+
+_MARGIN = 1e-6  # relative; far above the error of the largest-eigenvalue root
+
+
+def _gram_traces(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(tr G, tr G^2)`` of the Gram matrices ``G`` of a ``(m, 3, 3)`` stack."""
+    s00, s01, s02, s11, s12, s22 = gram_entries(states)
+    return (s00 + s11 + s22,
+            s00 * s00 + s11 * s11 + s22 * s22 + 2.0 * (s01 * s01 + s02 * s02 + s12 * s12))
 
 
 def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64) -> WordSet:
@@ -456,10 +484,37 @@ def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64) -> WordSe
     Branches that fail to cross the threshold by ``max_len`` raise
     :class:`NotContracting` (the runtime form of the uniform-contraction
     hypothesis).
+
+    ``a2/a1 = sqrt(l2) / l1``, with ``l1`` and ``l2`` the largest
+    eigenvalues of the Gram matrices of a word's product and of its
+    exterior square, and ``tr(G^2)/tr G <= l <= sqrt(tr G^2)`` bounds each
+    from its Gram entries.  A word whose bounds clear the threshold by a
+    relative 1e-6 is decided from them.  The others take the root, as
+    :meth:`Frontier.ratios` does, and so do the words still above the
+    threshold at ``max_len``, which :class:`NotContracting` names.  The
+    margin is far above the root's error, so every decision is the root's.
     """
     if n < 0:
         raise ValueError("resolution must be >= 0")
-    return Frontier(sys).first_passage(lambda walk: walk.ratios()[0], 2.0 ** -n, max_len)
+    threshold = 2.0 ** -n
+    stop_at, go_on = threshold * (1.0 - _MARGIN), threshold * (1.0 + _MARGIN)
+
+    def statistic(walk: Frontier) -> np.ndarray:
+        e = walk.exps[1] - 2 * walk.exps[0]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            (t1, f1), (t2, f2) = (_gram_traces(x) for x in walk.states)
+            hi = np.ldexp(np.sqrt(np.sqrt(f2)) * t1 / f1, e)
+            lo = np.ldexp(np.sqrt(f2 / (t2 * f1)), e)
+        stop = hi <= stop_at
+        ratio = np.where(stop, hi, lo)
+        # a NaN bound fails both tests, so its word reaches the root's range check
+        root = ~stop if walk.letters.shape[1] >= max_len else ~stop & ~(lo > go_on)
+        if root.any():
+            n1, n2 = (opnorm_batch(x[root]) for x in walk.states)
+            ratio[root] = np.ldexp(n2 / n1 ** 2, e[root])
+        return ratio
+
+    return Frontier(sys).first_passage(statistic, threshold, max_len)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,30 @@ def test_opnorm_batch_edge_cases_match_lapack():
     assert lam.tolist() == [2.25]
 
 
+def test_opnorm_batch_guards_a_near_repeated_top_eigenvalue(monkeypatch):
+    # below a 1e-4 relative top gap the closed-form root gives way to LAPACK,
+    # so a repeated or nearly repeated largest singular value keeps every digit
+    rng = np.random.default_rng(10)
+    frames = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(41)]
+    near = np.stack([p @ np.diag([1.0, 3.0, 3.0]) @ q for p, q in zip(frames, frames[1:])]
+                    + [np.diag([3.0 * (1.0 + 10.0 ** -j), 3.0, 1.0]) for j in range(6, 14)])
+    real, guarded = np.linalg.eigvalsh, []
+
+    def eigvalsh(g):
+        guarded.append(len(g))
+        return real(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    np.testing.assert_allclose(opnorm_batch(near), np.linalg.norm(near, 2, axis=(1, 2)),
+                               rtol=1e-14, atol=0)
+    assert guarded == [len(near)]
+    # no Γ_N product comes near the guard: the smallest relative gap seen is 7.2e-3
+    lf = rauzy_gamma_system(20).letters_float
+    prods = np.matmul(lf[:, None], lf[None]).reshape(-1, 3, 3)
+    opnorm_batch(prods), opnorm_batch(ext2_batch(prods))
+    assert guarded == [len(near)]
+
+
 @pytest.mark.parametrize("diag", [(3.0, 3.0, 1.0), (5.0, 5.0, 0.2)]
                          + [(3.0 * (1.0 + 10.0 ** -j), 3.0, 1.0) for j in range(14)])
 def test_exact_path_norms_at_near_repeated_top_singular_value(diag):

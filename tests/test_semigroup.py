@@ -269,6 +269,58 @@ def _wordset_digest(words):
     return hashlib.sha256(words.letters.tobytes() + words.lengths.tobytes()).hexdigest()[:16]
 
 
+def _root_first_passage(sys, n, max_len=64):
+    """ψ from the closed-form root of every visited word."""
+    return Frontier(sys).first_passage(lambda w: w.ratios()[0], 2.0 ** -n, max_len)
+
+
+ROOT_DECIDED = {
+    "gamma10": (lambda: rauzy_gamma_system(10), 8),
+    # a2/a1 of the square is 2^-4 itself
+    "diag-at-threshold": (lambda: diag_system(4, 1, F(1, 4)), 4),
+    "two-rates": (FIRST_PASSAGES["psi-two-rates"][0], 7),
+}
+# nonzero exps: the bounds must be rescaled as the ratios are
+for _name, _m in (("big", BIG), ("neg-big", NEG_BIG)):
+    for _copies, _n in ((1, 2), (1, 3), (2, 2)):
+        ROOT_DECIDED[f"{_name}-{_copies}-{_n}"] = (
+            functools.partial(SystemSpec.uniform, _name, (_m,) * _copies), _n)
+
+
+@pytest.mark.parametrize("case", ROOT_DECIDED)
+def test_psi_bounds_decide_as_the_root(case):
+    make, n = ROOT_DECIDED[case]
+    sys = make()
+    words, ref = stopping_partition_psi(sys, n), _root_first_passage(sys, n)
+    assert words.letters.shape == ref.letters.shape
+    assert _wordset_digest(words) == _wordset_digest(ref)
+
+
+def test_psi_bounds_leave_a_tie_to_the_root(monkeypatch):
+    # diag(4, 1, 1/4)^20 has a2/a1 = 2^-40, and both Gram bounds are exactly
+    # 2^-40 too: a root nudged up by a few ulps must still decide it
+    real = linalg.sym3_max_eig_batch
+    monkeypatch.setattr(linalg, "sym3_max_eig_batch",
+                        lambda *s: real(*s) * (1.0 - 8.0 * np.finfo(float).eps))
+    sys = diag_system(4, 1, F(1, 4))
+    ref = [w.letters for w in _root_first_passage(sys, 40)]
+    assert ref == [(0,) * 21]
+    assert [w.letters for w in stopping_partition_psi(sys, 40)] == ref
+
+
+def test_psi_roots_only_the_words_near_the_threshold(monkeypatch):
+    real, rooted = linalg.sym3_max_eig_batch, []
+
+    def sym3_max_eig_batch(*s):
+        rooted.append(np.size(s[0]))
+        return real(*s)
+
+    monkeypatch.setattr(linalg, "sym3_max_eig_batch", sym3_max_eig_batch)
+    stopping_partition_psi(rauzy_gamma_system(10), 8)
+    # 66 of the 627,900 visited words, two matrices each; every word was rooted before
+    assert 0 < sum(rooted) < 1_000
+
+
 def test_psi_is_prefix_free_with_full_mass():
     from projdim.pressure import rauzy_gamma_system
 
