@@ -317,7 +317,7 @@ def test_psi_roots_only_the_words_near_the_threshold(monkeypatch):
 
     monkeypatch.setattr(linalg, "sym3_max_eig_batch", sym3_max_eig_batch)
     stopping_partition_psi(rauzy_gamma_system(10), 8)
-    # 66 of the 627,900 visited words, two matrices each; every word was rooted before
+    # 66 of the 627,900 visited words, two matrices each
     assert 0 < sum(rooted) < 1_000
 
 
