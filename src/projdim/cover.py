@@ -33,8 +33,6 @@ _CYCLIC = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
 @dataclass(frozen=True)
 class CoverReport:
-    s: float
-    delta: float
     word_count: int
     cover_cost: float
     cone_constant: float
@@ -168,8 +166,6 @@ def svd_cover_upper(sys: SystemSpec, s: float, delta: float) -> CoverReport:
     for length in sorted(terms):  # not sum(): from Python 3.12 it rounds differently
         cost += float(np.sum(np.concatenate(terms[length])))
     return CoverReport(
-        s=s,
-        delta=delta,
         word_count=word_count,
         cover_cost=cost,
         cone_constant=c_cone,

@@ -31,15 +31,12 @@ _DRAW_ROWS = 1024  # steps whose letters are drawn at once
 
 
 def shannon_entropy(p: Sequence) -> float:
-    """``-sum p_i log p_i`` in nats; rejects non-probability vectors."""
-    vals = [Fraction(x) if not isinstance(x, float) else x for x in p]
+    """``-sum p_i log p_i`` in nats of exact rationals (floats are read
+    exactly); rejects non-probability vectors."""
+    vals = [Fraction(x) for x in p]
     if not vals:
         raise BadVector("empty probability vector")
-    total = sum(vals)
-    if isinstance(total, Fraction):
-        if total != 1:
-            raise BadVector("probabilities must sum to 1")
-    elif abs(total - 1.0) > 1e-12:
+    if sum(vals) != 1:
         raise BadVector("probabilities must sum to 1")
     if any(x <= 0 for x in vals):
         raise BadVector("probabilities must be strictly positive")
@@ -55,7 +52,6 @@ class LyapunovStats:
     stderr2: float
     stderr3: float
     steps: int
-    seed: object = 0
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -103,7 +99,7 @@ def lyapunov_exponents(sys: SystemSpec, steps: int, seed=0) -> LyapunovStats:
     return LyapunovStats(
         float(chi[0]), float(chi[1]), float(chi[2]),
         float(se[0]), float(se[1]), float(se[2]),
-        steps=steps, seed=seed,
+        steps=steps,
         diagnostics={"chains": _CHAINS, "renorm_cadence": cadence},
     )
 

@@ -378,4 +378,4 @@ def log_ratio_batch(prod: np.ndarray, prod_ext: np.ndarray) -> tuple[np.ndarray,
 
 def stack_matrices(mats: Sequence[Matrix3]) -> np.ndarray:
     """Float stack ``(k, 3, 3)`` of the given exact matrices."""
-    return np.stack([m.float_view for m in mats]) if mats else np.empty((0, 3, 3))
+    return np.stack([m.float_view for m in mats])

@@ -67,8 +67,6 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 class PressureEstimate:
     """A finite-depth pressure value with heuristic sub/supermultiplicative brackets."""
 
-    s: float
-    depth: int
     raw: float
     upper: float
     lower: float
@@ -289,8 +287,6 @@ def pressure_estimate(sys: SystemSpec, s: float, n_max: int) -> PressureEstimate
     upper = min((r + math.log(c_up)) / n for n, r in enumerate(raws, start=1))
     lower = max((r + math.log(c_lo)) / n for n, r in enumerate(raws, start=1))
     return PressureEstimate(
-        s=s,
-        depth=n_max,
         raw=raws[-1] / n_max,
         upper=upper,
         lower=lower,

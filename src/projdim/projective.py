@@ -2,9 +2,9 @@
 
 The projective action is realized on the affine chart ``(x, y) -> (x, y, 1)``:
 a matrix acts through the linear fractional transformation whose denominator
-is its last row.  Plane frames are 2x3 matrices whose unit second row has
-nonnegative coordinates; orthonormal frames represent planes together with a
-choice of coordinate on them, and ``rescale_decompose`` expresses the
+is its last row.  Plane frames are 2x3 matrices with orthonormal rows whose
+second row has nonnegative coordinates; they represent planes together with
+a choice of coordinate on them, and ``rescale_decompose`` expresses the
 composite map ``phi_{BA}`` as an affine rescaling of the frame transported
 by ``A``.
 """
@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import Matrix3, singular_values
 from .rng import letter_sampler, make_rng
 from .semigroup import (
+    MAX_LEN,
     Frontier,
     SystemSpec,
     WordSet,
@@ -67,11 +68,11 @@ def lft_apply(m, x) -> np.ndarray:
 
 
 class PlaneFrame:
-    """A 2x3 frame: unit nonnegative second row, independent rows."""
+    """A 2x3 frame: orthonormal rows, the second one nonnegative."""
 
-    __slots__ = ("rows", "orthonormal")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, orthonormal: bool = False):
+    def __init__(self, rows):
         rows = np.asarray(rows, dtype=float)
         if rows.shape != (2, 3):
             raise ValueError("a plane frame is a 2x3 matrix")
@@ -80,15 +81,11 @@ class PlaneFrame:
             raise ValueError("second row must be a unit vector")
         if r2.min() < -1e-12:
             raise ValueError("second row must have nonnegative coordinates")
-        if np.linalg.norm(np.cross(r1, r2)) < 1e-12:
-            raise ValueError("frame rows must be linearly independent")
-        if orthonormal:
-            if abs(r1 @ r2) > 1e-12 or abs(np.linalg.norm(r1) - 1.0) > 1e-12:
-                raise ValueError("rows are not orthonormal")
+        if abs(r1 @ r2) > 1e-12 or abs(np.linalg.norm(r1) - 1.0) > 1e-12:
+            raise ValueError("rows are not orthonormal")
         rows = rows.copy()
         rows.setflags(write=False)
         self.rows = rows
-        self.orthonormal = orthonormal
 
     @property
     def r1(self) -> np.ndarray:
@@ -131,7 +128,7 @@ def plane_frame_orthonormal(direction) -> PlaneFrame:
         r1 = ref - (ref @ d) * d
         n = np.linalg.norm(r1)
         if n > 1e-9:
-            return PlaneFrame(np.stack([r1 / n, d]), orthonormal=True)
+            return PlaneFrame(np.stack([r1 / n, d]))
     raise BadDirection("no reference vector is independent of the direction")
 
 
@@ -177,7 +174,7 @@ def frame_for_plane(normal) -> PlaneFrame:
     nz = np.nonzero(np.abs(r1) > 1e-12)[0][0]
     if r1[nz] < 0:
         r1 = -r1
-    return PlaneFrame(np.stack([r1, r2]), orthonormal=True)
+    return PlaneFrame(np.stack([r1, r2]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +184,6 @@ def frame_for_plane(normal) -> PlaneFrame:
 class PointCloud:
     points: np.ndarray
     coordinate_system: str  # "plane_P" or "simplex_S"
-    seed: int
 
     def __post_init__(self):
         pts = self.points
@@ -295,21 +291,21 @@ def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_00
         raise ValueError("budget must be positive")
     if method == "chaos":
         h = _chaos_homogeneous(sys, budget, seed)
-        return PointCloud(_to_coords(h, coords), coords, seed)
+        return PointCloud(_to_coords(h, coords), coords)
     if method == "cylinder":
         _require_nonnegative_action(sys, "cylinder sampling")
         for n in range(1, 40):
             words = stopping_partition_psi(sys, n)
             if len(words) >= budget:
                 break
-        # h = A_w1 ... A_wL x0 for all words at once, last letter first
-        lf = sys.letters_float
+        # h = A_w1 ... A_wL x0 for all words at once, last letter first; the
+        # padding index -1 selects the appended identity, an exact no-op
+        lf = np.concatenate([sys.letters_float, np.eye(3)[None]])
         h = np.full((len(words), 3, 1), 1.0 / 3.0)
         for col in reversed(range(words.letters.shape[1])):
-            live = words.lengths > col
-            h[live] = lf[words.letters[live, col]] @ h[live]
+            h = lf[words.letters[:, col]] @ h
         pts = h[:, :, 0] / h.sum(axis=1)
-        return PointCloud(_to_coords(pts, coords), coords, seed)
+        return PointCloud(_to_coords(pts, coords), coords)
     raise ValueError(f"unknown sampling method {method!r}")
 
 
@@ -334,14 +330,11 @@ def rescale_decompose(frame: PlaneFrame, a: Matrix3) -> dict:
     """Write ``phi_(BA)`` as ``c * phi_M + t`` with ``M`` orthonormal.
 
     ``M`` spans the plane transported by the transpose of ``a``; ``c`` and
-    ``t`` are scalars.  Requires an orthonormal frame and a nonnegative
-    matrix (negative entries leave the chart; boundary zeros are fine since
-    the identity is pointwise algebra), and refuses inputs whose two
-    smallest singular values coincide beyond 1e-9 (the rescaling direction
-    is then ill-conditioned).
+    ``t`` are scalars.  Requires a nonnegative matrix (negative entries
+    leave the chart; boundary zeros are fine since the identity is pointwise
+    algebra), and refuses inputs whose two smallest singular values coincide
+    beyond 1e-9 (the rescaling direction is then ill-conditioned).
     """
-    if not frame.orthonormal:
-        raise ValueError("rescale_decompose needs an orthonormal frame")
     if any(x < 0 for row in a.entries for x in row):
         raise NotPositive("rescale_decompose requires a nonnegative matrix")
     sv = singular_values(a)
@@ -360,23 +353,16 @@ def rescale_decompose(frame: PlaneFrame, a: Matrix3) -> dict:
     nv = np.linalg.norm(v)
     if nv < 1e-14 * np.linalg.norm(a_r1):
         raise DegenerateGap("transported rows are parallel")
-    inv_t = np.linalg.inv(at)
-    w = inv_t @ v
-    nw = np.linalg.norm(w)
-    u = w / nw
-    nz = np.nonzero(np.abs(u) > 1e-12)[0][0]
-    if u[nz] < 0:
-        u = -u
-    c = float(nw * np.linalg.norm(at @ u) / math.sqrt(n2))
-    m = PlaneFrame(np.stack([v / nv, a_r2 / math.sqrt(n2)]), orthonormal=True)
-    return {"M": m, "c": c, "t": t, "u": u}
+    m = PlaneFrame(np.stack([v / nv, a_r2 / math.sqrt(n2)]))
+    return {"M": m, "c": float(nv / math.sqrt(n2)), "t": t}
 
 
-def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64) -> WordSet:
+def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int) -> WordSet:
     """First-passage words where the frame rescaling factor drops to ``2^-n``.
 
     Like :func:`stopping_partition_psi`, it returns a packed, read-only,
-    lexicographically sorted :class:`WordSet`.
+    lexicographically sorted :class:`WordSet`, and a branch that has not
+    stopped by depth ``MAX_LEN`` raises :class:`NotContracting`.
 
     The stopping statistic for a word ``w`` is
     ``|A_w^T u| / |A_w^T r2|`` with ``u`` the unit in-plane direction whose
@@ -388,8 +374,6 @@ def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64) 
     """
     if n < 0:
         raise ValueError("resolution must be >= 0")
-    if not frame.orthonormal:
-        raise ValueError("xi_partition needs an orthonormal frame")
     require_positive_like(sys, "xi_partition")
     lf = sys.letters_float
     walk = Frontier(sys, states=[np.matmul(frame.rows, lf)], steps=[lf])
@@ -404,7 +388,7 @@ def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int, max_len: int = 64) 
             raise DegenerateGap("transported rows became parallel during the walk")
         return nv / np.sqrt((1.0 + c * c) * n2)
 
-    return walk.first_passage(statistic, 2.0 ** -n, max_len)
+    return walk.first_passage(statistic, 2.0 ** -n, MAX_LEN)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +413,7 @@ def load_cloud_csv(path: str | Path) -> PointCloud:
             raise ValueError(f"cloud file {path} has no header row")
         rows = [[float(x) for x in row] for row in reader if row]
     coords = header[0].rsplit("_", 1)[0]
-    return PointCloud(np.array(rows), coords, seed=-1)
+    return PointCloud(np.array(rows), coords)
 
 
 def render_svg(cloud: PointCloud, path: str | Path) -> None:

@@ -38,6 +38,7 @@ from .linalg import (
 )
 
 DEFAULT_NODE_CAP = 20_000_000
+MAX_LEN = 64  # the depth by which ψ and ξ must stop every word (uniform contraction)
 
 
 def node_cap() -> int:
@@ -474,14 +475,14 @@ def _gram_traces(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s00 * s00 + s11 * s11 + s22 * s22 + 2.0 * (s01 * s01 + s02 * s02 + s12 * s12))
 
 
-def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64) -> WordSet:
+def stopping_partition_psi(sys: SystemSpec, n: int) -> WordSet:
     """First-passage words where ``a2/a1`` drops to ``2^-n``.
 
     Returns the minimal words whose ratio is ``<= 2^-n`` while every proper
     nonempty prefix stays above, as a packed, read-only, lexicographically
     sorted :class:`WordSet`; they form a prefix-free partition of the
     sequence space.  ``n = 0`` therefore returns the single letters.
-    Branches that fail to cross the threshold by ``max_len`` raise
+    Branches that fail to cross the threshold by :data:`MAX_LEN` raise
     :class:`NotContracting` (the runtime form of the uniform-contraction
     hypothesis).
 
@@ -491,7 +492,7 @@ def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64) -> WordSe
     from its Gram entries.  A word whose bounds clear the threshold by a
     relative 1e-6 is decided from them.  The others take the root, as
     :meth:`Frontier.ratios` does, and so do the words still above the
-    threshold at ``max_len``, which :class:`NotContracting` names.  The
+    threshold at ``MAX_LEN``, which :class:`NotContracting` names.  The
     margin is far above the root's error, so every decision is the root's.
     """
     if n < 0:
@@ -508,13 +509,13 @@ def stopping_partition_psi(sys: SystemSpec, n: int, max_len: int = 64) -> WordSe
         stop = hi <= stop_at
         ratio = np.where(stop, hi, lo)
         # a NaN bound fails both tests, so its word reaches the root's range check
-        root = ~stop if walk.letters.shape[1] >= max_len else ~stop & ~(lo > go_on)
+        root = ~stop if walk.letters.shape[1] >= MAX_LEN else ~stop & ~(lo > go_on)
         if root.any():
             n1, n2 = (opnorm_batch(x[root]) for x in walk.states)
             ratio[root] = np.ldexp(n2 / n1 ** 2, e[root])
         return ratio
 
-    return Frontier(sys).first_passage(statistic, threshold, max_len)
+    return Frontier(sys).first_passage(statistic, threshold, MAX_LEN)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +541,7 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
     so ``gap_is_exact`` is always true.  Its sweep (:func:`_min_linf_gap`)
     reuses the sort and ends at offset 1 on every rauzy level, where gap 1
     is found at once, but deep rational levels need many: Γ₁₀ at depth 3
-    (216,000 products) takes 1,327 offsets, 27 s on a 2-core Xeon.
+    (216,000 products) takes 1,327 offsets.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

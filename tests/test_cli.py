@@ -101,6 +101,21 @@ def test_render_and_boxdim_roundtrip(tmp_path):
     assert 0.9 < rep["result"]["value"] < 2.0
 
 
+def test_boxdim_res_list_matches_range(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    save_system(rauzy_gamma_system(2), tmp_path / "gamma2.json")
+    assert main(["render", "--system", str(tmp_path / "gamma2.json"), "--points", "20000",
+                 "--out", str(cloud)]) == 0
+    results = [run_cli(["boxdim", "--cloud", str(cloud), "--res", res], tmp_path)
+               for res in ("3,4,5,6", "3:6")]
+    assert [code for code, _ in results] == [0, 0]
+    assert results[0][1]["result"] == results[1][1]["result"]
+    capsys.readouterr()
+    assert main(["boxdim", "--cloud", str(cloud), "--res", "4:x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("projdim: ") and err.count("\n") == 1
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["lyapunov", "--system", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -302,7 +317,7 @@ def test_python_m_projdim_runs_the_command_line(tmp_path):
 
 def test_boxdim_past_int64_exits_2(tmp_path, capsys):
     cloud = tmp_path / "cloud.csv"
-    save_cloud_csv(PointCloud(np.repeat([[0.5, 0.5], [3e4, 7e4]], 40, axis=0), "plane_P", 0),
+    save_cloud_csv(PointCloud(np.repeat([[0.5, 0.5], [3e4, 7e4]], 40, axis=0), "plane_P"),
                    cloud)
     code, rep = run_cli(["boxdim", "--cloud", str(cloud), "--res", "44:52"], tmp_path)
     assert code == 2 and rep is None

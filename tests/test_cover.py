@@ -214,7 +214,7 @@ def test_cover_domain_checks():
 
 
 def test_box_dimension_single_point():
-    cloud = PointCloud(np.full((50, 2), 0.375), "plane_P", 0)
+    cloud = PointCloud(np.full((50, 2), 0.375), "plane_P")
     est = box_dimension_estimate(cloud, range(3, 9))
     assert est.value == pytest.approx(0.0, abs=1e-12)
 
@@ -223,7 +223,7 @@ def test_box_dimension_uniform_grid():
     side = 512
     g = (np.arange(side) + 0.5) / side
     xx, yy = np.meshgrid(g, g)
-    cloud = PointCloud(np.stack([xx.ravel(), yy.ravel()], axis=1), "plane_P", 0)
+    cloud = PointCloud(np.stack([xx.ravel(), yy.ravel()], axis=1), "plane_P")
     est = box_dimension_estimate(cloud, range(3, 8))
     assert est.value == pytest.approx(2.0, abs=0.05)
 
@@ -240,7 +240,7 @@ def test_box_counts_monotone_and_nested():
     est = box_dimension_estimate(cloud, range(3, 8))
     counts = est.diagnostics["counts"]
     assert counts == sorted(counts)
-    sub = PointCloud(cloud.points[:5000], "simplex_S", 3)
+    sub = PointCloud(cloud.points[:5000], "simplex_S")
     est_sub = box_dimension_estimate(sub, range(3, 8))
     assert all(a <= b for a, b in zip(est_sub.diagnostics["counts"], counts))
 
@@ -248,13 +248,13 @@ def test_box_counts_monotone_and_nested():
 def test_box_counts_are_exact_for_far_apart_boxes():
     # a key packed as (b0 << 24) ^ (b1 & 0xFFFFFF) merged these two boxes
     pts = np.repeat([[1.0, 1.0], [1.0, 1.0 + 2.0 ** 20]], 40, axis=0)
-    est = box_dimension_estimate(PointCloud(pts, "plane_P", 0), [4, 5, 6])
+    est = box_dimension_estimate(PointCloud(pts, "plane_P"), [4, 5, 6])
     assert est.diagnostics["counts"] == [2, 2, 2]
 
 
 def test_box_counts_past_int64_raise_float_range():
     pts = np.repeat([[0.5, 0.5], [3.0, 2.0 ** 20]], 40, axis=0)
-    cloud = PointCloud(pts, "plane_P", 0)
+    cloud = PointCloud(pts, "plane_P")
     # 2^20 * 2^42 stays below 2^63; 2^20 * 2^43 reaches it
     assert box_dimension_estimate(cloud, [40, 41, 42]).diagnostics["counts"] == [2, 2, 2]
     with pytest.raises(FloatRange):
@@ -264,6 +264,6 @@ def test_box_counts_past_int64_raise_float_range():
 
 
 def test_box_dimension_too_few_scales():
-    cloud = PointCloud(np.full((10, 2), 0.25), "plane_P", 0)
+    cloud = PointCloud(np.full((10, 2), 0.25), "plane_P")
     with pytest.raises(TooFewScales):
         box_dimension_estimate(cloud, [4, 5])

@@ -47,6 +47,8 @@ def test_shannon_entropy_values():
     assert shannon_entropy([F(1, 2), F(1, 4), F(1, 4)]) == pytest.approx(
         1.5 * math.log(2), rel=1e-14
     )
+    # dyadic floats are read exactly, as the same rationals
+    assert shannon_entropy([0.5, 0.25, 0.25]) == shannon_entropy([F(1, 2), F(1, 4), F(1, 4)])
 
 
 def test_shannon_entropy_rejects_bad_vectors():
@@ -56,6 +58,9 @@ def test_shannon_entropy_rejects_bad_vectors():
         shannon_entropy([F(1, 2), F(1, 3)])
     with pytest.raises(BadVector):
         shannon_entropy([F(3, 2), F(-1, 2)])
+    # read exactly, the floats 0.1, 0.2 and 0.7 do not sum to 1
+    with pytest.raises(BadVector, match="sum to 1"):
+        shannon_entropy([0.1, 0.2, 0.7])
 
 
 def test_lyapunov_singleton_diagonal_exact():

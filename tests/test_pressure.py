@@ -209,6 +209,18 @@ def test_affinity_dimension_bracket_contains_root(monkeypatch):
     assert est.bracket_lo <= est.value <= est.bracket_hi
 
 
+def test_affinity_dimension_bracket_takes_point_ends(monkeypatch):
+    # C = 1e300 keeps the upper curve positive at s = 2 and c = 1e-300 keeps
+    # the lower one nonpositive at s = 0, so both bisections return an end
+    import projdim.pressure as pressure_mod
+
+    monkeypatch.setattr(pressure_mod, "_fit_multiplicativity",
+                        lambda *args: {"fitted_C": 1e300, "fitted_c": 1e-300, "pairs": 0})
+    est = affinity_dimension(rauzy_gamma_system(1))
+    assert est.bracket == [0.0, 2.0]
+    assert est.value == 1.15380859375
+
+
 def test_affinity_dimension_singleton_is_zero():
     est = affinity_dimension(singleton9(), tol=1e-6, n_max=3)
     assert est.value == 0.0

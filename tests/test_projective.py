@@ -111,6 +111,15 @@ def test_plane_frame_orthonormal_rejects_bad_input():
         plane_frame_orthonormal([2.0, 0.0, 0.0])
 
 
+def test_plane_frame_requires_orthonormal_rows():
+    assert np.array_equal(PlaneFrame([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).r1, [1.0, 0.0, 0.0])
+    r = 1.0 / math.sqrt(2.0)
+    # a long first row, a unit one at 45 degrees to the second, and a parallel one
+    for r1 in ([2.0, 0.0, 0.0], [r, 0.0, r], [0.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            PlaneFrame([r1, [0.0, 0.0, 1.0]])
+
+
 def test_frame_for_plane_spans_the_plane():
     rng = np.random.default_rng(2)
     sys = rauzy_gamma_system(2)
@@ -231,7 +240,7 @@ def test_rescale_identity_and_outputs():
         a = random_positive_word(rng, sys)
         parts = rescale_decompose(frame, a)
         m, c, t = parts["M"], parts["c"], parts["t"]
-        assert m.orthonormal and c > 0
+        assert np.allclose(m.rows @ m.rows.T, np.eye(2), rtol=0, atol=1e-12) and c > 0
         ba = np.vstack([frame.rows @ a.float_view])
         for x in cloud.points[rng.integers(0, len(cloud.points), size=5)]:
             lhs = float(lft_apply(ba, x)[0])
@@ -388,10 +397,18 @@ def test_cloud_csv_roundtrip_and_svg(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_render_svg_strides_a_large_cloud(tmp_path):
+    # past 50,000 points every third one is drawn: 120,001 // 50,000 + 1 = 3
+    pts = np.random.default_rng(4).uniform(0.1, 1.0, size=(120_001, 2))
+    svg = tmp_path / "big.svg"
+    render_svg(PointCloud(pts, "plane_P"), svg)
+    assert svg.read_text().count("<circle") == 40_001
+
+
 def test_point_cloud_validation():
     with pytest.raises(ValueError):
-        PointCloud(np.array([[0.5, -0.1]]), "plane_P", 0)
+        PointCloud(np.array([[0.5, -0.1]]), "plane_P")
     with pytest.raises(ValueError):
-        PointCloud(np.array([[0.5, 0.2, 0.4]]), "simplex_S", 0)
+        PointCloud(np.array([[0.5, 0.2, 0.4]]), "simplex_S")
     with pytest.raises(ValueError):
-        PointCloud(np.array([[0.5, 0.5]]), "weird", 0)
+        PointCloud(np.array([[0.5, 0.5]]), "weird")

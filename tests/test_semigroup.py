@@ -27,6 +27,7 @@ from projdim.pressure import (
 )
 from projdim.projective import plane_frame_orthonormal, xi_partition
 from projdim.semigroup import (
+    MAX_LEN,
     Frontier,
     SystemSpec,
     WordSet,
@@ -99,19 +100,28 @@ def test_psi_diagonal_singleton():
 
 def test_psi_raises_not_contracting_on_parabolic_system():
     with pytest.raises(NotContracting):
-        stopping_partition_psi(rauzy_system(), 8, max_len=12)
+        stopping_partition_psi(rauzy_system(), 8)
 
 
 def test_psi_raises_not_contracting_in_a_later_top():
     # the first top stops at once; the unipotent top's ratio decays only like
-    # 1/length and is still 0.303 > 2^-2 at length 3
+    # 1/length and is still 0.0156 > 2^-7 at length MAX_LEN = 64
     sys = SystemSpec.uniform("diag-unipotent", (
         Matrix3.diagonal(9, 1, F(1, 9)), Matrix3.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])))
-    assert [w.letters for w in stopping_partition_psi(sys, 2, max_len=4)] == [
+    assert [w.letters for w in stopping_partition_psi(sys, 2)] == [
         (0,), (1, 0), (1, 1, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
     # the message names the largest ratio left in the failing top's level
-    with pytest.raises(NotContracting, match=r"^ratio 0\.303 still above 0\.25 at depth 3$"):
-        stopping_partition_psi(sys, 2, max_len=3)
+    with pytest.raises(NotContracting, match=r"^ratio 0\.0156 still above 0\.00781 at depth 64$"):
+        stopping_partition_psi(sys, 7)
+
+
+def test_psi_stops_by_max_len():
+    # the shear's a2/a1 = 1/a1 with a1 = L + 1/L + O(L^-3) at length L: it
+    # first drops under 2^-6 at L = 64 = MAX_LEN and under 2^-7 only later
+    sys = SystemSpec.uniform("unipotent", (Matrix3.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),))
+    assert stopping_partition_psi(sys, 6).lengths.tolist() == [MAX_LEN]
+    with pytest.raises(NotContracting, match=rf"at depth {MAX_LEN}$"):
+        stopping_partition_psi(sys, 7)
 
 
 # a2/a1 = 0.9 per letter while the entries grow like 1e4^n: the norms of the
@@ -620,6 +630,10 @@ def test_lie_algebra_dimension_examples():
     assert lie_algebra_dimension([]) == 0
     assert lie_algebra_dimension([derivs[0]]) == 1
     assert lie_algebra_dimension(derivs) == 8
+    # a zero generator has no traceless content and adds nothing
+    zero = Matrix3.diagonal(0, 0, 0)
+    assert lie_algebra_dimension((zero,) + derivs) == 8
+    assert lie_algebra_dimension([zero]) == 0
     # monotone under adding generators, capped at 8
     dims = [lie_algebra_dimension(derivs[: k + 1]) for k in range(6)]
     assert dims == sorted(dims) and dims[-1] == 8
