@@ -8,7 +8,9 @@ Gram singular values, i.e. the largest eigenvalue of the Gram matrices of
 cubic), combined with the exact determinant.  That route keeps all three
 values accurate to near machine precision even for badly conditioned
 products, which an eigen-decomposition of ``A^T A`` alone cannot do for the
-small values.
+small values.  A stack of exact matrices can also be held as one common
+denominator over Python-int numerators (:class:`IntegerStack`), whose
+products, adjugates and determinants stay exact without a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -376,6 +378,50 @@ def log_ratio_batch(prod: np.ndarray, prod_ext: np.ndarray) -> tuple[np.ndarray,
     return n2 - 2.0 * n1, -n2 - n1
 
 
-def stack_matrices(mats: Sequence[Matrix3]) -> np.ndarray:
-    """Float stack ``(k, 3, 3)`` of the given exact matrices."""
-    return np.stack([m.float_view for m in mats])
+# ---------------------------------------------------------------------------
+# exact integer stacks
+
+class IntegerStack(NamedTuple):
+    """Exact 3x3 matrices ``num / den``: one common denominator and a stack
+    of integer numerators."""
+
+    den: int  # positive, the least common denominator of every entry
+    num: np.ndarray  # (k, 3, 3) read-only object stack of Python ints
+
+
+def lowest_terms(den: int, num: np.ndarray) -> IntegerStack:
+    """``num / den`` for an integer ``den != 0`` and an object stack ``num``
+    of Python ints, with their common factor and the sign of ``den`` taken
+    out."""
+    g = math.gcd(den, *num.ravel().tolist())
+    num = num // (g if den > 0 else -g)
+    num.setflags(write=False)
+    return IntegerStack(abs(den) // g, num)
+
+
+def integer_stack(mats: Sequence[Matrix3]) -> IntegerStack:
+    """The matrices ``mats`` over the least common denominator of their
+    entries."""
+    den = math.lcm(*(x.denominator for m in mats for row in m.entries for x in row))
+    num = np.array([[[x.numerator * (den // x.denominator) for x in row] for row in m.entries]
+                    for m in mats], dtype=object)
+    num.setflags(write=False)
+    return IntegerStack(den, num)
+
+
+def adjugate(a: np.ndarray) -> np.ndarray:
+    """The adjugates of a ``(..., 3, 3)`` stack, written out as 2x2 minors
+    with cyclic indices, so an object stack of Python ints stays exact;
+    ``a @ adjugate(a)`` is ``det(a)`` times the identity."""
+    adj = np.empty_like(a)
+    for i in range(3):
+        for j in range(3):
+            j1, j2, i1, i2 = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+            adj[..., i, j] = a[..., j1, i1] * a[..., j2, i2] - a[..., j1, i2] * a[..., j2, i1]
+    return adj
+
+
+def det_stack(a: np.ndarray) -> np.ndarray:
+    """The determinants of a ``(..., 3, 3)`` stack, by cofactors along the
+    first row (:func:`adjugate`)."""
+    return (a[..., 0, :] * adjugate(a)[..., :, 0]).sum(axis=-1)

@@ -14,8 +14,8 @@ not depend on the number of threads.  The truncated zeta series reads the
 same table; the multiplicativity fit walks a pool of short words of its own.
 
 The table keeps one subtree per orbit of the system's exact letter
-symmetries (:attr:`SystemSpec.letter_orbits`, found on the Fraction
-entries of the acting letters): only the words that start with the least
+symmetries (:attr:`SystemSpec.letter_orbits`, found on the integer
+numerators of the acting letters): only the words that start with the least
 letter of an orbit are walked and stored, and each level sum weighs a
 representative's block by its orbit size.  Every Rauzy generator is
 ``I + e_i (1 - e_i)^T``, so a 3x3 permutation matrix ``P`` of ``sigma`` has

@@ -284,8 +284,9 @@ def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_00
     """Sample the attractor by forward iteration or by cylinder midpoints.
 
     ``chaos`` iterates random letters from the barycenter; ``cylinder``
-    evaluates one point per word of a stopping partition whose size first
-    reaches the budget.
+    evaluates one point per word of the first ψ partition
+    (:func:`stopping_partition_psi`, n = 1..39) whose size reaches the
+    budget, and raises :class:`DomainError` when none does.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -298,6 +299,9 @@ def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_00
             words = stopping_partition_psi(sys, n)
             if len(words) >= budget:
                 break
+        else:  # each partition refines the one before, so the last is the largest
+            raise DomainError(f"no ψ partition up to n = 39 reaches the budget of {budget} "
+                              f"words; the largest has {len(words)}")
         # h = A_w1 ... A_wL x0 for all words at once, last letter first; the
         # padding index -1 selects the appended identity, an exact no-op
         lf = np.concatenate([sys.letters_float, np.eye(3)[None]])

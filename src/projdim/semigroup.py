@@ -27,14 +27,19 @@ from .errors import (
     NotContracting,
     NotPositive,
     NotTraceless,
+    SingularInput,
 )
 from .linalg import (
+    IntegerStack,
     Matrix3,
+    adjugate,
+    det_stack,
     ext2_batch,
     gram_entries,
+    integer_stack,
+    lowest_terms,
     mat_mul,
     opnorm_batch,
-    stack_matrices,
 )
 
 DEFAULT_NODE_CAP = 20_000_000
@@ -75,7 +80,14 @@ class LetterOrbits(NamedTuple):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A finite alphabet of unimodular matrices with sampling weights."""
+    """A finite alphabet of unimodular matrices with sampling weights.
+
+    The system acts through its letters ``A``, or through ``M^-1 A M`` with
+    a conjugator ``M``.  These acting letters are formed once, exactly, as
+    integers (:attr:`letters_exact`), and every view of them is read from
+    that stack: the float letters and their inverses, the contraction
+    gate's signs, the letter symmetries and the Diophantine check's levels.
+    """
 
     label: str
     alphabet: tuple[Matrix3, ...]
@@ -91,8 +103,9 @@ class SystemSpec:
             raise BadVector("probabilities must be strictly positive")
         if sum(self.probabilities, Fraction(0)) != 1:
             raise BadVector("probabilities must sum to 1 exactly")
-        for a in self.alphabet:
-            if a.det != 1:
+        den, num = self.alphabet_exact
+        for a, d in zip(self.alphabet, det_stack(num)):
+            if d != den ** 3:
                 raise ValueError(f"alphabet member has determinant {a.det}, want 1")
 
     @classmethod
@@ -107,20 +120,50 @@ class SystemSpec:
         conjugator; its acting letters are sliced from this system's, not
         conjugated again."""
         sub = SystemSpec.uniform(label, self.alphabet[:m], self.conjugator)
-        vars(sub)["effective_alphabet"] = self.effective_alphabet[:m]
+        exact = self.letters_exact
+        vars(sub)["letters_exact"] = lowest_terms(exact.den, exact.num[:m])
         return sub
 
     @cached_property
+    def alphabet_exact(self) -> IntegerStack:
+        """The alphabet ``A`` as an :class:`IntegerStack` ``N_A / D_A``."""
+        return integer_stack(self.alphabet)
+
+    @cached_property
+    def letters_exact(self) -> IntegerStack:
+        """The acting letters ``M^-1 A M`` as an :class:`IntegerStack`.
+
+        With ``C`` the conjugator scaled to integers and ``N_A / D_A`` the
+        alphabet (:attr:`alphabet_exact`), ``M^-1 A M`` is
+        ``adj(C) N_A C / (det(C) D_A)``: one object ``matmul`` of Python
+        ints, brought to lowest terms.  Raises :class:`SingularInput` for a
+        singular conjugator.
+        """
+        alphabet = self.alphabet_exact
+        if self.conjugator is None:
+            return alphabet
+        _, (c,) = integer_stack([self.conjugator])
+        det = det_stack(c)
+        if det == 0:
+            raise SingularInput("matrix is exactly singular")
+        return lowest_terms(det * alphabet.den, adjugate(c) @ alphabet.num @ c)
+
+    @cached_property
     def effective_alphabet(self) -> tuple[Matrix3, ...]:
-        """The acting letters: ``M^-1 A M`` when a conjugator is set."""
+        """The acting letters as :class:`Matrix3`: the alphabet itself
+        without a conjugator, else built from :attr:`letters_exact`."""
         if self.conjugator is None:
             return self.alphabet
-        minv = self.conjugator.inverse()
-        return tuple(mat_mul(mat_mul(minv, a), self.conjugator) for a in self.alphabet)
+        den, num = self.letters_exact
+        return tuple(Matrix3(tuple(tuple(Fraction(x, den) for x in row) for row in a))
+                     for a in num.tolist())
 
     @cached_property
     def letters_float(self) -> np.ndarray:
-        return stack_matrices(self.effective_alphabet)
+        """The acting letters rounded to the nearest floats: one ``int / int``
+        per entry, which Python rounds correctly, as ``float(Fraction)``."""
+        den, num = self.letters_exact
+        return (num / den).astype(float)
 
     @cached_property
     def letters_ext2_float(self) -> np.ndarray:
@@ -128,7 +171,10 @@ class SystemSpec:
 
     @cached_property
     def letters_inverse_float(self) -> np.ndarray:
-        return stack_matrices([a.inverse() for a in self.effective_alphabet])
+        """The inverses of the acting letters, rounded as :attr:`letters_float`:
+        a letter ``N / D`` of determinant 1 has the inverse ``adj(N) / D^2``."""
+        den, num = self.letters_exact
+        return (adjugate(num) / den ** 2).astype(float)
 
     @cached_property
     def probabilities_float(self) -> np.ndarray:
@@ -149,7 +195,8 @@ class SystemSpec:
     @cached_property
     def letter_orbits(self) -> LetterOrbits:
         """The orbits of the letters under the 3x3 permutation matrices that
-        permute the acting letters, found exactly on their entries.
+        permute the acting letters, found exactly on their integer
+        numerators (:attr:`letters_exact`).
 
         A map ``g`` has ``P A_i P^-1 = A_g[i]`` for every acting letter
         ``A_i`` and one permutation matrix ``P``, so word ``g(w)`` has the
@@ -159,12 +206,13 @@ class SystemSpec:
         under them is the least letter of its orbit.  A system with no map
         but the identity has one orbit per letter.
         """
-        index = {a.entries: i for i, a in enumerate(self.effective_alphabet)}
-        rep_of = list(range(len(self)))  # the identity's map
+        num = self.letters_exact.num
+        k = len(self)
+        index = {tuple(a): i for i, a in enumerate(num.reshape(k, 9).tolist())}
+        rep_of = list(range(k))  # the identity's map
         for p in itertools.islice(itertools.permutations(range(3)), 1, None):  # the others
-            image = [index.get(tuple(tuple(a.entries[p[r]][p[c]] for c in range(3))
-                                     for r in range(3)))
-                     for a in self.effective_alphabet]
+            p = list(p)
+            image = [index.get(tuple(a)) for a in num[:, p][:, :, p].reshape(k, 9).tolist()]
             if None not in image and len(set(image)) == len(image):
                 rep_of = list(map(min, rep_of, image))
         reps = sorted(set(rep_of))
@@ -245,24 +293,18 @@ def positivity_report(sys: SystemSpec) -> dict:
     """Exact entrywise positivity of the (conjugated) letters.
 
     ``entry_ratio`` is the worst min-entry/max-entry ratio over letters; it
-    lower-bounds the cone-contraction constant when positive.
+    lower-bounds the cone-contraction constant when positive.  Both are
+    read from the integer numerators, which share one positive denominator.
     """
-    positive = True
-    ratio: Optional[Fraction] = None
-    for a in sys.effective_alphabet:
-        flat = [x for row in a.entries for x in row]
-        lo, hi = min(flat), max(flat)
-        if lo <= 0:
-            positive = False
-        r = lo / hi if hi != 0 else Fraction(0)
-        ratio = r if ratio is None else min(ratio, r)
-    return {"positive": positive, "entry_ratio": ratio}
+    num = sys.letters_exact.num.reshape(len(sys), 9)
+    lo, hi = num.min(axis=1).tolist(), num.max(axis=1).tolist()
+    return {"positive": min(lo) > 0,
+            "entry_ratio": min(Fraction(a, b) if b != 0 else Fraction(0)
+                               for a, b in zip(lo, hi))}
 
 
 def is_nonnegative(sys: SystemSpec) -> bool:
-    return all(
-        x >= 0 for a in sys.effective_alphabet for row in a.entries for x in row
-    )
+    return bool((sys.letters_exact.num >= 0).all())
 
 
 def is_primitive_nonnegative(sys: SystemSpec) -> bool:
@@ -279,17 +321,16 @@ def is_primitive_nonnegative(sys: SystemSpec) -> bool:
     """
     if not is_nonnegative(sys):
         return False
-    letters = [a.entries for a in sys.effective_alphabet]
-    rows = {tuple(x > 0 for x in row) for a in letters for row in a}
-    cols = {tuple(x > 0 for x in col) for a in letters for col in zip(*a)}
+    support = sys.letters_exact.num > 0
+    rows = set(map(tuple, support.reshape(-1, 3).tolist()))
+    cols = set(map(tuple, support.transpose(0, 2, 1).reshape(-1, 3).tolist()))
     return all(any(map(operator.and_, r, c)) for r in rows for c in cols)
 
 
 def _is_contracting_diagonal(sys: SystemSpec) -> bool:
     """Exactly diagonal letters with ``a2 < a1``: products stay diagonal, so
     the word ratios decay geometrically without any positivity."""
-    for a in sys.effective_alphabet:
-        e = a.entries
+    for e in sys.letters_exact.num.tolist():
         diag = sorted(abs(e[i][i]) for i in range(3))
         if diag[1] >= diag[2] or any(e[i][j] for i in range(3) for j in range(3) if i != j):
             return False
@@ -526,7 +567,8 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
 
     Each level is one stack of the exact integer products ``D^n A_w`` in
     lexicographic word order, ``D`` the common denominator of the acting
-    letters: ``int64`` when ``R^n_max < 2**62`` (``R`` the largest absolute
+    letters, grown from their integer numerators
+    (:attr:`SystemSpec.letters_exact`): ``int64`` when ``R^n_max < 2**62`` (``R`` the largest absolute
     row sum of the letters ``D A``, so every entry and entry difference
     fits), Python ints otherwise, never floats.  A stable sort of each
     level, first entry primary, makes a repeat an offset-1 zero.
@@ -547,10 +589,7 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
         raise ValueError("n_max must be >= 1")
     check_table_budget(len(sys), n_max)
 
-    letters = [a.entries for a in sys.effective_alphabet]
-    den = math.lcm(*(x.denominator for a in letters for row in a for x in row))
-    step = np.array([[[int(x * den) for x in row] for row in a] for a in letters],
-                    dtype=object)
+    den, step = sys.letters_exact
     if np.abs(step).sum(axis=2).max() ** n_max < 2 ** 62:
         step = step.astype(np.int64)
 
@@ -654,7 +693,7 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
     # each element is bracketed once with every earlier one, new ones included
     for i, x in enumerate(mats):
         for y in mats[:i]:
-            b = x @ y - y @ x
+            b = mat_mul(x, y) - mat_mul(y, x)
             if span.add(_flat9(b)):
                 mats.append(b)
     return span.dim

@@ -10,6 +10,8 @@ import pytest
 
 import projdim
 from projdim.cli import main, validate_report
+from projdim.errors import SingularInput
+from projdim.linalg import Matrix3
 from projdim.pressure import rauzy_gamma_system
 from projdim.projective import PointCloud, save_cloud_csv
 from projdim.semigroup import SystemSpec
@@ -114,6 +116,33 @@ def test_boxdim_res_list_matches_range(tmp_path, capsys):
     assert main(["boxdim", "--cloud", str(cloud), "--res", "4:x"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("projdim: ") and err.count("\n") == 1
+
+
+def test_cylinder_render_short_of_the_budget_exits_2(tmp_path, capsys):
+    path, cloud = tmp_path / "diag.json", tmp_path / "cloud.csv"
+    save_system(SystemSpec.uniform("diag", (Matrix3.diagonal(9, 1, "1/9"),)), path)
+    assert main(["render", "--system", str(path), "--method", "cylinder", "--points", "5",
+                 "--out", str(cloud)]) == 2
+    assert capsys.readouterr().err == ("projdim: no ψ partition up to n = 39 reaches the "
+                                       "budget of 5 words; the largest has 1\n")
+    assert not cloud.exists()
+
+
+def test_singular_conjugator_and_non_unimodular_letter_exit_2(tmp_path, capsys):
+    doc = {"label": "x", "matrices": [[["1", "1", "1"], ["0", "1", "0"], ["0", "0", "1"]]],
+           "probabilities": ["1"]}
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps({**doc, "conjugator": [["1", "2", "3"], ["2", "4", "6"],
+                                                          ["0", "0", "1"]]}))
+    with pytest.raises(SingularInput, match="^matrix is exactly singular$"):
+        load_system(singular).letters_float
+    assert main(["check", "--system", str(singular), "--depth", "2"]) == 2
+    assert capsys.readouterr().err == "projdim: matrix is exactly singular\n"
+    halved = tmp_path / "halved.json"
+    doc["matrices"].append([["1/2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    halved.write_text(json.dumps({**doc, "probabilities": ["1/2", "1/2"]}))
+    assert main(["check", "--system", str(halved), "--depth", "2"]) == 2
+    assert capsys.readouterr().err == "projdim: alphabet member has determinant 1/2, want 1\n"
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from projdim.errors import BadDirection, DegenerateGap, NotContracting, NotPositive
+from projdim.errors import BadDirection, DegenerateGap, DomainError, NotContracting, NotPositive
 from projdim.linalg import Matrix3, mat_mul
 from projdim.pressure import rauzy_gamma_system
 from projdim.projective import (
@@ -179,6 +179,14 @@ def test_attractor_requires_nonnegative_letters():
     )
     with pytest.raises(NotContracting):
         attractor_points(bad, "chaos", budget=10, seed=0)
+
+
+def test_cylinder_short_of_the_budget_raises():
+    # every ψ partition of one diagonal letter is the single word 0...0
+    sys = SystemSpec.uniform("diag", (Matrix3.diagonal(9, 1, F(1, 9)),))
+    with pytest.raises(DomainError, match="up to n = 39 .* budget of 5 words; the largest has 1$"):
+        attractor_points(sys, "cylinder", budget=5)
+    assert len(attractor_points(sys, "cylinder", budget=1)) == 1
 
 
 def test_attractor_chaos_vs_cylinder():

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import sys as _sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -33,6 +34,7 @@ from projdim.semigroup import (
     WordSet,
     diophantine_check,
     irreducibility_probe,
+    is_nonnegative,
     is_primitive_nonnegative,
     lie_algebra_dimension,
     positivity_report,
@@ -45,6 +47,7 @@ from projdim.systems import (
     rauzy_alphabet,
     rauzy_curve_derivatives,
     rauzy_system,
+    system_from_dict,
     triple9_system,
 )
 
@@ -66,8 +69,12 @@ def test_system_spec_validation():
         SystemSpec("bad", (a1,), (F(1, 2),))
     with pytest.raises(BadVector):
         SystemSpec("bad", (a1, a2), (F(1, 2), F(1, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alphabet member has determinant 2, want 1$"):
         SystemSpec.uniform("bad", (Matrix3.diagonal(2, 1, 1),))
+    # the first letter off determinant 1 is named
+    with pytest.raises(ValueError, match="^alphabet member has determinant 1/4, want 1$"):
+        SystemSpec.uniform("bad", (a1, Matrix3.diagonal(F(1, 2), F(1, 2), 1),
+                                   Matrix3.diagonal(3, 1, 1)))
 
 
 def test_gamma_letter_matches_exact_powers():
@@ -625,6 +632,140 @@ def test_diophantine_exact_past_int64():
     assert rep["all_distinct"] is True
 
 
+# ---------------------------------------------------------------------------
+# the acting letters' integer stack against exact Fraction products
+
+def fraction_letters(sys):
+    """The acting letters ``M^-1 A M`` by exact Fraction products."""
+    if sys.conjugator is None:
+        return sys.alphabet
+    minv = sys.conjugator.inverse()
+    return tuple(mat_mul(mat_mul(minv, a), sys.conjugator) for a in sys.alphabet)
+
+
+def float_stack(mats):
+    return np.array([[[float(x) for x in row] for row in m.entries] for m in mats])
+
+
+def fraction_gate(letters):
+    """``(positivity_report, is_nonnegative, contraction)`` from Fraction letters."""
+    flat = [[x for row in a.entries for x in row] for a in letters]
+    report = {"positive": all(min(f) > 0 for f in flat),
+              "entry_ratio": min(min(f) / max(f) if max(f) != 0 else F(0) for f in flat)}
+    nonnegative = all(min(f) >= 0 for f in flat)
+    diagonal = all(all(x == 0 for i, x in enumerate(f) if i % 4)
+                   and sorted(abs(x) for x in f[::4])[1] < max(abs(x) for x in f[::4])
+                   for f in flat)
+    support = np.array([[[x > 0 for x in row] for row in a.entries] for a in letters],
+                       dtype=np.int64)
+    primitive = nonnegative and bool((np.einsum("aij,bjk->abik", support, support) > 0).all())
+    contraction = ("positive" if report["positive"] else "diagonal" if diagonal
+                   else "primitive" if primitive else None)
+    return report, nonnegative, contraction
+
+
+def fraction_orbits(letters):
+    """``(reps, sizes)`` of the permutation-conjugation orbits, keyed on Fraction entries."""
+    index = {a.entries: i for i, a in enumerate(letters)}
+    rep_of = list(range(len(letters)))
+    for p in itertools.permutations(range(3)):
+        image = [index.get(tuple(tuple(a.entries[p[r]][p[c]] for c in range(3))
+                                 for r in range(3))) for a in letters]
+        if None not in image and len(set(image)) == len(image):
+            rep_of = list(map(min, rep_of, image))
+    reps = sorted(set(rep_of))
+    return tuple(reps), [rep_of.count(r) for r in reps]
+
+
+_Q = 3 ** 27
+# rauzy's letters under a conjugator with 3**27 denominators, as a system file holds them: the
+# numerators pass 2**63, and rounding numerator and denominator first moves 16 of 27 entries
+WIDE = {"label": "wide", "matrices": [a.to_strings() for a in rauzy_alphabet()],
+        "probabilities": ["1/3"] * 3,
+        "conjugator": [["1", f"-1/{_Q}", f"-2/{_Q}"], [f"-3/{_Q}", "1", f"-1/{_Q}"],
+                       [f"-1/{_Q}", f"-2/{_Q}", "1"]]}
+ACTING_CASES = {
+    "gamma1": lambda: rauzy_gamma_system(1),
+    "gamma5": lambda: rauzy_gamma_system(5),
+    "gamma20": lambda: rauzy_gamma_system(20),
+    "gamma1-eps1/6": lambda: rauzy_gamma_system(1, F(1, 6)),
+    "gamma1-eps1/3": lambda: SystemSpec.uniform("neg", rauzy_gamma_system(1).alphabet,
+                                                positivizing_conjugator(F(1, 3))),
+    # the conjugator's rows 0 and 1 swapped: det(C) < 0, and the acting letters are
+    # Γ_1's positivized letters relabelled, so the gate still reads their signs
+    "gamma1-swapped": lambda: SystemSpec.uniform("swapped", rauzy_gamma_system(1).alphabet,
+                                                 Matrix3.from_rows([[F(-1, 5), 1, F(-1, 5)],
+                                                                    [1, F(-1, 5), F(-1, 5)],
+                                                                    [F(-1, 5), F(-1, 5), 1]])),
+    "rauzy": rauzy_system,
+    "triple9": triple9_system,
+    "big-shears": _big_shears,
+    "wide": lambda: system_from_dict(WIDE),
+}
+
+
+@pytest.mark.parametrize("case", ACTING_CASES)
+def test_acting_letters_match_fraction_products(case):
+    sys = ACTING_CASES[case]()
+    letters = fraction_letters(sys)
+    assert sys.effective_alphabet == letters
+    assert np.array_equal(sys.letters_float, float_stack(letters))
+    assert np.array_equal(sys.letters_inverse_float, float_stack([a.inverse() for a in letters]))
+    report, nonnegative, contraction = fraction_gate(letters)
+    assert positivity_report(sys) == report
+    assert is_nonnegative(sys) is nonnegative
+    assert sys.contraction == contraction
+    reps, sizes = fraction_orbits(letters)
+    assert sys.letter_orbits.reps == reps and sys.letter_orbits.sizes.tolist() == sizes
+
+
+def test_wide_numerators_stay_python_ints():
+    sys = system_from_dict(WIDE)
+    assert max(abs(x) for x in sys.letters_exact.num.ravel()) > 2 ** 63
+    for n in (1, 2):
+        assert diophantine_check(sys, n) == _diophantine_reference(sys, n)
+
+
+@pytest.mark.parametrize("sub, ref", [
+    *[(lambda n=n: rauzy_gamma_system(20).first_letters(6 * n, "sub"),
+       lambda n=n: rauzy_gamma_system(n)) for n in (1, 5, 10)],
+    # the first letter alone has the smaller denominator 2
+    (lambda: SystemSpec.uniform("two", (Matrix3.diagonal(2, 1, F(1, 2)),
+                                        Matrix3.diagonal(3, 1, F(1, 3)))).first_letters(1, "one"),
+     lambda: SystemSpec.uniform("one", (Matrix3.diagonal(2, 1, F(1, 2)),))),
+], ids=["gamma1", "gamma5", "gamma10", "diagonal"])
+def test_first_letters_slice_the_stack(sub, ref):
+    sub, ref = sub(), ref()
+    assert sub.letters_exact.den == ref.letters_exact.den
+    assert np.array_equal(sub.letters_exact.num, ref.letters_exact.num)
+    assert np.array_equal(sub.letters_float, ref.letters_float)
+    assert np.array_equal(sub.letters_inverse_float, ref.letters_inverse_float)
+
+
+def count_mat_mul(monkeypatch) -> list:
+    """A list that gets one item per call of ``linalg.mat_mul``, through
+    every ``projdim`` module that binds it (``Matrix3.__matmul__`` included)."""
+    calls, product = [], linalg.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    for module in [m for name, m in _sys.modules.items() if name.startswith("projdim")]:
+        if getattr(module, "mat_mul", None) is product:
+            monkeypatch.setattr(module, "mat_mul", counted)
+    return calls
+
+
+def test_acting_letters_take_no_fraction_products(monkeypatch):
+    products, inverses = count_mat_mul(monkeypatch), []
+    inverse = Matrix3.inverse
+    monkeypatch.setattr(Matrix3, "inverse", lambda a: inverses.append(1) or inverse(a))
+    sys = rauzy_gamma_system(20)
+    sys.contraction, sys.letter_orbits, sys.letters_float, sys.letters_inverse_float
+    assert products == [] and inverses == []
+
+
 def test_lie_algebra_dimension_examples():
     derivs = rauzy_curve_derivatives()
     assert lie_algebra_dimension([]) == 0
@@ -640,13 +781,7 @@ def test_lie_algebra_dimension_examples():
 
 
 def test_lie_algebra_brackets_each_basis_pair_once(monkeypatch):
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return mat_mul(a, b)
-
-    monkeypatch.setattr(linalg, "mat_mul", counted)
+    calls = count_mat_mul(monkeypatch)
     assert lie_algebra_dimension(rauzy_curve_derivatives()) == 8
     assert len(calls) == 2 * 28  # XY and YX for each of the 8 * 7 / 2 basis pairs
 
