@@ -16,7 +16,6 @@ import json
 import math
 import platform
 import sys as _sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__
 from .cover import box_dimension_estimate, svd_cover_upper
 from .ergodic import empirical_delta, lyapunov_exponents, shannon_entropy
-from .errors import BudgetExceeded, ProjdimError
+from .errors import BudgetExceeded, ProjdimError, WorkerDied
 from .pressure import affinity_dimension, pressure_estimate, rauzy_dimension
 from .projective import attractor_points, load_cloud_csv, render_svg, save_cloud_csv
 from .semigroup import (
@@ -261,7 +260,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"projdim: out of memory: {exc}", file=_sys.stderr)
         return 3
-    except BrokenExecutor as exc:  # the kernel's out-of-memory killer, most often
+    except WorkerDied as exc:
         print(f"projdim: a worker process died: {exc}", file=_sys.stderr)
         return 3
     except (ProjdimError, ValueError, OSError) as exc:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadVector, DegenerateSpectrum, DomainError
+from .errors import BadVector, DegenerateSpectrum, DomainError, WorkerDied
 from .linalg import opnorm_batch
 from .rng import letter_sampler, make_rng
 from .pressure import _WORKERS, DimensionEstimate
@@ -249,7 +249,7 @@ def empirical_delta(sys: SystemSpec, planes: int = 32, samples: int = 100_000,
         stats = lyapunov_exponents(sys, lyap_steps, seed=lyap_seed)
         per_plane = [_plane_estimate(sys, samples, n, seed, w) for w in range(planes)]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(min(_WORKERS, planes + 1), mp_context=context,
                                    initializer=_keep_system, initargs=(sys,))
@@ -260,6 +260,8 @@ def empirical_delta(sys: SystemSpec, planes: int = 32, samples: int = 100_000,
                             range(planes))
             stats = lyap.result()
             per_plane = list(runs)
+        except BrokenExecutor as exc:  # the kernel's out-of-memory killer, most often
+            raise WorkerDied(str(exc)) from exc
         finally:  # joins the workers; after an error, drops the planes not yet started
             pool.shutdown(cancel_futures=True)
     ests = [est for est, _ in per_plane]

@@ -25,6 +25,10 @@ class BudgetExceeded(ProjdimError):
     """An enumeration would exceed the configured node cap."""
 
 
+class WorkerDied(ProjdimError):
+    """A worker process of a pool ended before it returned its result."""
+
+
 class NotContracting(ProjdimError):
     """The system does not exhibit the uniform contraction the operation needs."""
 

@@ -4,9 +4,10 @@ The pressure of a system at exponent ``s`` is the exponential growth rate
 of the level sums ``sum phi^s`` over all words of a given length; the
 affinity dimension is its unique zero.  Level sums are evaluated from
 cached per-word contraction ratios: products and their exterior squares
-are pushed level by level in float, one subtree per orbit representative
-(below), on one thread per available CPU, and each subtree writes its own
-block of the level arrays; after that every evaluation at a new ``s`` is a vectorized
+are pushed level by level in float, one matrix product per stack and level
+(:class:`Frontier`), one subtree per orbit representative (below), on one
+thread per available CPU, and each subtree writes its own block of the
+level arrays; after that every evaluation at a new ``s`` is a vectorized
 log-sum-exp over the cached arrays, and each level sum is kept on the
 system too, so a repeated ``(s, n)`` is summed once.  The word order and
 the reduction tree are fixed, so results are bitwise reproducible and do
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -154,6 +154,9 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
     sys.letters_float, sys.letters_ext2_float
     levels = tuple((np.empty(len(reps) * k ** (n - 1)), np.empty(len(reps) * k ** (n - 1)))
                    for n in range(1, depth + 1))
+    # imported here, not with the module: it loads logging, which only a level build needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         # reading every result raises the first exception a walk raised
         list(pool.map(lambda slot: _subtree_levels(sys, reps[slot], slot, levels),

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     BadVector,
     BudgetExceeded,
+    FloatRange,
     NotContracting,
     NotPositive,
     NotTraceless,
@@ -360,8 +361,11 @@ class Frontier:
     """The undecided words of one length in a level-by-level word-tree walk.
 
     Words are the rows of the letter-index array ``letters``.  Each word
-    carries float states, ``(m, r, 3)`` stacks that start from a per-letter
-    stack and advance by right multiplication with a per-letter step stack.
+    carries float states: :attr:`states` are ``(m, r, 3)`` stacks that start
+    from a per-letter stack and advance by right multiplication with a
+    per-letter step stack.  Each stack is stored row-major, ``(r, m, 3)``,
+    and the ``k`` steps as one ``(3, 3k)`` panel, so a level is one matrix
+    product per stack whose output is already the next level in word order.
     A state whose largest entry passes 2**64 is rescaled by an exact power
     of two, kept in ``exps``: state ``i`` of word ``w`` stands for
     ``states[i][w] * 2**exps[i][w]``, so later norms stay in float range.
@@ -382,27 +386,33 @@ class Frontier:
         if states is None:
             states = steps = [sys.letters_float, sys.letters_ext2_float]
         tops = np.arange(len(sys)) if tops is None else np.asarray(tops)
-        self.steps = steps
+        # column block j of a panel is step j
+        self._panels = [step.swapaxes(0, 1).reshape(3, -1) for step in steps]
         self.visited = len(tops)
         check_budget(self.visited)
         self.letters = tops.astype(np.int32)[:, None]
-        self.states = [x[tops] for x in states]
+        self._stacks = [np.ascontiguousarray(x[tops].swapaxes(0, 1)) for x in states]
         self.exps = [np.zeros(len(tops), dtype=np.int32) for _ in states]
         self._rescale()
 
     def __len__(self) -> int:
         return len(self.letters)
 
+    @property
+    def states(self) -> list[np.ndarray]:
+        """The ``(m, r, 3)`` state stacks, as views of the row-major store."""
+        return [x.swapaxes(0, 1) for x in self._stacks]
+
     def _rescale(self) -> None:
-        for x, e in zip(self.states, self.exps):
+        for x, e in zip(self._stacks, self.exps):
             # a stack in range skips the per-word scan; a NaN fails this test and is scanned
             if x.max() <= _RESCALE_ABOVE and x.min() >= -_RESCALE_ABOVE:
                 continue
-            big = np.abs(x).max(axis=(1, 2))
+            big = np.abs(x).max(axis=(0, 2))
             over = big > _RESCALE_ABOVE
             if over.any():
                 shift = np.frexp(big[over])[1]
-                x[over] = np.ldexp(x[over], -shift[:, None, None])
+                x[:, over] = np.ldexp(x[:, over], -shift[:, None])
                 e[over] += shift
 
     def grow(self, keep: Optional[np.ndarray] = None) -> None:
@@ -410,25 +420,32 @@ class Frontier:
         with ``keep``, only the kept words are extended."""
         if keep is not None:
             self.letters = self.letters[keep]
-            self.states = [x[keep] for x in self.states]
+            self._stacks = [x[:, keep] for x in self._stacks]
             self.exps = [e[keep] for e in self.exps]
-        m, k = len(self.letters), len(self.steps[0])
+        m, k = len(self.letters), self._panels[0].shape[1] // 3
         self.visited += m * k
         check_budget(self.visited)
         self.letters = np.concatenate(
             [np.repeat(self.letters, k, axis=0),
              np.tile(np.arange(k, dtype=np.int32), m)[:, None]], axis=1)
-        self.states = [np.matmul(x[:, None], step).reshape(m * k, -1, 3)
-                       for x, step in zip(self.states, self.steps)]
+        # row i of word w times column block j is row i of word w's extension by j
+        self._stacks = [(x.reshape(-1, 3) @ panel).reshape(len(x), m * k, 3)
+                        for x, panel in zip(self._stacks, self._panels)]
         self.exps = [np.repeat(e, k) for e in self.exps]
         self._rescale()
 
     def ratios(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(a2/a1, a3/a1)`` per word of a walk over products."""
-        n1, n2 = opnorm_batch(self.states[0]), opnorm_batch(self.states[1])
+        """``(a2/a1, a3/a1)`` per word of a walk over products.  Raises
+        :class:`FloatRange` when a ratio is zero or not finite: the float
+        product lost the digits of its smaller singular values."""
+        n1, n2 = (opnorm_batch(x) for x in self.states)
         e1, e2 = self.exps
-        return (np.ldexp(n2 / n1 ** 2, e2 - 2 * e1),
-                np.ldexp(1.0 / (n1 * n2), -(e1 + e2)))
+        with np.errstate(divide="ignore", over="ignore"):
+            r21 = np.ldexp(n2 / n1 ** 2, e2 - 2 * e1)
+            r31 = np.ldexp(1.0 / (n1 * n2), -(e1 + e2))
+        if not all(np.all((0.0 < r) & (r < math.inf)) for r in (r21, r31)):
+            raise FloatRange("a singular value ratio is zero or not finite in float")
+        return r21, r31
 
     def stopping_walk(self, statistic: Callable[["Frontier"], np.ndarray], threshold: float,
                       max_len: float) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
@@ -444,10 +461,10 @@ class Frontier:
         ratio left in that top's level; ``max_len = math.inf`` walks on
         until every branch stops.
         """
-        tops, states, exps = self.letters, self.states, self.exps
+        tops, stacks, exps = self.letters, self._stacks, self.exps
         for i in range(len(tops)):
             self.letters = tops[i:i + 1]
-            self.states = [x[i:i + 1] for x in states]
+            self._stacks = [x[:, i:i + 1] for x in stacks]
             self.exps = [e[i:i + 1] for e in exps]
             levels: list[tuple[np.ndarray, np.ndarray]] = []  # (stopped words, stop mask)
             while True:
@@ -470,7 +487,7 @@ class Frontier:
         :meth:`grow` places each word's extensions next to each other in
         letter order.  Its width is the largest depth over all tops.
         """
-        k = len(self.steps[0])
+        k = self._panels[0].shape[1] // 3
         parts = [_preorder(levels, k)
                  for levels in self.stopping_walk(statistic, threshold, max_len)]
         lengths = np.concatenate([part_lengths for _, part_lengths in parts])

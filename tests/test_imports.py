@@ -129,9 +129,10 @@ def test_every_cached_property_is_read_in_the_package():
 
 
 def test_importing_the_command_line_loads_no_process_pool():
-    # the plane pool imports these when it runs: they would add to every start-up
+    # the plane pool and the level build import these when they run: they
+    # would add to every start-up
     code = ("import sys, projdim, projdim.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'logging'} & set(sys.modules)))")
     src = str(Path(projdim.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)

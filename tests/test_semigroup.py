@@ -14,6 +14,7 @@ from projdim.cover import svd_cover_upper
 from projdim.errors import (
     BadVector,
     BudgetExceeded,
+    FloatRange,
     NotContracting,
     NotPositive,
     NotTraceless,
@@ -167,6 +168,86 @@ def test_psi_stays_in_float_range_with_negative_entries(copies, n, lengths):
 
 
 FRAME = plane_frame_orthonormal(np.ones(3) / math.sqrt(3.0))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _per_word_grow(states, exps, steps, keep):
+    """One level with one ``np.matmul`` per word and step, then the
+    power-of-two rescale: the reference for :meth:`Frontier.grow`."""
+    if keep is not None:
+        states, exps = [x[keep] for x in states], [e[keep] for e in exps]
+    grown = []
+    for x, e, step in zip(states, exps, steps):
+        y = np.matmul(x[:, None], step).reshape(len(x) * len(step), -1, 3)
+        e = np.repeat(e, len(step))
+        big = np.abs(y).max(axis=(1, 2))
+        over = big > 2.0 ** 64
+        shift = np.frexp(big[over])[1]
+        y[over] = np.ldexp(y[over], -shift[:, None, None])
+        e[over] += shift
+        grown.append((y, e))
+    return grown
+
+
+def _product_walks(sys, tops=(None,)):
+    """Walks over the products from each of ``tops`` (``None``: every letter)."""
+    return [Frontier(sys, tops=top) for top in tops], [sys.letters_float, sys.letters_ext2_float]
+
+
+def _rep_walks(sys):
+    """The level build's walks: one per orbit representative."""
+    return _product_walks(sys, [[top] for top in sys.letter_orbits.reps])
+
+
+def _xi_walks(sys):
+    lf = sys.letters_float
+    return [Frontier(sys, states=[np.matmul(FRAME.rows, lf)], steps=[lf])], [lf]
+
+
+GROWTH_WALKS = {  # (walks and their steps, depth, drop every third word before each level)
+    "gamma10": (lambda: _product_walks(rauzy_gamma_system(10)), 3, False),
+    "gamma10-kept": (lambda: _product_walks(rauzy_gamma_system(10)), 3, True),
+    "gamma20-reps": (lambda: _rep_walks(rauzy_gamma_system(20)), 3, False),
+    "xi-gamma10": (lambda: _xi_walks(rauzy_gamma_system(10)), 3, True),
+    "big": (lambda: _product_walks(SystemSpec.uniform("big", (BIG,) * 2)), 14, False),
+    "neg-big": (lambda: _product_walks(SystemSpec.uniform("-big", (NEG_BIG,) * 2)), 14, True),
+}
+RESCALED = {"big", "neg-big"}
+
+
+@pytest.mark.parametrize("case", GROWTH_WALKS)
+def test_grow_matches_per_word_matmul(case):
+    make, depth, thin = GROWTH_WALKS[case]
+    walks, steps = make()
+    for walk in walks:
+        for _ in range(depth - 1):
+            keep = np.arange(len(walk)) % 3 != 1 if thin else None
+            ref = _per_word_grow(walk.states, walk.exps, steps, keep)
+            walk.grow(keep)
+            assert len(walk.states) == len(ref)
+            for x, e, (y, f) in zip(walk.states, walk.exps, ref):
+                assert x.shape == y.shape and (_bits(x) == _bits(y)).all()
+                assert (e == f).all()
+        assert any(e.any() for e in walk.exps) == (case in RESCALED)
+
+
+def _rotated_letter(m):
+    """``Q diag(2^m, 1, 2^-m) Q^T`` for an exact rational rotation ``Q``: a2/a1 = 2^-m."""
+    q = Matrix3.from_rows([[F(1, 9), F(4, 9), F(8, 9)], [F(4, 9), F(7, 9), F(-4, 9)],
+                           [F(8, 9), F(-4, 9), F(1, 9)]])
+    return mat_mul(mat_mul(q, Matrix3.diagonal(F(2) ** m, 1, F(1, 2 ** m))), q.transpose())
+
+
+def test_ratios_raise_when_the_float_letters_lost_their_digits():
+    r21, _ = Frontier(SystemSpec.uniform("q", (_rotated_letter(20),))).ratios()
+    assert r21[0] == pytest.approx(2.0 ** -20, rel=1e-10)
+    # a2/a1 of the float letter reads 0, and a3/a1 inf
+    for m in (60, 89):
+        with pytest.raises(FloatRange):
+            Frontier(SystemSpec.uniform("q", (_rotated_letter(m),))).ratios()
 
 
 def _reference_first_passage(walk, statistic, threshold, max_len):
