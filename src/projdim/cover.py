@@ -7,8 +7,9 @@ and the orthogonal factors inflate radii by at most a measured cone
 constant.  The resulting weighted ball count is the cover cost; staying
 bounded as the stopping scale shrinks indicates finite measure at that
 exponent (heuristically: the constant is measured, not proven).  Words stop
-in :meth:`~projdim.semigroup.Frontier.stopping_walk`, one top at a time,
-and only their count and costs are kept.
+in :meth:`~projdim.semigroup.Frontier.stopping_walk`, one top at a time:
+their count is read from its stop masks and their costs from its states,
+and no word's letters are formed.
 """
 
 from __future__ import annotations
@@ -156,12 +157,13 @@ def svd_cover_upper(sys: SystemSpec, s: float, delta: float) -> CoverReport:
         stop = ratio <= delta
         count = np.ceil(r21[stop] / r31[stop]) + 1.0 if s >= 1.0 else 1.0
         radius = c_cone ** 2 * ratio[stop] * r_ball
-        terms.setdefault(walk.letters.shape[1], []).append(count * radius ** s)
+        terms.setdefault(walk.depth, []).append(count * radius ** s)
         return ratio
 
     walk = Frontier(sys)
-    word_count = sum(len(block) for levels in walk.stopping_walk(statistic, delta, math.inf)
-                     for block, _ in levels)
+    word_count = sum(int(np.count_nonzero(stopped))
+                     for masks in walk.stopping_walk(statistic, delta, math.inf)
+                     for stopped in masks)
     cost = 0.0
     for length in sorted(terms):  # not sum(): from Python 3.12 it rounds differently
         cost += float(np.sum(np.concatenate(terms[length])))

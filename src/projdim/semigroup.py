@@ -255,6 +255,9 @@ class Word:
         return f"Word{self.letters}"
 
 
+_ITER_BLOCK = 4096  # the rows a WordSet iteration unpacks at once
+
+
 class WordSet(Sequence):
     """A packed, read-only sequence of words.
 
@@ -283,8 +286,11 @@ class WordSet(Sequence):
         return Word(tuple(row.tolist()))
 
     def __iter__(self) -> Iterator[Word]:
-        for row, n in zip(self.letters.tolist(), self.lengths.tolist()):
-            yield Word(tuple(row[:n]))
+        # rows become Python lists a block at a time, so the set stays packed
+        for lo in range(0, len(self), _ITER_BLOCK):
+            hi = lo + _ITER_BLOCK
+            for row, n in zip(self.letters[lo:hi].tolist(), self.lengths[lo:hi].tolist()):
+                yield Word(tuple(row[:n]))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +366,12 @@ _RESCALE_ABOVE = 2.0 ** 64
 class Frontier:
     """The undecided words of one length in a level-by-level word-tree walk.
 
-    Words are the rows of the letter-index array ``letters``.  Each word
-    carries float states: :attr:`states` are ``(m, r, 3)`` stacks that start
-    from a per-letter stack and advance by right multiplication with a
+    A word is fixed by its place in the tree, so the walk keeps no letters:
+    the first letters of its words are ``tops``, and at ``depth > 1`` word
+    ``i`` of a full level ends in letter ``i mod k``, as :meth:`grow` places
+    each word's ``k`` extensions next to each other in letter order.  Each
+    word carries float states: :attr:`states` are ``(m, r, 3)`` stacks that
+    start from a per-letter stack and advance by right multiplication with a
     per-letter step stack.  Each stack is stored row-major, ``(r, m, 3)``,
     and the ``k`` steps as one ``(3, 3k)`` panel, so a level is one matrix
     product per stack whose output is already the next level in word order.
@@ -390,13 +399,13 @@ class Frontier:
         self._panels = [step.swapaxes(0, 1).reshape(3, -1) for step in steps]
         self.visited = len(tops)
         check_budget(self.visited)
-        self.letters = tops.astype(np.int32)[:, None]
+        self.tops, self.depth = tops.astype(np.int32), 1
         self._stacks = [np.ascontiguousarray(x[tops].swapaxes(0, 1)) for x in states]
         self.exps = [np.zeros(len(tops), dtype=np.int32) for _ in states]
         self._rescale()
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.exps[0])
 
     @property
     def states(self) -> list[np.ndarray]:
@@ -419,15 +428,12 @@ class Frontier:
         """Replace the words by their one-letter extensions, in letter order;
         with ``keep``, only the kept words are extended."""
         if keep is not None:
-            self.letters = self.letters[keep]
             self._stacks = [x[:, keep] for x in self._stacks]
             self.exps = [e[keep] for e in self.exps]
-        m, k = len(self.letters), self._panels[0].shape[1] // 3
+        m, k = len(self), self._panels[0].shape[1] // 3
         self.visited += m * k
         check_budget(self.visited)
-        self.letters = np.concatenate(
-            [np.repeat(self.letters, k, axis=0),
-             np.tile(np.arange(k, dtype=np.int32), m)[:, None]], axis=1)
+        self.depth += 1
         # row i of word w times column block j is row i of word w's extension by j
         self._stacks = [(x.reshape(-1, 3) @ panel).reshape(len(x), m * k, 3)
                         for x, panel in zip(self._stacks, self._panels)]
@@ -443,41 +449,42 @@ class Frontier:
         with np.errstate(divide="ignore", over="ignore"):
             r21 = np.ldexp(n2 / n1 ** 2, e2 - 2 * e1)
             r31 = np.ldexp(1.0 / (n1 * n2), -(e1 + e2))
-        if not all(np.all((0.0 < r) & (r < math.inf)) for r in (r21, r31)):
-            raise FloatRange("a singular value ratio is zero or not finite in float")
+        _check_range(r21, r31)
         return r21, r31
 
     def stopping_walk(self, statistic: Callable[["Frontier"], np.ndarray], threshold: float,
-                      max_len: float) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+                      max_len: float) -> Iterator[list[np.ndarray]]:
         """Stop each word where ``statistic(self)`` first drops to ``threshold``.
 
-        The walk goes down the subtree under each current word (top) to its
-        end before it starts the next, so it holds one top's level at a
-        time, and yields each top's levels when that top is done: per
-        length, the words stopped there and the stop mask over the level.
+        The walk goes down the subtree under each top to its end before it
+        starts the next, so it holds one top's level at a time, and yields
+        each top's stop masks when that top is done, one per length over
+        that length's level.  The masks fix the stopped words: the level
+        after a mask extends each of its unstopped words by every letter.
         ``visited`` runs on across the tops, so the node cap counts the
         whole walk.  A branch still above the threshold at length
         ``max_len`` raises :class:`NotContracting`, which names the largest
         ratio left in that top's level; ``max_len = math.inf`` walks on
         until every branch stops.
         """
-        tops, stacks, exps = self.letters, self._stacks, self.exps
-        for i in range(len(tops)):
-            self.letters = tops[i:i + 1]
+        stacks, exps = self._stacks, self.exps
+        for i in range(len(self.tops)):
             self._stacks = [x[:, i:i + 1] for x in stacks]
             self.exps = [e[i:i + 1] for e in exps]
-            levels: list[tuple[np.ndarray, np.ndarray]] = []  # (stopped words, stop mask)
+            self.depth = 1
+            masks: list[np.ndarray] = []
             while True:
                 ratio = statistic(self)
                 stopped = ratio <= threshold
-                levels.append((self.letters[stopped], stopped))
+                masks.append(stopped)
                 if stopped.all():
                     break
-                if self.letters.shape[1] >= max_len:
+                if self.depth >= max_len:
                     raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
                                          f"above {threshold:.3g} at depth {max_len}")
                 self.grow(~stopped)
-            yield levels
+            yield masks
+        self._stacks, self.exps, self.depth = stacks, exps, 1  # back at the tops
 
     def first_passage(self, statistic: Callable[["Frontier"], np.ndarray], threshold: float,
                       max_len: float) -> WordSet:
@@ -486,41 +493,49 @@ class Frontier:
         extensions: lexicographic, as the tops are taken in order and
         :meth:`grow` places each word's extensions next to each other in
         letter order.  Its width is the largest depth over all tops.
+
+        Only the stop masks are kept from the walk.  One array then takes
+        every word, written one top at a time: a node's stopped words are
+        the rows ``[rank, rank + size)``, ``size`` counted from the leaves
+        up and ``rank`` its parent's, after its elder siblings' words, and
+        its letter fills their column at its depth.
         """
         k = self._panels[0].shape[1] // 3
-        parts = [_preorder(levels, k)
-                 for levels in self.stopping_walk(statistic, threshold, max_len)]
-        lengths = np.concatenate([part_lengths for _, part_lengths in parts])
-        letters = np.full((len(lengths), lengths.max()), -1, dtype=np.int32)
+        walks = list(self.stopping_walk(statistic, threshold, max_len))
+        total = sum(int(np.count_nonzero(mask)) for masks in walks for mask in masks)
+        letters = np.full((total, max(map(len, walks))), -1, dtype=np.int32)
+        lengths = np.empty(total, dtype=np.int32)
         row = 0
-        for part, _ in parts:
-            letters[row:row + len(part), :part.shape[1]] = part
-            row += len(part)
+        for top, masks in zip(self.tops, walks):
+            # the stopped words under each node, from the leaves up
+            sizes = [masks[-1].astype(np.int64)]
+            for stopped in masks[-2::-1]:
+                size = stopped.astype(np.int64)
+                size[~stopped] = sizes[-1].reshape(-1, k).sum(axis=1)
+                sizes.append(size)
+            sizes.reverse()
+            block = letters[row:row + sizes[0][0]]
+            rank = np.zeros(1, dtype=np.int64)
+            for depth, (stopped, size) in enumerate(zip(masks, sizes), 1):
+                siblings = size.reshape(len(rank), -1)
+                rank = (rank[:, None] + np.cumsum(siblings, axis=1) - siblings).ravel()
+                lengths[row + rank[stopped]] = depth
+                rank = rank[~stopped]
+            # a node at this depth covers its words, the rows that reach the depth, in order
+            reach = lengths[row:row + len(block)]
+            block[:, 0] = top
+            for depth, size in enumerate(sizes[1:], 2):
+                block[reach >= depth, depth - 1] = np.repeat(
+                    np.arange(len(size), dtype=np.int32) % k, size)
+            row += len(block)
         return WordSet(letters, lengths)
 
 
-def _preorder(levels: list[tuple[np.ndarray, np.ndarray]],
-              k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(letters, lengths)`` of one top's stopped words (its levels from
-    :meth:`Frontier.stopping_walk`, ``k`` letters) in preorder."""
-    # the stopped words under each word, from the leaves up
-    sizes = [levels[-1][1].astype(np.int64)]
-    for _, stopped in levels[-2::-1]:
-        size = stopped.astype(np.int64)
-        size[~stopped] = sizes[-1].reshape(-1, k).sum(axis=1)
-        sizes.append(size)
-    sizes.reverse()
-    letters = np.full((sizes[0].sum(), len(levels)), -1, dtype=np.int32)
-    lengths = np.empty(len(letters), dtype=np.int32)
-    # each word's first row: its parent's, after its elder siblings' words
-    rank = np.zeros(1, dtype=np.int64)
-    for depth, ((block, stopped), size) in enumerate(zip(levels, sizes), 1):
-        siblings = size.reshape(len(rank), -1)
-        rank = (rank[:, None] + np.cumsum(siblings, axis=1) - siblings).ravel()
-        letters[rank[stopped], :depth] = block
-        lengths[rank[stopped]] = depth
-        rank = rank[~stopped]
-    return letters, lengths
+def _check_range(*ratios: np.ndarray) -> None:
+    """Raise :class:`FloatRange` when a ratio is zero or not finite: the
+    float product lost the digits of its smaller singular values."""
+    if not all(np.all((0.0 < r) & (r < math.inf)) for r in ratios):
+        raise FloatRange("a singular value ratio is zero or not finite in float")
 
 
 _MARGIN = 1e-6  # relative; far above the error of the largest-eigenvalue root
@@ -552,6 +567,9 @@ def stopping_partition_psi(sys: SystemSpec, n: int) -> WordSet:
     :meth:`Frontier.ratios` does, and so do the words still above the
     threshold at ``MAX_LEN``, which :class:`NotContracting` names.  The
     margin is far above the root's error, so every decision is the root's.
+    A word whose upper bound is 0 or not finite takes the root too (the
+    float state lost its smaller singular values), and a root ratio that
+    is 0 or not finite raises :class:`FloatRange`.
     """
     if n < 0:
         raise ValueError("resolution must be >= 0")
@@ -564,13 +582,16 @@ def stopping_partition_psi(sys: SystemSpec, n: int) -> WordSet:
             (t1, f1), (t2, f2) = (_gram_traces(x) for x in walk.states)
             hi = np.ldexp(np.sqrt(np.sqrt(f2)) * t1 / f1, e)
             lo = np.ldexp(np.sqrt(f2 / (t2 * f1)), e)
-        stop = hi <= stop_at
+        # an upper bound that is 0, not finite or NaN decides nothing
+        bounded = (0.0 < hi) & (hi < math.inf)
+        stop = bounded & (hi <= stop_at)
         ratio = np.where(stop, hi, lo)
-        # a NaN bound fails both tests, so its word reaches the root's range check
-        root = ~stop if walk.letters.shape[1] >= MAX_LEN else ~stop & ~(lo > go_on)
+        root = ~stop if walk.depth >= MAX_LEN else ~stop & ~(bounded & (lo > go_on))
         if root.any():
             n1, n2 = (opnorm_batch(x[root]) for x in walk.states)
-            ratio[root] = np.ldexp(n2 / n1 ** 2, e[root])
+            with np.errstate(divide="ignore", over="ignore"):
+                ratio[root] = np.ldexp(n2 / n1 ** 2, e[root])
+            _check_range(ratio[root])
         return ratio
 
     return Frontier(sys).first_passage(statistic, threshold, MAX_LEN)

@@ -32,6 +32,7 @@ from projdim.semigroup import (
     MAX_LEN,
     Frontier,
     SystemSpec,
+    Word,
     WordSet,
     diophantine_check,
     irreducibility_probe,
@@ -161,7 +162,7 @@ def test_psi_stays_in_float_range_with_negative_entries(copies, n, lengths):
     sys = SystemSpec.uniform("-big", (NEG_BIG,) * copies)
     assert [len(w) for w in stopping_partition_psi(sys, n)] == lengths
     walk = Frontier(sys)
-    while len(walk.letters[0]) < lengths[0]:
+    while walk.depth < lengths[0]:
         walk.grow()
         assert all(np.abs(x).max() <= 2.0 ** 64 for x in walk.states)
     assert all(e.all() for e in walk.exps)
@@ -250,15 +251,29 @@ def test_ratios_raise_when_the_float_letters_lost_their_digits():
             Frontier(SystemSpec.uniform("q", (_rotated_letter(m),))).ratios()
 
 
+@pytest.mark.parametrize("m", [60, 89])
+def test_psi_takes_the_root_when_the_bound_reads_zero(m):
+    # tr G^2 of the float exterior square is 0, so the upper bound reads 0;
+    # the root's a2/a1 reads 0 too, and no digit of the exact 2^-m is left
+    with pytest.raises(FloatRange):
+        stopping_partition_psi(SystemSpec.uniform("q", (_rotated_letter(m),)), 61)
+
+
 def _reference_first_passage(walk, statistic, threshold, max_len):
-    """The list-of-tuples first passage: per-level rows, sorted as tuples."""
-    out = []
+    """The list-of-tuples first passage: per-level rows, sorted as tuples.
+    It extends its own letter array as ``walk.grow(~stopped)`` extends the
+    words, so it does not read the walk's word order."""
+    letters, out = walk.tops[:, None], []
     while True:
         stopped = statistic(walk) <= threshold
-        out.extend(tuple(row) for row in walk.letters[stopped].tolist())
+        out.extend(tuple(row) for row in letters[stopped].tolist())
         if stopped.all():
             return sorted(out)
         walk.grow(~stopped)
+        m = np.count_nonzero(~stopped)
+        k = len(walk) // m
+        letters = np.concatenate([np.repeat(letters[~stopped], k, axis=0),
+                                  np.tile(np.arange(k), m)[:, None]], axis=1)
 
 
 FIRST_PASSAGES = {
@@ -363,6 +378,14 @@ def test_first_passage_node_cap_counts_across_tops(monkeypatch):
         Frontier(sys).first_passage(lambda w: w.ratios()[0], 2.0 ** -8, 64)
 
 
+def test_first_passage_leaves_the_walk_at_its_tops():
+    walk = Frontier(rauzy_gamma_system(2))
+    words = walk.first_passage(lambda w: w.ratios()[0], 2.0 ** -4, 64)
+    assert walk.depth == 1 and len(walk) == len(walk.tops)
+    again = walk.first_passage(lambda w: w.ratios()[0], 2.0 ** -4, 64)
+    assert _wordset_digest(again) == _wordset_digest(words)
+
+
 def _wordset_digest(words):
     return hashlib.sha256(words.letters.tobytes() + words.lengths.tobytes()).hexdigest()[:16]
 
@@ -441,6 +464,34 @@ def test_psi_is_prefix_free_with_full_mass():
     # the bytes of the whole-level walk this set was first built by
     assert letters.shape == (617_436, 6)
     assert _wordset_digest(words) == "9e3177699e72cac8"
+
+
+def _traced_peak(run):
+    """``run()`` and the peak of the memory it traced on top of what it found."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_psi_holds_its_words_once():
+    sys = rauzy_gamma_system(10)
+    sys.letters_float, sys.letters_ext2_float
+    words, peak = _traced_peak(lambda: stopping_partition_psi(sys, 8))
+    # the walk keeps only its stop masks, and each word is written once
+    assert peak < words.letters.nbytes + words.lengths.nbytes + 4_000_000
+
+
+def test_wordset_iterates_a_block_at_a_time():
+    words = stopping_partition_psi(rauzy_gamma_system(10), 8)
+    count, peak = _traced_peak(lambda: sum(1 for _ in words))
+    assert count == len(words) and peak < 2_000_000
+    few = stopping_partition_psi(rauzy_gamma_system(10), 5)  # several blocks and a partial one
+    assert len(few) % 4096 and list(few) == [
+        Word(tuple(row[:n])) for row, n in zip(few.letters.tolist(), few.lengths.tolist())]
 
 
 def test_xi_wordset_is_pinned():
