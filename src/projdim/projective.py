@@ -43,6 +43,7 @@ from .semigroup import (
 _BURN_IN = 100  # chaos steps discarded before the first sample
 _SVG_SIZE = 800  # side of the rendered square, in pixels
 _SVG_MAX_POINTS = 50_000  # larger clouds are subsampled by a stride
+_CYLINDER_ROWS = 65_536  # the words whose cylinder points are computed at once
 
 
 class DenominatorZero(ProjdimError):
@@ -302,13 +303,16 @@ def attractor_points(sys: SystemSpec, method: str = "chaos", budget: int = 10_00
         else:  # each partition refines the one before, so the last is the largest
             raise DomainError(f"no ψ partition up to n = 39 reaches the budget of {budget} "
                               f"words; the largest has {len(words)}")
-        # h = A_w1 ... A_wL x0 for all words at once, last letter first; the
-        # padding index -1 selects the appended identity, an exact no-op
+        # h = A_w1 ... A_wL x0 for a block of words at once, last letter first;
+        # the padding index -1 selects the appended identity, an exact no-op
         lf = np.concatenate([sys.letters_float, np.eye(3)[None]])
-        h = np.full((len(words), 3, 1), 1.0 / 3.0)
-        for col in reversed(range(words.letters.shape[1])):
-            h = lf[words.letters[:, col]] @ h
-        pts = h[:, :, 0] / h.sum(axis=1)
+        pts = np.empty((len(words), 3))
+        for lo in range(0, len(words), _CYLINDER_ROWS):
+            block = words.letters[lo:lo + _CYLINDER_ROWS]
+            h = np.full((len(block), 3, 1), 1.0 / 3.0)
+            for col in reversed(range(block.shape[1])):
+                h = lf[block[:, col]] @ h
+            pts[lo:lo + len(block)] = h[:, :, 0] / h.sum(axis=1)
         return PointCloud(_to_coords(pts, coords), coords)
     raise ValueError(f"unknown sampling method {method!r}")
 

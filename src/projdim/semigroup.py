@@ -261,8 +261,10 @@ _ITER_BLOCK = 4096  # the rows a WordSet iteration unpacks at once
 class WordSet(Sequence):
     """A packed, read-only sequence of words.
 
-    Row ``i`` of the ``(m, L)`` ``int32`` array ``letters`` holds word ``i``,
-    padded with -1 past ``lengths[i]``; both arrays are read-only.  Items
+    Row ``i`` of the ``(m, L)`` signed integer array ``letters`` holds word
+    ``i``, padded with -1 past ``lengths[i]``; both arrays are read-only,
+    and of any signed integer type (:meth:`Frontier.first_passage` writes
+    the narrowest that holds its letters and its width).  Items
     are built on access as :class:`Word` objects with Python ``int``
     letters and are not kept, so the set stays packed; a slice is a
     :class:`WordSet` view.
@@ -498,13 +500,19 @@ class Frontier:
         every word, written one top at a time: a node's stopped words are
         the rows ``[rank, rank + size)``, ``size`` counted from the leaves
         up and ``rank`` its parent's, after its elder siblings' words, and
-        its letter fills their column at its depth.
+        its letter fills their column at its depth.  The letters are of the
+        narrowest signed integer type that holds -1 and ``k - 1`` (``int8``
+        up to 128 letters), and the lengths of the narrowest that holds the
+        width.
         """
         k = self._panels[0].shape[1] // 3
         walks = list(self.stopping_walk(statistic, threshold, max_len))
         total = sum(int(np.count_nonzero(mask)) for masks in walks for mask in masks)
-        letters = np.full((total, max(map(len, walks))), -1, dtype=np.int32)
-        lengths = np.empty(total, dtype=np.int32)
+        width = max(map(len, walks))
+        # the narrowest signed types that hold -1 and k - 1, and the width
+        letters = np.full((total, width), -1, dtype=np.min_scalar_type(-k))
+        lengths = np.empty(total, dtype=np.min_scalar_type(-width - 1))
+        node_letters = np.arange(k, dtype=letters.dtype)
         row = 0
         for top, masks in zip(self.tops, walks):
             # the stopped words under each node, from the leaves up
@@ -526,7 +534,7 @@ class Frontier:
             block[:, 0] = top
             for depth, size in enumerate(sizes[1:], 2):
                 block[reach >= depth, depth - 1] = np.repeat(
-                    np.arange(len(size), dtype=np.int32) % k, size)
+                    np.tile(node_letters, len(size) // k), size)
             row += len(block)
         return WordSet(letters, lengths)
 
@@ -544,8 +552,19 @@ _MARGIN = 1e-6  # relative; far above the error of the largest-eigenvalue root
 def _gram_traces(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(tr G, tr G^2)`` of the Gram matrices ``G`` of a ``(m, 3, 3)`` stack."""
     s00, s01, s02, s11, s12, s22 = gram_entries(states)
-    return (s00 + s11 + s22,
-            s00 * s00 + s11 * s11 + s22 * s22 + 2.0 * (s01 * s01 + s02 * s02 + s12 * s12))
+    trace = s00 + s11
+    trace += s22
+    # tr G^2 = s00^2 + s11^2 + s22^2 + 2 (s01^2 + s02^2 + s12^2), summed left
+    # to right in place of the entries, so no other temporary is made
+    for s in (s00, s01, s02, s11, s12, s22):
+        s *= s
+    s00 += s11
+    s00 += s22
+    s01 += s02
+    s01 += s12
+    s01 *= 2.0
+    s00 += s01
+    return trace, s00
 
 
 def stopping_partition_psi(sys: SystemSpec, n: int) -> WordSet:

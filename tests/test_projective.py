@@ -189,6 +189,18 @@ def test_cylinder_short_of_the_budget_raises():
     assert len(attractor_points(sys, "cylinder", budget=1)) == 1
 
 
+def test_cylinder_row_blocks_equal_one_block(monkeypatch):
+    import projdim.projective as projective_mod
+
+    sys = rauzy_gamma_system(2)
+    monkeypatch.setattr(projective_mod, "_CYLINDER_ROWS", 77)  # the last block is short
+    blocked = attractor_points(sys, "cylinder", budget=2_000)
+    assert len(blocked) % 77
+    monkeypatch.setattr(projective_mod, "_CYLINDER_ROWS", len(blocked))  # one block
+    whole = attractor_points(sys, "cylinder", budget=2_000)
+    assert blocked.points.tobytes() == whole.points.tobytes()
+
+
 def test_attractor_chaos_vs_cylinder():
     from scipy.spatial import cKDTree
 

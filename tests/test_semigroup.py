@@ -387,7 +387,9 @@ def test_first_passage_leaves_the_walk_at_its_tops():
 
 
 def _wordset_digest(words):
-    return hashlib.sha256(words.letters.tobytes() + words.lengths.tobytes()).hexdigest()[:16]
+    # int32 views, so the digest does not depend on the arrays' integer type
+    return hashlib.sha256(words.letters.astype(np.int32).tobytes()
+                          + words.lengths.astype(np.int32).tobytes()).hexdigest()[:16]
 
 
 def _root_first_passage(sys, n, max_len=64):
@@ -464,6 +466,18 @@ def test_psi_is_prefix_free_with_full_mass():
     # the bytes of the whole-level walk this set was first built by
     assert letters.shape == (617_436, 6)
     assert _wordset_digest(words) == "9e3177699e72cac8"
+    # 60 letters: one byte per letter
+    assert letters.dtype == np.int8 and letters.nbytes == 3_704_616
+
+
+@pytest.mark.parametrize("n, dtype", [(21, np.int8), (22, np.int16)])
+def test_first_passage_letters_take_the_narrowest_type(n, dtype):
+    # 6n letters: 126 fit a signed byte next to the padding -1, 132 do not
+    sys = rauzy_gamma_system(n)
+    words = stopping_partition_psi(sys, 0)
+    assert words.letters.dtype == dtype
+    assert (words.letters[:, 0] == np.arange(len(sys))).all()
+    assert (words.lengths == 1).all()
 
 
 def _traced_peak(run):
