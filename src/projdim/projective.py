@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +45,7 @@ _BURN_IN = 100  # chaos steps discarded before the first sample
 _SVG_SIZE = 800  # side of the rendered square, in pixels
 _SVG_MAX_POINTS = 50_000  # larger clouds are subsampled by a stride
 _CYLINDER_ROWS = 65_536  # the words whose cylinder points are computed at once
+_CSV_ROWS = 65_536  # the points a cloud file write formats at once
 
 
 class DenominatorZero(ProjdimError):
@@ -403,25 +405,31 @@ def xi_partition(frame: PlaneFrame, sys: SystemSpec, n: int) -> WordSet:
 # cloud files
 
 def save_cloud_csv(cloud: PointCloud, path: str | Path) -> None:
-    """CSV with a header naming the coordinate system, one point per line."""
+    """CSV with a header naming the coordinate system, one point per line.
+
+    The points are written as ``csv.writer`` writes each float's ``repr``,
+    one string per ``_CSV_ROWS`` points: no float repr holds a comma, quote
+    or line break.
+    """
     dim = cloud.points.shape[1]
     header = [f"{cloud.coordinate_system}_{axis}" for axis in "xyz"[:dim]]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in cloud.points:
-            writer.writerow([repr(float(x)) for x in row])
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(cloud.points), _CSV_ROWS):
+            fh.write("".join(",".join(map(repr, row)) + "\r\n"
+                             for row in cloud.points[lo:lo + _CSV_ROWS].tolist()))
 
 
 def load_cloud_csv(path: str | Path) -> PointCloud:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header:
             raise ValueError(f"cloud file {path} has no header row")
-        rows = [[float(x) for x in row] for row in reader if row]
-    coords = header[0].rsplit("_", 1)[0]
-    return PointCloud(np.array(rows), coords)
+        # a file with no points reads as a (0, 1) array, which PointCloud refuses
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            points = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return PointCloud(points, header[0].rsplit("_", 1)[0])
 
 
 def render_svg(cloud: PointCloud, path: str | Path) -> None:

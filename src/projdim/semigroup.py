@@ -43,6 +43,8 @@ from .linalg import (
     opnorm_batch,
 )
 
+mat_mul  # called nowhere here, but perfbench's tracer wraps this binding and its tests pin it
+
 DEFAULT_NODE_CAP = 20_000_000
 MAX_LEN = 64  # the depth by which ψ and ξ must stop every word (uniform contraction)
 
@@ -637,10 +639,11 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
     ``min_gap`` is the smallest max-abs entry difference over same-level
     pairs (``inf`` with none), a lower bound for the operator norm gap,
     exact for every rational alphabet (``g / D^n``, rounded to float once),
-    so ``gap_is_exact`` is always true.  Its sweep (:func:`_min_linf_gap`)
-    reuses the sort and ends at offset 1 on every rauzy level, where gap 1
-    is found at once, but deep rational levels need many: Γ₁₀ at depth 3
-    (216,000 products) takes 1,327 offsets.
+    so ``gap_is_exact`` is always true.  :func:`_min_linf_gap` starts from
+    the sort: the smallest offset-1 difference ``B`` ends every rauzy level
+    at once (gap 1), and a deeper rational level compares only the rows in
+    the same or neighbouring grid cells of side ``B``, or takes a sorted
+    sweep when some cell is crowded.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -657,7 +660,8 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
         level = np.matmul(level.reshape(-1, 1, 3, 3), step[None]).reshape(-1, 9)
         order = np.lexsort(level.T[::-1])
         rows = level[order]
-        gaps = np.abs(rows[1:] - rows[:-1]).max(axis=1)
+        gaps = rows[1:] - rows[:-1]
+        gaps = np.abs(gaps, out=gaps).max(axis=1)
         repeats = np.flatnonzero(gaps == 0)
         if len(repeats):
             p = repeats[np.argmin(order[repeats + 1])]
@@ -676,20 +680,52 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
     }
 
 
+_CELL_ROWS = 32  # a level with a fuller grid cell is left to the sweep
+_AHEAD = list(itertools.product((-1, 0, 1), repeat=3))[13:]  # a cell, then the 13 after it
+
+
 def _min_linf_gap(rows: np.ndarray, gaps: np.ndarray) -> int:
     """Smallest max-abs difference between two distinct integer rows.
 
-    A sorted sweep (Shamos–Hoey, *Closest-point problems*, 1975): ``rows``
-    are sorted with their first column primary, ``gaps`` are their offset-1
-    max-abs differences, and offset ``d`` compares every row with the
-    ``d``-th next one in one step.  The sweep stops once every lead-column
-    difference at offset ``d`` is at least the best gap (no pair further
-    apart can be closer), or once the best gap is 1 (distinct integer rows
-    are never closer).  The fewer distinct values the first column takes,
-    the more offsets the sweep needs.
+    ``rows`` are sorted with their first column primary and ``gaps`` are
+    their offset-1 max-abs differences, whose minimum ``B`` bounds the gap
+    from above.  ``B <= 1`` is the answer at once (distinct integer rows
+    are never closer), so every rauzy level ends there.  Otherwise a grid
+    (Khuller and Matias, *A simple randomized sieve algorithm for the
+    closest-pair problem*, 1995) bins each row by ``floor(x / B)`` on the
+    diagonal columns: two rows closer than ``B`` lie in the same cell or in
+    neighbouring ones, so each row is compared with the later rows of its
+    cell and with the rows of the 13 cells after it.  A level with a cell
+    of more than ``_CELL_ROWS`` rows takes the sorted sweep instead
+    (Shamos–Hoey, *Closest-point problems*, 1975): offset ``d`` compares
+    every row with the ``d``-th next one, until every lead-column
+    difference at offset ``d`` is at least the best gap.
     """
-    lead = rows[:, 0]
     best = gaps.min()
+    if best <= 1:
+        return int(best)
+    cells = rows[:, [0, 4, 8]] // best
+    cells = cells - cells.min(axis=0) + 1  # from 1, so the cells before stay >= 0
+    size = [int(x) + 2 for x in cells.max(axis=0)]
+    if size[0] * size[1] * size[2] >= 2 ** 63:
+        cells = cells.astype(object)
+    key = (cells[:, 0] * size[1] + cells[:, 1]) * size[2] + cells[:, 2]
+    order = np.argsort(key)
+    key = key[order]
+    if (np.searchsorted(key, key, "right") - np.searchsorted(key, key)).max() <= _CELL_ROWS:
+        for d0, d1, d2 in _AHEAD:
+            k = key + ((d0 * size[1] + d1) * size[2] + d2)
+            # the later rows of the same cell, or all rows of a cell after it
+            lo = np.searchsorted(key, k) if d0 or d1 or d2 else np.arange(1, len(key) + 1)
+            hi = np.searchsorted(key, k, "right")
+            for t in range(_CELL_ROWS):
+                i = np.flatnonzero(hi - lo > t)
+                if not len(i):
+                    break
+                pair = np.abs(rows[order[i]] - rows[order[lo[i] + t]])
+                best = min(best, pair.max(axis=1).min())
+        return int(best)
+    lead = rows[:, 0]
     for d in range(2, len(rows)):
         if best <= 1 or (lead[d:] - lead[:-d]).min() >= best:
             break
@@ -700,31 +736,10 @@ def _min_linf_gap(rows: np.ndarray, gaps: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Lie-algebra span diagnostic (Zariski density)
 
-def _flat9(a: Matrix3) -> list[Fraction]:
-    return [a.entries[i][j] for i in range(3) for j in range(3)]
-
-
-class _RationalSpan:
-    """Incremental exact span with reduced pivots."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[Fraction]]] = []
-
-    def add(self, vec: list[Fraction]) -> bool:
-        v = list(vec)
-        for piv, row in self.rows:
-            if v[piv] != 0:
-                c = v[piv] / row[piv]
-                v = [x - c * y for x, y in zip(v, row)]
-        for i, x in enumerate(v):
-            if x != 0:
-                self.rows.append((i, v))
-                return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+def _bracket(x: list[int], y: list[int]) -> list[int]:
+    """``XY - YX`` of two integer 3x3 matrices, each nine ints row by row."""
+    return [sum(x[3 * i + k] * y[3 * k + j] - y[3 * i + k] * x[3 * k + j] for k in range(3))
+            for i in range(3) for j in range(3)]
 
 
 def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
@@ -734,26 +749,45 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
     the projective action they diagnose; the span is closed under the
     bracket ``[X, Y] = XY - YX``.  A nonzero scalar generator
     is rejected because it has no traceless content.
+
+    The closure runs in Python ints.  A generator ``g`` whose entries have
+    the common denominator ``D`` enters as ``3 D g - D tr(g) I``, a positive
+    multiple of its traceless part, and scaling changes neither the span
+    nor the algebra generated.  The span is kept as fraction-free echelon
+    rows, each divided by its gcd.
     """
-    mats: list[Matrix3] = []
-    span = _RationalSpan()
+    echelon: list[tuple[int, list[int]]] = []  # (pivot, row); later rows are 0 at earlier pivots
+
+    def extends_span(v: list[int]) -> bool:
+        for piv, row in echelon:
+            if c := v[piv]:
+                v = [row[piv] * x - c * y for x, y in zip(v, row)]
+        if not any(v):
+            return False
+        g = math.gcd(*v)
+        echelon.append((next(i for i, x in enumerate(v) if x), [x // g for x in v]))
+        return True
+
+    mats: list[list[int]] = []
     for g in generators:
-        t = _shift(g, g.trace / 3)
-        if all(x == 0 for row in t.entries for x in row):
-            if any(x != 0 for row in g.entries for x in row):
+        flat = [x for row in g.entries for x in row]
+        d = math.lcm(*(x.denominator for x in flat))
+        t = [3 * int(d * x) - (int(d * g.trace) if i % 4 == 0 else 0) for i, x in enumerate(flat)]
+        if not any(t):
+            if g.trace != 0:
                 raise NotTraceless(f"generator {g} is a nonzero scalar matrix")
             continue
-        if span.add(_flat9(t)):
+        if extends_span(t):
             mats.append(t)
 
     # the brackets of a basis span all brackets, [y, x] = -[x, y] and [x, x] = 0:
     # each element is bracketed once with every earlier one, new ones included
     for i, x in enumerate(mats):
         for y in mats[:i]:
-            b = mat_mul(x, y) - mat_mul(y, x)
-            if span.add(_flat9(b)):
+            b = _bracket(x, y)
+            if extends_span(b):
                 mats.append(b)
-    return span.dim
+    return len(echelon)
 
 
 # ---------------------------------------------------------------------------

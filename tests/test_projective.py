@@ -1,10 +1,13 @@
+import csv
 import functools
+import io
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from projdim import projective
 from projdim.errors import BadDirection, DegenerateGap, DomainError, NotContracting, NotPositive
 from projdim.linalg import Matrix3, mat_mul
 from projdim.pressure import rauzy_gamma_system
@@ -415,6 +418,25 @@ def test_cloud_csv_roundtrip_and_svg(tmp_path):
     svg = tmp_path / "cloud.svg"
     render_svg(cloud, svg)
     assert svg.read_text().startswith("<svg")
+
+
+def test_cloud_csv_bytes_and_points_roundtrip(tmp_path, monkeypatch):
+    pts = np.array([[1e-300, 1e300], [0.12345678901234567, 2.0],
+                    [5e-324, 1.7976931348623157e308], [1 / 3, 0.1]])
+    path = tmp_path / "cloud.csv"
+    monkeypatch.setattr(projective, "_CSV_ROWS", 3)  # two blocks
+    save_cloud_csv(PointCloud(pts, "plane_P"), path)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["plane_P_x", "plane_P_y"])
+    for row in pts:
+        writer.writerow([repr(float(x)) for x in row])
+    assert path.read_bytes() == expected.getvalue().encode()
+    back = load_cloud_csv(path)
+    assert back.coordinate_system == "plane_P" and back.points.tobytes() == pts.tobytes()
+    path.write_text("plane_P_x,plane_P_y\r\n")  # a header and no points
+    with pytest.raises(ValueError, match="two columns"):
+        load_cloud_csv(path)
 
 
 def test_render_svg_strides_a_large_cloud(tmp_path):

@@ -8,8 +8,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from projdim import linalg
+from projdim import linalg, semigroup
 from projdim.cover import svd_cover_upper
 from projdim.errors import (
     BadVector,
@@ -736,6 +738,15 @@ def _rational_shears():
     ))
 
 
+def _wide_cells():
+    # int64 levels whose diagonal entries span about 2**30 while the closest rows are 2 apart
+    return SystemSpec.uniform("wide", (
+        Matrix3.diagonal(2 ** 10, 2 ** 10, F(1, 2 ** 20)),
+        Matrix3.from_rows([[1, 0, 0], [0, 1, F(1, 2 ** 19)], [0, 0, 1]]),
+        Matrix3.from_rows([[1, 0, 0], [0, 1, 0], [0, F(1, 2 ** 19), 1]]),
+    ))
+
+
 def _big_shears(order=(0, 1)):
     # unimodular shears with a 2**40 entry: (1 + 2**40)**3 passes 2**62, so the
     # depth-3 products are Python ints, and some entries pass 2**63
@@ -754,6 +765,10 @@ def _big_shears(order=(0, 1)):
                                 mat_mul(rauzy_alphabet()[0], rauzy_alphabet()[1])),
                         (F(1, 2), F(1, 2))), 6),
     (_rational_shears, 4),
+    # level 2 (900 rows): the grid finds 126 below the offset-1 minimum 135
+    pytest.param(lambda: rauzy_gamma_system(5), 2, id="gamma5-2"),
+    # level 2: the grid finds 2 below the offset-1 minimum 2**21, with cell keys past int64
+    (_wide_cells, 2),
     # equal letters in both orders: the repeat whose rows sort first is (0, 3)
     # in one of them, yet the first repeat in word order is (1, 2) in both
     pytest.param(lambda: SystemSpec.uniform(
@@ -767,6 +782,34 @@ def test_diophantine_matches_exact_reference(make, depth):
     sys = make()
     for n in range(1, depth + 1):
         assert diophantine_check(sys, n) == _diophantine_reference(sys, n)
+
+
+@pytest.mark.parametrize("make,depth", [
+    *[pytest.param(lambda: rauzy_gamma_system(2), n, id=f"gamma2-{n}") for n in (1, 2, 3)],
+    pytest.param(lambda: rauzy_gamma_system(5), 3, id="gamma5-3"),
+    (_rational_shears, 4),
+])
+def test_grid_gap_matches_the_sweep(monkeypatch, make, depth):
+    sys = make()
+    grid = diophantine_check(sys, depth)
+    # every level of these with an offset-1 minimum above 1 has a cell of two
+    # rows or more, so each such level takes the sweep
+    monkeypatch.setattr(semigroup, "_CELL_ROWS", 1)
+    assert diophantine_check(sys, depth)["min_gap"] == grid["min_gap"]
+
+
+def test_min_linf_gap_matches_every_pair():
+    # 200 small random levels, as int64 and as Python ints past 2**62: the pair
+    # that sets the gap lies in each of the 13 neighbour directions in some of them
+    rng = np.random.default_rng(4)
+    for case in range(200):
+        scale = rng.integers(1, 40, size=9)  # columns of unequal spread
+        rows = np.unique(rng.integers(-50, 50, size=(int(rng.integers(2, 60)), 9)) * scale, axis=0)
+        for level in (rows, rows.astype(object) * 2 ** 70):
+            gaps = np.abs(level[1:] - level[:-1]).max(axis=1)  # np.unique sorts column 0 first
+            every_pair = min(np.abs(level[i + 1:] - level[i]).max(axis=1).min()
+                             for i in range(len(level) - 1))
+            assert semigroup._min_linf_gap(level, gaps) == every_pair, case
 
 
 def test_diophantine_exact_past_int64():
@@ -927,9 +970,75 @@ def test_lie_algebra_dimension_examples():
 
 
 def test_lie_algebra_brackets_each_basis_pair_once(monkeypatch):
-    calls = count_mat_mul(monkeypatch)
+    products, brackets, bracket = count_mat_mul(monkeypatch), [], semigroup._bracket
+    monkeypatch.setattr(semigroup, "_bracket", lambda x, y: brackets.append(1) or bracket(x, y))
     assert lie_algebra_dimension(rauzy_curve_derivatives()) == 8
-    assert len(calls) == 2 * 28  # XY and YX for each of the 8 * 7 / 2 basis pairs
+    assert len(brackets) == 28  # one for each of the 8 * 7 / 2 basis pairs
+    assert products == []  # the closure forms no Fraction product
+
+
+def _lie_reference(generators):
+    """The dimension of the Lie algebra generated by the traceless parts of
+    ``generators``, by Fraction products and ranks: every bracket of the
+    kept elements is added until none enlarges their span."""
+    def rank(mats):
+        rows, r = [[x for row in m.entries for x in row] for m in mats], 0
+        for c in range(9):
+            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            for i in range(r + 1, len(rows)):
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            r += 1
+        return r
+
+    zero, kept = Matrix3.diagonal(0, 0, 0), []
+    for g in generators:
+        t = g - Matrix3.identity().scale(g.trace / 3)
+        if t == zero and g != zero:
+            raise NotTraceless("scalar")
+        if rank(kept + [t]) > len(kept):
+            kept.append(t)
+    grown = True
+    while grown:
+        grown = False
+        for x, y in itertools.combinations(list(kept), 2):
+            b = mat_mul(x, y) - mat_mul(y, x)
+            if rank(kept + [b]) > len(kept):
+                kept.append(b)
+                grown = True
+    return len(kept)
+
+
+_SMALL = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 2), F(2, 3), F(-3, 4)])
+# entries of sl(3) subalgebras: upper triangular, a 2x2 block, diagonal, strictly upper
+_SUPPORTS = [{0, 1, 2, 4, 5, 8}, {0, 1, 3, 4}, {0, 4, 8}, {1, 2, 5}]
+
+
+def _generator_lists(support):
+    """Up to five generators ``N - c I``: ``N`` with its nonzero entries in
+    ``support``, so that many lists generate a proper subalgebra.  A zero
+    ``N`` gives a zero generator or a nonzero scalar."""
+    def generator(e):
+        n = Matrix3.from_rows([[e[3 * i + j] if 3 * i + j in support else 0 for j in range(3)]
+                               for i in range(3)])
+        return n - Matrix3.identity().scale(e[9])
+
+    return st.lists(st.lists(_SMALL, min_size=10, max_size=10).map(generator), max_size=5)
+
+
+@given(st.one_of(st.sampled_from(_SUPPORTS), st.sets(st.integers(0, 8))).flatmap(_generator_lists))
+@settings(max_examples=80, deadline=None)
+def test_lie_algebra_dimension_matches_fraction_closure(generators):
+    def outcome(f):
+        try:
+            return f(generators)
+        except NotTraceless:
+            return NotTraceless
+
+    assert outcome(lie_algebra_dimension) == outcome(_lie_reference)
 
 
 def test_lie_algebra_rejects_scalar():
