@@ -416,8 +416,8 @@ def save_cloud_csv(cloud: PointCloud, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, len(cloud.points), _CSV_ROWS):
-            fh.write("".join(",".join(map(repr, row)) + "\r\n"
-                             for row in cloud.points[lo:lo + _CSV_ROWS].tolist()))
+            block = cloud.points[lo:lo + _CSV_ROWS].astype(float, copy=False)
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()))
 
 
 def load_cloud_csv(path: str | Path) -> PointCloud:
@@ -428,7 +428,7 @@ def load_cloud_csv(path: str | Path) -> PointCloud:
         # a file with no points reads as a (0, 1) array, which PointCloud refuses
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            points = np.loadtxt(fh, delimiter=",", ndmin=2)
+            points = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
     return PointCloud(points, header[0].rsplit("_", 1)[0])
 
 

@@ -642,8 +642,7 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
     so ``gap_is_exact`` is always true.  :func:`_min_linf_gap` starts from
     the sort: the smallest offset-1 difference ``B`` ends every rauzy level
     at once (gap 1), and a deeper rational level compares only the rows in
-    the same or neighbouring grid cells of side ``B``, or takes a sorted
-    sweep when some cell is crowded.
+    the same or neighbouring grid cells of side ``B``.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -680,7 +679,6 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
     }
 
 
-_CELL_ROWS = 32  # a level with a fuller grid cell is left to the sweep
 _AHEAD = list(itertools.product((-1, 0, 1), repeat=3))[13:]  # a cell, then the 13 after it
 
 
@@ -693,18 +691,15 @@ def _min_linf_gap(rows: np.ndarray, gaps: np.ndarray) -> int:
     are never closer), so every rauzy level ends there.  Otherwise a grid
     (Khuller and Matias, *A simple randomized sieve algorithm for the
     closest-pair problem*, 1995) bins each row by ``floor(x / B)`` on the
-    diagonal columns: two rows closer than ``B`` lie in the same cell or in
-    neighbouring ones, so each row is compared with the later rows of its
-    cell and with the rows of the 13 cells after it.  A level with a cell
-    of more than ``_CELL_ROWS`` rows takes the sorted sweep instead
-    (Shamos–Hoey, *Closest-point problems*, 1975): offset ``d`` compares
-    every row with the ``d``-th next one, until every lead-column
-    difference at offset ``d`` is at least the best gap.
+    three columns of widest spread: two rows closer than ``B`` lie in the
+    same cell or in neighbouring ones, so each row is compared with the
+    later rows of its cell and with the rows of the 13 cells after it.
+    The work is the number of such pairs, quadratic in the fullest cell.
     """
     best = gaps.min()
     if best <= 1:
         return int(best)
-    cells = rows[:, [0, 4, 8]] // best
+    cells = rows[:, np.argsort(rows.max(axis=0) - rows.min(axis=0))[-3:]] // best
     cells = cells - cells.min(axis=0) + 1  # from 1, so the cells before stay >= 0
     size = [int(x) + 2 for x in cells.max(axis=0)]
     if size[0] * size[1] * size[2] >= 2 ** 63:
@@ -712,24 +707,17 @@ def _min_linf_gap(rows: np.ndarray, gaps: np.ndarray) -> int:
     key = (cells[:, 0] * size[1] + cells[:, 1]) * size[2] + cells[:, 2]
     order = np.argsort(key)
     key = key[order]
-    if (np.searchsorted(key, key, "right") - np.searchsorted(key, key)).max() <= _CELL_ROWS:
-        for d0, d1, d2 in _AHEAD:
-            k = key + ((d0 * size[1] + d1) * size[2] + d2)
-            # the later rows of the same cell, or all rows of a cell after it
-            lo = np.searchsorted(key, k) if d0 or d1 or d2 else np.arange(1, len(key) + 1)
-            hi = np.searchsorted(key, k, "right")
-            for t in range(_CELL_ROWS):
-                i = np.flatnonzero(hi - lo > t)
-                if not len(i):
-                    break
-                pair = np.abs(rows[order[i]] - rows[order[lo[i] + t]])
-                best = min(best, pair.max(axis=1).min())
-        return int(best)
-    lead = rows[:, 0]
-    for d in range(2, len(rows)):
-        if best <= 1 or (lead[d:] - lead[:-d]).min() >= best:
-            break
-        best = min(best, np.abs(rows[d:] - rows[:-d]).max(axis=1).min())
+    for d0, d1, d2 in _AHEAD:
+        k = key + ((d0 * size[1] + d1) * size[2] + d2)
+        # the later rows of the same cell, or all rows of a cell after it
+        lo = np.searchsorted(key, k) if d0 or d1 or d2 else np.arange(1, len(key) + 1)
+        hi = np.searchsorted(key, k, "right")
+        i = np.flatnonzero(hi > lo)
+        while len(i):  # one row of each range at a time, until every range is spent
+            pair = np.abs(rows[order[i]] - rows[order[lo[i]]])
+            best = min(best, pair.max(axis=1).min())
+            lo[i] += 1
+            i = i[hi[i] > lo[i]]
     return int(best)
 
 

@@ -420,9 +420,12 @@ def test_cloud_csv_roundtrip_and_svg(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
-def test_cloud_csv_bytes_and_points_roundtrip(tmp_path, monkeypatch):
-    pts = np.array([[1e-300, 1e300], [0.12345678901234567, 2.0],
-                    [5e-324, 1.7976931348623157e308], [1 / 3, 0.1]])
+@pytest.mark.parametrize("pts", [
+    np.array([[1e-300, 1e300], [0.12345678901234567, 2.0],
+              [5e-324, 1.7976931348623157e308], [1 / 3, 0.1]]),
+    np.array([[1, 2], [3, 4], [5, 6], [7, 8]]),  # an integer cloud is written as floats
+], ids=["float", "int"])
+def test_cloud_csv_bytes_and_points_roundtrip(tmp_path, monkeypatch, pts):
     path = tmp_path / "cloud.csv"
     monkeypatch.setattr(projective, "_CSV_ROWS", 3)  # two blocks
     save_cloud_csv(PointCloud(pts, "plane_P"), path)
@@ -433,7 +436,11 @@ def test_cloud_csv_bytes_and_points_roundtrip(tmp_path, monkeypatch):
         writer.writerow([repr(float(x)) for x in row])
     assert path.read_bytes() == expected.getvalue().encode()
     back = load_cloud_csv(path)
-    assert back.coordinate_system == "plane_P" and back.points.tobytes() == pts.tobytes()
+    assert back.coordinate_system == "plane_P"
+    assert back.points.tobytes() == pts.astype(float).tobytes()
+    # quoted numbers and blank lines, as csv.reader reads them
+    path.write_text('plane_P_x,plane_P_y\r\n"0.5","2.0"\r\n\r\n3.0,"4"\r\n')
+    assert load_cloud_csv(path).points.tolist() == [[0.5, 2.0], [3.0, 4.0]]
     path.write_text("plane_P_x,plane_P_y\r\n")  # a header and no points
     with pytest.raises(ValueError, match="two columns"):
         load_cloud_csv(path)
