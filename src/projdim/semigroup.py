@@ -151,10 +151,11 @@ class SystemSpec:
             raise SingularInput("matrix is exactly singular")
         return lowest_terms(det * alphabet.den, adjugate(c) @ alphabet.num @ c)
 
-    @cached_property
+    @property
     def effective_alphabet(self) -> tuple[Matrix3, ...]:
-        """The acting letters as :class:`Matrix3`: the alphabet itself
-        without a conjugator, else built from :attr:`letters_exact`."""
+        """The acting letters as :class:`Matrix3`, for callers outside the
+        package, which reads :attr:`letters_exact`: the alphabet itself
+        without a conjugator, else built from it on each read."""
         if self.conjugator is None:
             return self.alphabet
         den, num = self.letters_exact
@@ -166,7 +167,7 @@ class SystemSpec:
         """The acting letters rounded to the nearest floats: one ``int / int``
         per entry, which Python rounds correctly, as ``float(Fraction)``."""
         den, num = self.letters_exact
-        return (num / den).astype(float)
+        return _float_stack(num, den)
 
     @cached_property
     def letters_ext2_float(self) -> np.ndarray:
@@ -177,7 +178,7 @@ class SystemSpec:
         """The inverses of the acting letters, rounded as :attr:`letters_float`:
         a letter ``N / D`` of determinant 1 has the inverse ``adj(N) / D^2``."""
         den, num = self.letters_exact
-        return (adjugate(num) / den ** 2).astype(float)
+        return _float_stack(adjugate(num), den ** 2)
 
     @cached_property
     def probabilities_float(self) -> np.ndarray:
@@ -234,6 +235,14 @@ class SystemSpec:
 
     def __len__(self) -> int:
         return len(self.alphabet)
+
+
+def _float_stack(num: np.ndarray, den: int) -> np.ndarray:
+    """``num / den`` as floats, one ``int / int`` per entry; :class:`FloatRange` past range."""
+    try:
+        return (num / den).astype(float)
+    except OverflowError:
+        raise FloatRange("an acting letter's entry is past float range") from None
 
 
 class Word:
@@ -499,13 +508,13 @@ class Frontier:
         letter order.  Its width is the largest depth over all tops.
 
         Only the stop masks are kept from the walk.  One array then takes
-        every word, written one top at a time: a node's stopped words are
-        the rows ``[rank, rank + size)``, ``size`` counted from the leaves
-        up and ``rank`` its parent's, after its elder siblings' words, and
-        its letter fills their column at its depth.  The letters are of the
-        narrowest signed integer type that holds -1 and ``k - 1`` (``int8``
-        up to 128 letters), and the lengths of the narrowest that holds the
-        width.
+        every word, written one top at a time, down the levels: each node
+        covers the next ``size`` rows, its stopped words counted from the
+        leaves up, so each depth writes its nodes' letters and itself as the
+        length on the rows that reach it, and keeps the rows of its
+        unstopped nodes.  The letters are of the narrowest signed integer
+        type that holds -1 and ``k - 1`` (``int8`` up to 128 letters), and
+        the lengths of the narrowest that holds the width.
         """
         k = self._panels[0].shape[1] // 3
         walks = list(self.stopping_walk(statistic, threshold, max_len))
@@ -525,18 +534,12 @@ class Frontier:
                 sizes.append(size)
             sizes.reverse()
             block = letters[row:row + sizes[0][0]]
-            rank = np.zeros(1, dtype=np.int64)
-            for depth, (stopped, size) in enumerate(zip(masks, sizes), 1):
-                siblings = size.reshape(len(rank), -1)
-                rank = (rank[:, None] + np.cumsum(siblings, axis=1) - siblings).ravel()
-                lengths[row + rank[stopped]] = depth
-                rank = rank[~stopped]
-            # a node at this depth covers its words, the rows that reach the depth, in order
-            reach = lengths[row:row + len(block)]
-            block[:, 0] = top
-            for depth, size in enumerate(sizes[1:], 2):
-                block[reach >= depth, depth - 1] = np.repeat(
-                    np.tile(node_letters, len(size) // k), size)
+            deeper = np.ones(len(block), dtype=bool)  # the rows under this depth's nodes
+            for depth, (stopped, size) in enumerate(zip(masks, sizes)):
+                nodes = np.tile(node_letters, len(size) // k) if depth else top
+                block[deeper, depth] = np.repeat(nodes, size)
+                lengths[row:row + len(block)][deeper] = depth + 1
+                deeper[deeper] = np.repeat(~stopped, size)
             row += len(block)
         return WordSet(letters, lengths)
 
@@ -638,11 +641,12 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
 
     ``min_gap`` is the smallest max-abs entry difference over same-level
     pairs (``inf`` with none), a lower bound for the operator norm gap,
-    exact for every rational alphabet (``g / D^n``, rounded to float once),
-    so ``gap_is_exact`` is always true.  :func:`_min_linf_gap` starts from
-    the sort: the smallest offset-1 difference ``B`` ends every rauzy level
-    at once (gap 1), and a deeper rational level compares only the rows in
-    the same or neighbouring grid cells of side ``B``.
+    exact for every rational alphabet (``g / D^n``, rounded to float once,
+    :class:`FloatRange` past float range), so ``gap_is_exact`` is always
+    true.  :func:`_min_linf_gap` starts from the sort: the smallest
+    offset-1 difference ``B`` ends every rauzy level at once (gap 1), and
+    a deeper rational level compares only the rows in the same or
+    neighbouring grid cells of side ``B``.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -670,9 +674,13 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
             min_gap = min(min_gap, Fraction(_min_linf_gap(rows, gaps), den ** n))
 
     all_distinct = first_collision is None
+    try:
+        min_gap = float(min_gap) if all_distinct else 0.0
+    except OverflowError:
+        raise FloatRange("the smallest product gap is past float range") from None
     return {
         "all_distinct": all_distinct,
-        "min_gap": float(min_gap) if all_distinct else 0.0,
+        "min_gap": min_gap,
         "gap_is_exact": True,
         "levels_checked": n_max,
         "first_collision": first_collision,
@@ -724,6 +732,21 @@ def _min_linf_gap(rows: np.ndarray, gaps: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Lie-algebra span diagnostic (Zariski density)
 
+def _extend_echelon(echelon: list[tuple[int, list[int]]], v: list[int]) -> bool:
+    """Reduce the integer row ``v`` by the fraction-free ``echelon`` of
+    ``(pivot, row)`` pairs, each row 0 at the pivots before its own, and
+    append what is left over its gcd; ``False`` when nothing is.  The Lie
+    closure and the invariant-subspace probe share it."""
+    for piv, row in echelon:
+        if c := v[piv]:
+            v = [row[piv] * x - c * y for x, y in zip(v, row)]
+    if not any(v):
+        return False
+    g = math.gcd(*v)
+    echelon.append((next(i for i, x in enumerate(v) if x), [x // g for x in v]))
+    return True
+
+
 def _bracket(x: list[int], y: list[int]) -> list[int]:
     """``XY - YX`` of two integer 3x3 matrices, each nine ints row by row."""
     return [sum(x[3 * i + k] * y[3 * k + j] - y[3 * i + k] * x[3 * k + j] for k in range(3))
@@ -741,21 +764,10 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
     The closure runs in Python ints.  A generator ``g`` whose entries have
     the common denominator ``D`` enters as ``3 D g - D tr(g) I``, a positive
     multiple of its traceless part, and scaling changes neither the span
-    nor the algebra generated.  The span is kept as fraction-free echelon
-    rows, each divided by its gcd.
+    nor the algebra generated.  The span is kept as a fraction-free
+    echelon (:func:`_extend_echelon`).
     """
-    echelon: list[tuple[int, list[int]]] = []  # (pivot, row); later rows are 0 at earlier pivots
-
-    def extends_span(v: list[int]) -> bool:
-        for piv, row in echelon:
-            if c := v[piv]:
-                v = [row[piv] * x - c * y for x, y in zip(v, row)]
-        if not any(v):
-            return False
-        g = math.gcd(*v)
-        echelon.append((next(i for i, x in enumerate(v) if x), [x // g for x in v]))
-        return True
-
+    echelon: list[tuple[int, list[int]]] = []
     mats: list[list[int]] = []
     for g in generators:
         flat = [x for row in g.entries for x in row]
@@ -765,7 +777,7 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
             if g.trace != 0:
                 raise NotTraceless(f"generator {g} is a nonzero scalar matrix")
             continue
-        if extends_span(t):
+        if _extend_echelon(echelon, t):
             mats.append(t)
 
     # the brackets of a basis span all brackets, [y, x] = -[x, y] and [x, x] = 0:
@@ -773,7 +785,7 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
     for i, x in enumerate(mats):
         for y in mats[:i]:
             b = _bracket(x, y)
-            if extends_span(b):
+            if _extend_echelon(echelon, b):
                 mats.append(b)
     return len(echelon)
 
@@ -781,119 +793,72 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
 # ---------------------------------------------------------------------------
 # invariant subspace probe
 
-def _rational_eigenvalues(a: Matrix3) -> list[Fraction]:
-    """Exactly verified rational eigenvalues, descending.
-
-    Candidates come from a float root solve, rationalized, plus the one
-    exact candidate for a repeated root; all are verified exactly, so
-    irrational spectra simply yield nothing.  The probe is a sound witness
-    detector, not a completeness proof.
-    """
-    t = a.trace
-    e = a.entries
-    m = (
-        e[1][1] * e[2][2] - e[1][2] * e[2][1]
-        + e[0][0] * e[2][2] - e[0][2] * e[2][0]
-        + e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    )
-    d = a.det
-
-    def char(lam: Fraction) -> Fraction:
-        return lam ** 3 - t * lam ** 2 + m * lam - d
-
-    # np.roots splits a repeated root into a complex pair or two nearby reals,
-    # but a repeated root is rational: the root of the linear remainder of
-    # char mod char', or t/3 when char' divides char
-    r1, r0 = 2 * (3 * m - t * t) / 9, (t * m - 9 * d) / 9
-    cands = [-r0 / r1 if r1 else t / 3]
-    for r in np.roots([1.0, -float(t), float(m), -float(d)]):
-        if abs(r.imag) <= 1e-8:
-            cands += [Fraction(float(r.real)).limit_denominator(10 ** 9),
-                      Fraction(round(float(r.real)))]
-    return sorted({c for c in cands if char(c) == 0}, reverse=True)
+def _integer_eigenvalues(t: int, m: int, d: int, den: int) -> list[int]:
+    """The integer roots, descending, of ``x^3 - t x^2 + m x - d``, the
+    characteristic polynomial of ``N = den A``: ``A``'s float roots times
+    ``den``, rounded, and the exact repeated-root candidate, each verified."""
+    # np.roots splits a repeated root, but a repeated root is rational: the root of
+    # the remainder 9 (r1 x + r0) of char mod char', or t/3 when char' divides char
+    r1, r0 = 2 * (3 * m - t * t), t * m - 9 * d
+    cands = {-r0 // r1 if r1 else t // 3}
+    try:  # A's float roots r = p / q, times den and rounded in integers
+        roots = np.roots([1.0, -t / den, m / den ** 2, -d / den ** 3]).real.tolist()
+        cands.update((2 * p * den + q) // (2 * q) for p, q in map(float.as_integer_ratio, roots))
+    except OverflowError:
+        raise FloatRange("a characteristic polynomial is past float range") from None
+    return sorted((x for x in cands if ((x - t) * x + m) * x == d), reverse=True)
 
 
-def _kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact kernel basis of a 3-row matrix, by reduced row echelon form."""
-    rows = [list(r) for r in rows]
-    cols = len(rows[0])
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, 3) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(v)
-    return basis
+def _shifted(echelon: list, rows: Sequence[Sequence[int]], lam: int) -> list:
+    """A copy of ``echelon`` grown by the rows of ``rows - lam I``."""
+    echelon = list(echelon)
+    for i, row in enumerate(rows):
+        _extend_echelon(echelon, [x - lam if j == i else x for j, x in enumerate(row)])
+    return echelon
 
 
-def _shift(a: Matrix3, lam: Fraction) -> Matrix3:
-    return a - Matrix3.identity().scale(lam)
-
-
-def _common_eigenvector(letters: Sequence[Matrix3]) -> Optional[list[Fraction]]:
-    """The first common rational eigenvector of every letter, integerized,
-    or ``None``."""
-    pools: Optional[list[list[list[Fraction]]]] = None
-    for a in letters:
-        spaces = [_kernel(_shift(a, lam).entries) for lam in _rational_eigenvalues(a)]
-        spaces = [s for s in spaces if s]
-        if pools is None:
-            pools = spaces
-        else:
-            pools = [inter for basis in pools for space in spaces
-                     if (inter := _intersect(basis, space))]
-        if not pools:
-            return None
-    return _integerize(pools[0][0])
-
-
-def _intersect(b1: list[list[Fraction]], b2: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of span(b1) ∩ span(b2) via the kernel of the stacked system."""
-    stacked = [[v[i] for v in b1] + [-v[i] for v in b2] for i in range(3)]
-    basis = []
-    for coeff in _kernel(stacked):
-        vec = [sum(c * v[i] for c, v in zip(coeff, b1)) for i in range(3)]
-        if any(x != 0 for x in vec):
-            basis.append(vec)
-    return basis
-
-
-def _integerize(v: list[Fraction]) -> list[Fraction]:
-    den = math.lcm(*(x.denominator for x in v))
-    w = [x * den for x in v]
-    num = math.gcd(*(abs(int(x)) for x in w if x != 0))
-    w = [x / num for x in w]
-    lead = next(x for x in w if x != 0)
-    if lead < 0:
-        w = [-x for x in w]
-    return w
+def _first_kernel_vector(echelon: list[tuple[int, list[int]]]) -> list[int]:
+    """The first kernel vector of an echelon of rank below 3, primitive with
+    its first nonzero entry positive: the cross product at rank 2,
+    ``u[p] e_f - u[f] e_p`` at rank 1 (``p`` the pivot, ``f`` the first free
+    column) and ``e_0`` at rank 0."""
+    if len(echelon) == 2:
+        (_, u), (_, w) = echelon
+        v = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
+    elif echelon and echelon[0][0] == 0:
+        v = [-echelon[0][1][1], echelon[0][1][0], 0]
+    else:  # rank 0, or a pivot past column 0, which leaves e_0 free
+        v = [1, 0, 0]
+    g = math.gcd(*v) if next(x for x in v if x) > 0 else -math.gcd(*v)
+    return [x // g for x in v]
 
 
 def irreducibility_probe(sys: SystemSpec) -> dict:
     """Search for an invariant line or plane witnessed by rational eigenvectors.
 
-    A returned ``None``/``None`` pair means no witness was found among the
-    exact candidates; it is not a proof of irreducibility.  A line
-    invariant under the whole semigroup is already an eigenvector of every
-    single letter, so level-1 candidates are exhaustive for this witness
-    class.
+    A line is a common eigenvector of the acting letters, a plane's normal
+    one of their transposes, both found on the integer numerators ``N``
+    (:attr:`SystemSpec.letters_exact`), whose rational eigenvalues are
+    integers (:func:`_integer_eigenvalues`).  Each choice of one eigenvalue
+    per letter, in letter order and each letter's descending, grows an
+    integer echelon of the rows of every ``N - λI``; a choice that reaches
+    rank 3 is dropped, and the first one left gives the witness.
+
+    ``None`` means no witness was found among the exact candidates; it is
+    not a proof of irreducibility.  A line invariant under the whole
+    semigroup is already an eigenvector of every single letter, so
+    level-1 candidates are exhaustive for this witness class.  Raises
+    :class:`FloatRange` when a letter's eigenvalues are past float range.
     """
-    letters = sys.effective_alphabet
-    return {
-        "invariant_line": _common_eigenvector(letters),
-        "invariant_plane": _common_eigenvector([a.transpose() for a in letters]),
-    }
+    den, num = sys.letters_exact
+    coeffs = zip(num.trace(axis1=1, axis2=2).tolist(),
+                 adjugate(num).trace(axis1=1, axis2=2).tolist(), det_stack(num).tolist())
+    live = {"invariant_line": [[]], "invariant_plane": [[]]}  # the echelons of each choice
+    for a, (t, m, d) in zip(num.tolist(), coeffs):
+        if not any(live.values()):
+            break
+        spectrum = _integer_eigenvalues(t, m, d, den)
+        for key, rows in zip(live, (a, list(zip(*a)))):
+            live[key] = [e for echelon in live[key] for lam in spectrum
+                         if len(e := _shifted(echelon, rows, lam)) < 3]
+    return {key: _first_kernel_vector(e[0]) if e else None for key, e in live.items()}

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,21 @@ def test_singular_conjugator_and_non_unimodular_letter_exit_2(tmp_path, capsys):
     halved.write_text(json.dumps({**doc, "probabilities": ["1/2", "1/2"]}))
     assert main(["check", "--system", str(halved), "--depth", "2"]) == 2
     assert capsys.readouterr().err == "projdim: alphabet member has determinant 1/2, want 1\n"
+
+
+@pytest.mark.parametrize("args,second,error", [
+    (["dimension", "--depth", "2"], None, "an acting letter's entry is past float range"),
+    (["lyapunov", "--steps", "1000"], None, "an acting letter's entry is past float range"),
+    (["check", "--depth", "2"], Matrix3.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+     "the smallest product gap is past float range"),
+], ids=["dimension", "lyapunov", "check"])
+def test_letters_past_float_range_exit_2(args, second, error, tmp_path, capsys):
+    # 2**1100 has no float: one line on stderr and exit 2, not a traceback
+    huge = Matrix3.diagonal(2 ** 1100, 1, Fraction(1, 2 ** 1100))
+    path = tmp_path / "huge.json"
+    save_system(SystemSpec.uniform("huge", (huge, second or huge)), path)
+    assert main(args[:1] + ["--system", str(path)] + args[1:]) == 2
+    assert capsys.readouterr().err == f"projdim: {error}\n"
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projdim import linalg, semigroup
+from projdim.cli import main
 from projdim.cover import svd_cover_upper
 from projdim.errors import (
     BadVector,
@@ -1084,3 +1085,166 @@ def test_irreducibility_probe_repeated_eigenvalues():
         for m in letters:
             assert _is_eigenvector(m, line)
             assert _is_eigenvector(m.transpose(), normal)
+
+
+@pytest.mark.parametrize("letters,line,normal", [
+    ((Matrix3.diagonal(2, 2, F(1, 4)),), [1, 0, 0], [1, 0, 0]),
+    ((Matrix3.identity(),), [1, 0, 0], [1, 0, 0]),
+    ((Matrix3.from_rows([[1, 5, 0], [0, 1, 0], [0, 0, 1]]),), [1, 0, 0], [0, 1, 0]),
+    # np.roots splits the double root 3**13 into a complex pair whose real part times
+    # the denominator 3**26 misses 3**39: only the exact repeated-root candidate finds it
+    ((Matrix3.diagonal(3 ** 13, 3 ** 13, F(1, 3 ** 26)),), [1, 0, 0], [1, 0, 0]),
+    ((Matrix3.from_rows([[3 ** 13, 1, 0], [0, 3 ** 13, 0], [0, 0, F(1, 3 ** 26)]]),),
+     [1, 0, 0], [0, 1, 0]),
+], ids=["diag-2-2-quarter", "identity", "shear", "double-3-13", "jordan-3-13"])
+def test_irreducibility_probe_takes_the_first_vector_of_a_common_plane(letters, line, normal):
+    # a 2-D eigenspace common to every letter: the first vector of its kernel basis
+    rep = irreducibility_probe(SystemSpec.uniform("plane", letters))
+    assert rep == {"invariant_line": line, "invariant_plane": normal}
+
+
+def _probe_reference(sys):
+    """The invariant line and plane normal by Fraction arithmetic: float roots
+    rationalised and verified, kernels by reduced row echelon form and common
+    eigenspaces by pairwise subspace intersections."""
+    def eigenvalues(a):
+        t, e, d = a.trace, a.entries, a.det
+        m = (e[1][1] * e[2][2] - e[1][2] * e[2][1] + e[0][0] * e[2][2] - e[0][2] * e[2][0]
+             + e[0][0] * e[1][1] - e[0][1] * e[1][0])
+        r1, r0 = 2 * (3 * m - t * t) / 9, (t * m - 9 * d) / 9
+        cands = [-r0 / r1 if r1 else t / 3]
+        for r in np.roots([1.0, -float(t), float(m), -float(d)]):
+            if abs(r.imag) <= 1e-8:
+                cands += [F(float(r.real)).limit_denominator(10 ** 9), F(round(float(r.real)))]
+        return sorted({c for c in cands if c ** 3 - t * c ** 2 + m * c - d == 0}, reverse=True)
+
+    def kernel(rows):
+        rows, cols, pivots = [list(r) for r in rows], len(rows[0]), []
+        for c in range(cols):
+            r = len(pivots)
+            piv = next((i for i in range(r, 3) if rows[i][c] != 0), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            rows[r] = [x / rows[r][c] for x in rows[r]]
+            for i in range(3):
+                if i != r and rows[i][c] != 0:
+                    f = rows[i][c]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            pivots.append(c)
+        basis = []
+        for fc in (c for c in range(cols) if c not in pivots):
+            v = [F(0)] * cols
+            v[fc] = F(1)
+            for i, pc in enumerate(pivots):
+                v[pc] = -rows[i][fc]
+            basis.append(v)
+        return basis
+
+    def intersect(b1, b2):
+        stacked = [[v[i] for v in b1] + [-v[i] for v in b2] for i in range(3)]
+        vecs = ([sum(c * v[i] for c, v in zip(coeff, b1)) for i in range(3)]
+                for coeff in kernel(stacked))
+        return [v for v in vecs if any(v)]
+
+    def common_eigenvector(letters):
+        pools = None
+        for a in letters:
+            spaces = [kernel((a - Matrix3.identity().scale(lam)).entries) for lam in eigenvalues(a)]
+            spaces = [s for s in spaces if s]
+            pools = spaces if pools is None else [
+                inter for basis in pools for space in spaces if (inter := intersect(basis, space))]
+            if not pools:
+                return None
+        w = [x * math.lcm(*(x.denominator for x in pools[0][0])) for x in pools[0][0]]
+        g = math.gcd(*(int(x) for x in w))
+        return [x / (g if next(x for x in w if x) > 0 else -g) for x in w]
+
+    letters = fraction_letters(sys)
+    return {"invariant_line": common_eigenvector(letters),
+            "invariant_plane": common_eigenvector([a.transpose() for a in letters])}
+
+
+_EIGEN = [F(1), F(-1), F(2), F(1, 2), F(-2), F(3), F(1, 3), F(2, 3), F(-3, 2), F(4)]
+_UPPER = [(0, 1), (0, 2), (1, 2)]
+
+
+def _probe_systems(count, seed):
+    """Seeded random systems of conjugates ``P^-1 U P``, ``U`` upper triangular
+    with a rational diagonal of product 1: one ``P`` for every letter and one
+    off-diagonal pattern (shared eigenlines and eigenplanes), or one each;
+    repeated eigenvalues, duplicate letters, a conjugator, and now and then a
+    unimodular letter of irrational spectrum."""
+    rng = np.random.default_rng(seed)
+
+    def invertible():
+        while (p := Matrix3.from_rows(rng.integers(-2, 3, size=(3, 3)).tolist())).det == 0:
+            pass
+        return p
+
+    for _ in range(count):
+        shared, pattern = rng.random() < 0.7, [c for c in _UPPER if rng.random() < 0.5]
+        p, letters = invertible(), []
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = (_EIGEN[i] for i in rng.integers(len(_EIGEN), size=2))
+            b = a if rng.random() < 0.4 else b
+            u = [[F(0)] * 3 for _ in range(3)]
+            for i, x in enumerate([[a, b, 1 / (a * b)][j] for j in rng.permutation(3)]):
+                u[i][i] = x
+            for i, j in (pattern if shared else [c for c in _UPPER if rng.random() < 0.5]):
+                u[i][j] = F(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+            u = Matrix3.from_rows(u)
+            if rng.random() < 0.1:  # unit lower times unit upper
+                u = mat_mul(Matrix3.from_rows([[1, 0, 0], [int(rng.integers(-2, 3)), 1, 0],
+                                               [int(rng.integers(-2, 3)), 1, 1]]),
+                            Matrix3.from_rows([[1, 1, int(rng.integers(-2, 3))], [0, 1, 2],
+                                               [0, 0, 1]]))
+            q = p if shared else invertible()
+            letters.append(mat_mul(mat_mul(q.inverse(), u), q))
+        if rng.random() < 0.25:
+            letters.append(letters[int(rng.integers(len(letters)))])
+        yield SystemSpec.uniform("random", letters, invertible() if rng.random() < 0.3 else None)
+
+
+def test_irreducibility_probe_matches_fraction_probe(monkeypatch):
+    ranks, first = [], semigroup._first_kernel_vector
+    monkeypatch.setattr(semigroup, "_first_kernel_vector",
+                        lambda e: ranks.append(len(e)) or first(e))
+    for sys in _probe_systems(1000, seed=7):
+        assert irreducibility_probe(sys) == _probe_reference(sys), sys
+    # witnesses from common eigenspaces of every dimension: lines, planes and all of space
+    assert set(ranks) == {0, 1, 2}
+
+
+def test_irreducibility_probe_reads_no_matrix3_letters(monkeypatch, tmp_path):
+    def refuse(sys):
+        raise AssertionError("the exact integer letters are the probe's input")
+
+    monkeypatch.setattr(SystemSpec, "effective_alphabet", property(refuse))
+    rep = irreducibility_probe(rauzy_gamma_system(2))
+    assert rep == {"invariant_line": None, "invariant_plane": None}
+    assert main(["check", "--system", "rauzy.json", "--out", str(tmp_path / "check.json")]) == 0
+
+
+PAST_FLOAT = Matrix3.diagonal(2 ** 1100, 1, F(1, 2 ** 1100))
+UNIT_SHEAR = Matrix3.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("view", ["letters_float", "letters_inverse_float"])
+def test_float_letters_past_float_range_raise(view):
+    with pytest.raises(FloatRange):
+        getattr(SystemSpec.uniform("huge", (PAST_FLOAT,)), view)
+
+
+def test_diophantine_gap_past_float_range_raises():
+    with pytest.raises(FloatRange):
+        diophantine_check(SystemSpec.uniform("huge", (PAST_FLOAT, UNIT_SHEAR)), 1)
+
+
+def test_irreducibility_probe_past_float_range_raises():
+    with pytest.raises(FloatRange):
+        irreducibility_probe(SystemSpec.uniform("huge", (PAST_FLOAT,)))
+    # up to the float range of the letters themselves, 2**1023, the roots are found
+    huge = Matrix3.diagonal(2 ** 1023, 1, F(1, 2 ** 1023))
+    rep = irreducibility_probe(SystemSpec.uniform("huge", (huge, huge)))
+    assert rep == {"invariant_line": [1, 0, 0], "invariant_plane": [1, 0, 0]}
