@@ -154,10 +154,7 @@ class SystemSpec:
     @property
     def effective_alphabet(self) -> tuple[Matrix3, ...]:
         """The acting letters as :class:`Matrix3`, for callers outside the
-        package, which reads :attr:`letters_exact`: the alphabet itself
-        without a conjugator, else built from it on each read."""
-        if self.conjugator is None:
-            return self.alphabet
+        package, which reads :attr:`letters_exact`; built on each read."""
         den, num = self.letters_exact
         return tuple(Matrix3(tuple(tuple(Fraction(x, den) for x in row) for row in a))
                      for a in num.tolist())
@@ -507,20 +504,17 @@ class Frontier:
         :meth:`grow` places each word's extensions next to each other in
         letter order.  Its width is the largest depth over all tops.
 
-        Only the stop masks are kept from the walk.  One array then takes
-        every word, written one top at a time, down the levels: each node
-        covers the next ``size`` rows, its stopped words counted from the
-        leaves up, so each depth writes its nodes' letters and itself as the
-        length on the rows that reach it, and keeps the rows of its
-        unstopped nodes.  The letters are of the narrowest signed integer
-        type that holds -1 and ``k - 1`` (``int8`` up to 128 letters), and
-        the lengths of the narrowest that holds the width.
+        Only the stop masks are kept from the walk.  Each top's words are
+        written down the levels: a node covers the next ``size`` rows (its
+        stopped words, counted from the leaves up), and each depth writes its
+        nodes' letters and itself as the length on the rows under them.  The
+        letters and lengths take the narrowest signed integer types that hold
+        -1 and ``k - 1`` (``int8`` up to 128 letters) and the width.
         """
         k = self._panels[0].shape[1] // 3
         walks = list(self.stopping_walk(statistic, threshold, max_len))
         total = sum(int(np.count_nonzero(mask)) for masks in walks for mask in masks)
         width = max(map(len, walks))
-        # the narrowest signed types that hold -1 and k - 1, and the width
         letters = np.full((total, width), -1, dtype=np.min_scalar_type(-k))
         lengths = np.empty(total, dtype=np.min_scalar_type(-width - 1))
         node_letters = np.arange(k, dtype=letters.dtype)
@@ -677,7 +671,9 @@ def diophantine_check(sys: SystemSpec, n_max: int) -> dict:
     try:
         min_gap = float(min_gap) if all_distinct else 0.0
     except OverflowError:
-        raise FloatRange("the smallest product gap is past float range") from None
+        min_gap = 0.0
+    if all_distinct and not min_gap:  # a gap of distinct products is never 0: past range
+        raise FloatRange("the smallest product gap is past float range")
     return {
         "all_distinct": all_distinct,
         "min_gap": min_gap,
@@ -795,18 +791,21 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
 
 def _integer_eigenvalues(t: int, m: int, d: int, den: int) -> list[int]:
     """The integer roots, descending, of ``x^3 - t x^2 + m x - d``, the
-    characteristic polynomial of ``N = den A``: ``A``'s float roots times
-    ``den``, rounded, and the exact repeated-root candidate, each verified."""
+    characteristic polynomial of ``N = den A``: ``A``'s exact repeated root
+    and, per real float root, the nearest integer and nearest fraction of
+    denominator at most 10**9, each times ``den`` and verified exactly."""
     # np.roots splits a repeated root, but a repeated root is rational: the root of
     # the remainder 9 (r1 x + r0) of char mod char', or t/3 when char' divides char
     r1, r0 = 2 * (3 * m - t * t), t * m - 9 * d
-    cands = {-r0 // r1 if r1 else t // 3}
-    try:  # A's float roots r = p / q, times den and rounded in integers
-        roots = np.roots([1.0, -t / den, m / den ** 2, -d / den ** 3]).real.tolist()
-        cands.update((2 * p * den + q) // (2 * q) for p, q in map(float.as_integer_ratio, roots))
+    cands = {Fraction(-r0, r1) if r1 else Fraction(t, 3)}
+    try:  # at A's scale, so that den does not limit the fractions found
+        roots = np.roots([1.0, -t / den, m / den ** 2, -d / den ** 3])
+        for x in roots.real[np.abs(roots.imag) <= 1e-8].tolist():
+            cands |= {Fraction(x).limit_denominator(10 ** 9) * den, Fraction(round(x) * den)}
     except OverflowError:
         raise FloatRange("a characteristic polynomial is past float range") from None
-    return sorted((x for x in cands if ((x - t) * x + m) * x == d), reverse=True)
+    xs = (x.numerator for x in cands if x.denominator == 1)
+    return sorted((x for x in xs if ((x - t) * x + m) * x == d), reverse=True)
 
 
 def _shifted(echelon: list, rows: Sequence[Sequence[int]], lam: int) -> list:

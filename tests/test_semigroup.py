@@ -1103,6 +1103,15 @@ def test_irreducibility_probe_takes_the_first_vector_of_a_common_plane(letters, 
     assert rep == {"invariant_line": line, "invariant_plane": normal}
 
 
+def test_irreducibility_probe_finds_eigenvalues_under_a_large_common_denominator():
+    # the common denominator is 3 * 2**60, so the eigenvalue 1/3 of the first letter is
+    # 2**60 in integers, which no float near 1/3 (k * 2**-54) times 3 * 2**60 rounds to
+    letters = (Matrix3.diagonal(F(1, 3), 3, 1),
+               Matrix3.from_rows([[1, F(1, 2 ** 60), 0], [0, 2, 1], [0, 1, 1]]))
+    rep = irreducibility_probe(SystemSpec.uniform("large-denominator", letters))
+    assert rep == {"invariant_line": [1, 0, 0], "invariant_plane": None}
+
+
 def _probe_reference(sys):
     """The invariant line and plane normal by Fraction arithmetic: float roots
     rationalised and verified, kernels by reduced row echelon form and common
@@ -1174,7 +1183,8 @@ def _probe_systems(count, seed):
     with a rational diagonal of product 1: one ``P`` for every letter and one
     off-diagonal pattern (shared eigenlines and eigenplanes), or one each;
     repeated eigenvalues, duplicate letters, a conjugator, and now and then a
-    unimodular letter of irrational spectrum."""
+    unimodular letter of irrational spectrum or a conjugated unit shear of
+    corner ``2**-60``, which makes the common denominator large."""
     rng = np.random.default_rng(seed)
 
     def invertible():
@@ -1201,6 +1211,11 @@ def _probe_systems(count, seed):
                                                [0, 0, 1]]))
             q = p if shared else invertible()
             letters.append(mat_mul(mat_mul(q.inverse(), u), q))
+        if rng.random() < 0.2:
+            i, j = _UPPER[int(rng.integers(len(_UPPER)))]
+            s = [[int(r == c) for c in range(3)] for r in range(3)]
+            s[i][j] = F(1, 2 ** 60)
+            letters.append(mat_mul(mat_mul(p.inverse(), Matrix3.from_rows(s)), p))
         if rng.random() < 0.25:
             letters.append(letters[int(rng.integers(len(letters)))])
         yield SystemSpec.uniform("random", letters, invertible() if rng.random() < 0.3 else None)
@@ -1239,6 +1254,10 @@ def test_float_letters_past_float_range_raise(view):
 def test_diophantine_gap_past_float_range_raises():
     with pytest.raises(FloatRange):
         diophantine_check(SystemSpec.uniform("huge", (PAST_FLOAT, UNIT_SHEAR)), 1)
+    # an exact gap of 2**-1100 rounds to 0.0 without an error: distinct, but past range
+    tiny = [Matrix3.from_rows([[1, 0, 0], [0, 1, 0], [F(1, 2 ** e), 0, 1]]) for e in (1100, 1099)]
+    with pytest.raises(FloatRange):
+        diophantine_check(SystemSpec.uniform("tiny", tiny), 1)
 
 
 def test_irreducibility_probe_past_float_range_raises():
