@@ -69,12 +69,7 @@ class Matrix3:
 
     @cached_property
     def det(self) -> Fraction:
-        e = self.entries
-        return (
-            e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-            - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-            + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-        )
+        return det_stack(_array(self))
 
     @property
     def trace(self) -> Fraction:
@@ -82,34 +77,22 @@ class Matrix3:
         return e[0][0] + e[1][1] + e[2][2]
 
     def transpose(self) -> "Matrix3":
-        e = self.entries
-        return Matrix3(tuple(tuple(e[j][i] for j in range(3)) for i in range(3)))
+        return _matrix(_array(self).T)
 
     def inverse(self) -> "Matrix3":
         d = self.det
         if d == 0:
             raise SingularInput("matrix is exactly singular")
-        e = self.entries
-
-        def cof(i: int, j: int) -> Fraction:
-            rs = [r for r in range(3) if r != i]
-            cs = [c for c in range(3) if c != j]
-            m = e[rs[0]][cs[0]] * e[rs[1]][cs[1]] - e[rs[0]][cs[1]] * e[rs[1]][cs[0]]
-            return m if (i + j) % 2 == 0 else -m
-
-        # adjugate transposed, divided by the determinant
-        return Matrix3(tuple(tuple(cof(j, i) / d for j in range(3)) for i in range(3)))
+        return _matrix(adjugate(_array(self)) / d)
 
     def __matmul__(self, other: "Matrix3") -> "Matrix3":
         return mat_mul(self, other)
 
     def __sub__(self, other: "Matrix3") -> "Matrix3":
-        return Matrix3(tuple(tuple(x - y for x, y in zip(r, q))
-                             for r, q in zip(self.entries, other.entries)))
+        return _matrix(_array(self) - _array(other))
 
     def scale(self, c: Rational) -> "Matrix3":
-        c = _as_fraction(c)
-        return Matrix3(tuple(tuple(c * x for x in row) for row in self.entries))
+        return _matrix(_array(self) * _as_fraction(c))
 
     def to_strings(self) -> list[list[str]]:
         """Row-major ``"p/q"`` rendering used by the JSON serializers."""
@@ -119,34 +102,29 @@ class Matrix3:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
+def _array(a: Matrix3) -> np.ndarray:
+    """The entries of ``a`` as a (3, 3) object array of ``Fraction``."""
+    return np.array(a.entries, dtype=object)
+
+
+def _matrix(a: np.ndarray) -> Matrix3:
+    """The :class:`Matrix3` of a (3, 3) object array of ``Fraction``."""
+    return Matrix3(tuple(map(tuple, a.tolist())))
+
+
 def mat_mul(a: Matrix3, b: Matrix3) -> Matrix3:
     """Exact rational product ``a @ b``."""
-    ae, be = a.entries, b.entries
-    return Matrix3(
-        tuple(
-            tuple(sum(ae[i][k] * be[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-    )
-
-
-_EXT_INDEX = ((0, 1), (0, 2), (1, 2))  # basis e1^e2, e1^e3, e2^e3
+    return _matrix(_array(a) @ _array(b))
 
 
 def exterior_square(a: Matrix3) -> Matrix3:
-    """The matrix of 2x2 minors representing the induced map on 2-vectors.
+    """The matrix of 2x2 minors representing the induced map on 2-vectors
+    (:func:`ext2_batch`).
 
     Functorial: ``exterior_square(a @ b) == exterior_square(a) @ exterior_square(b)``
     holds exactly.
     """
-    e = a.entries
-    rows = []
-    for (i1, i2) in _EXT_INDEX:
-        row = []
-        for (j1, j2) in _EXT_INDEX:
-            row.append(e[i1][j1] * e[i2][j2] - e[i1][j2] * e[i2][j1])
-        rows.append(tuple(row))
-    return Matrix3(tuple(rows))
+    return _matrix(ext2_batch(_array(a)))
 
 
 @dataclass(frozen=True)
@@ -298,17 +276,15 @@ def svf_via_norms(a: Matrix3, s: float) -> float:
 # ---------------------------------------------------------------------------
 # batch float kernels used by the enumeration pipelines
 
+_EXT_SIGN = np.array([[1, -1, 1], [-1, 1, -1], [1, -1, 1]])  # (-1)**(i + j)
+
+
 def ext2_batch(a: np.ndarray) -> np.ndarray:
-    """Exterior squares of a ``(..., 3, 3)`` float stack."""
-
-    def minor(i1, i2, j1, j2):
-        return a[..., i1, j1] * a[..., i2, j2] - a[..., i1, j2] * a[..., i2, j1]
-
-    rows = [
-        [minor(i1, i2, j1, j2) for (j1, j2) in _EXT_INDEX]
-        for (i1, i2) in _EXT_INDEX
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    """Exterior squares of a ``(..., 3, 3)`` float or object stack in the
+    basis e1^e2, e1^e3, e2^e3: minor ``(i, j)`` is ``(-1)**(i + j)`` times
+    the cofactor of row ``2 - i`` and column ``2 - j``, so :func:`adjugate`
+    transposed with both orders reversed (a zero float minor may be -0.0)."""
+    return adjugate(a)[..., ::-1, ::-1].swapaxes(-1, -2) * _EXT_SIGN
 
 
 _TOP_GAP = 1e-4  # relative top gap below which LAPACK recomputes the root

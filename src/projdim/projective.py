@@ -210,13 +210,17 @@ class PointCloud:
 def dyadic_cells(vals: np.ndarray, n: int) -> np.ndarray:
     """``floor(vals * 2^n)`` as ``int64``: the dyadic cells of side ``2^-n``.
 
-    Raises :class:`FloatRange` when a cell would leave ``int64``.
+    All-zero values lie in cell 0 at every ``n``.  Raises
+    :class:`FloatRange` when a cell would leave ``int64``.
     """
     top = float(np.abs(vals).max())
-    # exponent arithmetic: top * 2.0 ** n itself overflows for n >= 1024
-    if not math.isfinite(top) or (top > 0 and math.frexp(top)[1] + n > 63):
+    if top == 0.0:
+        return np.zeros(vals.shape, dtype=np.int64)
+    # exponent arithmetic: the float 2.0 ** n overflows for n >= 1024, where
+    # a tiny |value| still has a cell in range and ldexp scales it exactly
+    if not math.isfinite(top) or math.frexp(top)[1] + n > 63:
         raise FloatRange(f"max |value| = {top} times 2^{n} leaves the int64 cell range")
-    return np.floor(vals * (2.0 ** n)).astype(np.int64)
+    return np.floor(vals * 2.0 ** n if n < 1024 else np.ldexp(vals, n)).astype(np.int64)
 
 
 def _require_nonnegative_action(sys: SystemSpec, what: str) -> None:

@@ -345,13 +345,20 @@ def is_primitive_nonnegative(sys: SystemSpec) -> bool:
 
 
 def _is_contracting_diagonal(sys: SystemSpec) -> bool:
-    """Exactly diagonal letters with ``a2 < a1``: products stay diagonal, so
-    the word ratios decay geometrically without any positivity."""
+    """Exactly diagonal letters whose largest ``|entry|`` is strict and sits
+    on one axis common to all of them: products stay diagonal with that
+    axis dominant, so the word ratios ``a2/a1`` decay geometrically without
+    any positivity.  Without a common axis some long words have ``a2/a1``
+    bounded below: ``(AB)^n`` is ``diag(2^n, 2^n, 4^-n)`` for ``A`` =
+    diag(2, 1, 1/2) and ``B`` = diag(1, 2, 1/2)."""
+    axes = set()
     for e in sys.letters_exact.num.tolist():
-        diag = sorted(abs(e[i][i]) for i in range(3))
-        if diag[1] >= diag[2] or any(e[i][j] for i in range(3) for j in range(3) if i != j):
+        diag = [abs(e[i][i]) for i in range(3)]
+        top = max(diag)
+        if sorted(diag)[1] >= top or any(e[i][j] for i in range(3) for j in range(3) if i != j):
             return False
-    return True
+        axes.add(diag.index(top))
+    return len(axes) == 1
 
 
 def require_positive_like(sys: SystemSpec, what: str) -> None:
@@ -757,20 +764,19 @@ def lie_algebra_dimension(generators: Sequence[Matrix3]) -> int:
     bracket ``[X, Y] = XY - YX``.  A nonzero scalar generator
     is rejected because it has no traceless content.
 
-    The closure runs in Python ints.  A generator ``g`` whose entries have
-    the common denominator ``D`` enters as ``3 D g - D tr(g) I``, a positive
-    multiple of its traceless part, and scaling changes neither the span
-    nor the algebra generated.  The span is kept as a fraction-free
-    echelon (:func:`_extend_echelon`).
+    The closure runs in Python ints.  With ``D`` the common denominator of
+    every generator's entries (:func:`integer_stack`), a generator ``g``
+    enters as ``3 D g - D tr(g) I``, a positive multiple of its traceless
+    part, and scaling changes neither the span nor the algebra generated.
+    The span is kept as a fraction-free echelon (:func:`_extend_echelon`).
     """
     echelon: list[tuple[int, list[int]]] = []
     mats: list[list[int]] = []
-    for g in generators:
-        flat = [x for row in g.entries for x in row]
-        d = math.lcm(*(x.denominator for x in flat))
-        t = [3 * int(d * x) - (int(d * g.trace) if i % 4 == 0 else 0) for i, x in enumerate(flat)]
+    for g, a in zip(generators, integer_stack(generators).num.tolist()):
+        tr = a[0][0] + a[1][1] + a[2][2]
+        t = [3 * x - (tr if i % 4 == 0 else 0) for i, x in enumerate(v for row in a for v in row)]
         if not any(t):
-            if g.trace != 0:
+            if tr:
                 raise NotTraceless(f"generator {g} is a nonzero scalar matrix")
             continue
         if _extend_echelon(echelon, t):

@@ -369,6 +369,25 @@ def test_boxdim_past_int64_exits_2(tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
+def test_boxdim_of_one_point_at_resolutions_past_1023(tmp_path):
+    cloud = tmp_path / "cloud.csv"
+    save_cloud_csv(PointCloud(np.tile([0.0, 0.0, 1.0], (50, 1)), "simplex_S"), cloud)
+    code, rep = run_cli(["boxdim", "--cloud", str(cloud), "--res", "1024:1026"], tmp_path)
+    assert code == 0
+    assert rep["result"]["diagnostics"]["counts"] == [1, 1, 1]
+
+
+def test_diagonal_letters_dominant_on_different_axes_exit_2(tmp_path, capsys):
+    # (AB)^n = diag(2^n, 2^n, 4^-n): a2/a1 = 1 on those words, so no uniform contraction
+    save_system(SystemSpec.uniform("cross", (Matrix3.diagonal(2, 1, Fraction(1, 2)),
+                                             Matrix3.diagonal(1, 2, Fraction(1, 2)))),
+                tmp_path / "cross.json")
+    code, rep = run_cli(["dimension", "--system", str(tmp_path / "cross.json"),
+                         "--depth", "3"], tmp_path)
+    assert code == 2 and rep is None
+    assert "positive" in capsys.readouterr().err
+
+
 def test_reports_are_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

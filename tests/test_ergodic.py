@@ -71,6 +71,21 @@ def test_lyapunov_singleton_diagonal_exact():
     assert stats.chi3 == pytest.approx(-math.log(9), abs=1e-12)
 
 
+# two copies of diag(1, 2, 1/2): axis-aligned letters never rotate the QR
+# frame, so each chain's exponents come out in axis order, not sorted
+TWIN = SystemSpec.uniform("twin", (Matrix3.diagonal(1, 2, F(1, 2)),) * 2)
+
+
+def test_lyapunov_spectrum_is_sorted_for_axis_aligned_letters():
+    stats = lyapunov_exponents(TWIN, 2000, seed=0)
+    assert stats.chis == pytest.approx((math.log(2), 0.0, -math.log(2)), abs=1e-12)
+
+
+def test_empirical_delta_target_of_axis_aligned_letters():
+    est = empirical_delta(TWIN, planes=2, samples=20_000, n=8, seed=0, lyap_steps=2000)
+    assert est.diagnostics["target"] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_lyapunov_rejects_tiny_runs():
     sys = rauzy_system()
     with pytest.raises(DomainError):
@@ -244,6 +259,18 @@ def test_dyadic_entropy_raises_when_cells_leave_int64():
     with pytest.raises(FloatRange):
         dyadic_entropy(np.array([0.5, np.nan]), 8)
     assert dyadic_entropy(np.zeros(5), 100) == 0.0
+
+
+def test_dyadic_cells_past_float_range_of_the_scale():
+    # the float 2.0 ** n overflows from n = 1024; all-zero values lie in cell 0 at every n
+    for n in (1023, 1024, 1100):
+        cells = dyadic_cells(np.zeros((4, 2)), n)
+        assert cells.dtype == np.int64 and cells.shape == (4, 2) and not cells.any()
+    assert dyadic_entropy(np.zeros(8), 1100) == 0.0
+    # the smallest subnormal is 2^-1074, so its cell at n = 1100 is 2^26
+    assert dyadic_cells(np.array([0.0, 5e-324, -5e-324]), 1100).tolist() == [0, 2 ** 26, -2 ** 26]
+    with pytest.raises(FloatRange):
+        dyadic_cells(np.array([0.0, 2.0 ** -1036]), 1100)
 
 
 def test_dyadic_entropy_bounded_by_occupancy():

@@ -23,6 +23,45 @@ from projdim.linalg import (
 from projdim.pressure import rauzy_gamma_system
 from projdim.systems import rauzy_alphabet
 
+# Written-out expansions, independent of `adjugate` and `det_stack`: the
+# references for the exact and float routines that read every minor there.
+_EXT_INDEX = ((0, 1), (0, 2), (1, 2))  # basis e1^e2, e1^e3, e2^e3
+
+
+def ref_exterior_square(e):
+    return tuple(tuple(e[i1][j1] * e[i2][j2] - e[i1][j2] * e[i2][j1] for j1, j2 in _EXT_INDEX)
+                 for i1, i2 in _EXT_INDEX)
+
+
+def ref_ext2_batch(a):
+    """:func:`ref_exterior_square` of each matrix of a ``(..., 3, 3)`` float stack."""
+    rows = [[a[..., i, j] for j in range(3)] for i in range(3)]
+    return np.moveaxis(np.array(ref_exterior_square(rows)), (0, 1), (-2, -1))
+
+
+def ref_det(e):
+    return (e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
+            - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
+            + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
+
+
+def ref_inverse(e):
+    d = ref_det(e)
+
+    def cof(i, j):
+        rs = [r for r in range(3) if r != i]
+        cs = [c for c in range(3) if c != j]
+        m = e[rs[0]][cs[0]] * e[rs[1]][cs[1]] - e[rs[0]][cs[1]] * e[rs[1]][cs[0]]
+        return m if (i + j) % 2 == 0 else -m
+
+    return tuple(tuple(cof(j, i) / d for j in range(3)) for i in range(3))
+
+
+def ref_mat_mul(x, y):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
+                 for i in range(3))
+
+
 # Singular values of the first Rauzy generator, frozen from an independent
 # dense eigensolver run on A A^T = [[3,1,1],[1,1,0],[1,0,1]] before this
 # module was written.
@@ -50,6 +89,55 @@ def test_exterior_square_functorial_exact(vals):
     a = Matrix3.from_rows([vals[0:3], vals[3:6], vals[6:9]])
     b = Matrix3.from_rows([vals[9:12], vals[12:15], vals[15:18]])
     assert exterior_square(mat_mul(a, b)) == mat_mul(exterior_square(a), exterior_square(b))
+
+
+def _all_fractions(rows):
+    return all(type(x) is F for row in rows for x in row)
+
+
+@given(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=12),
+                min_size=18, max_size=18))
+@settings(max_examples=150, deadline=None)
+def test_exact_routines_match_written_out_expansions(vals):
+    a = Matrix3.from_rows([vals[0:3], vals[3:6], vals[6:9]])
+    b = Matrix3.from_rows([vals[9:12], vals[12:15], vals[15:18]])
+    assert exterior_square(a).entries == ref_exterior_square(a.entries)
+    assert mat_mul(a, b).entries == ref_mat_mul(a.entries, b.entries)
+    assert type(a.det) is F and a.det == ref_det(a.entries)
+    assert _all_fractions(exterior_square(a).entries) and _all_fractions(mat_mul(a, b).entries)
+    if a.det == 0:
+        with pytest.raises(SingularInput):
+            a.inverse()
+    else:
+        assert a.inverse().entries == ref_inverse(a.entries)
+        assert _all_fractions(a.inverse().entries)
+
+
+def _assert_same_minors(got, want):
+    """Equal values, and equal bits wherever the minor is nonzero: an exact
+    zero minor may come out as -0.0 on one side and 0.0 on the other."""
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert np.array_equal(got.view(np.uint64)[nonzero], want.view(np.uint64)[nonzero])
+
+
+@pytest.mark.parametrize("stack", [
+    lambda: np.random.default_rng(11).normal(size=(2000, 3, 3)),
+    lambda: np.random.default_rng(12).integers(-3, 4, size=(2000, 3, 3)) / 4.0,
+    lambda: np.random.default_rng(13).normal(size=(3, 3)) * 1e100,
+], ids=["signed", "exact-zeros", "single"])
+def test_ext2_batch_matches_written_out_minors(stack):
+    a = stack()
+    _assert_same_minors(ext2_batch(a), ref_ext2_batch(a))
+
+
+def test_ext2_of_gamma_letters_is_bit_identical_to_the_written_out_minors():
+    for n in (10, 20):
+        lf = rauzy_gamma_system(n).letters_float
+        got, want = ext2_batch(lf), ref_ext2_batch(lf)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        prods = np.matmul(lf[:, None], lf[None]).reshape(-1, 3, 3)
+        _assert_same_minors(ext2_batch(prods), ref_ext2_batch(prods))
 
 
 def test_singular_values_identity_and_diagonal():

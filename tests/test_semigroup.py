@@ -574,6 +574,10 @@ GATE_CASES = {
     "gamma20": (lambda: rauzy_gamma_system(20), "primitive"),
     "gamma1-eps1/6": (lambda: rauzy_gamma_system(1, F(1, 6)), "positive"),
     "triple9": (triple9_system, "diagonal"),
+    # diagonal, but the largest entries sit on different axes: (AB)^n = diag(2^n, 2^n, 4^-n)
+    "diagonal-cross-axes": (lambda: SystemSpec.uniform("cross", (Matrix3.diagonal(2, 1, F(1, 2)),
+                                                                 Matrix3.diagonal(1, 2, F(1, 2)))),
+                            None),
     # nonnegative, but every two-letter product keeps the lower zeros
     "upper-triangular": (lambda: SystemSpec.uniform("upper", UPPER), None),
     # the Gamma_1 letters conjugated too far: a negative entry
@@ -942,6 +946,16 @@ def test_acting_letters_take_no_fraction_products(monkeypatch):
     sys = rauzy_gamma_system(20)
     sys.contraction, sys.letter_orbits, sys.letters_float, sys.letters_inverse_float
     assert products == [] and inverses == []
+
+
+def test_lie_algebra_dimension_of_rational_generators():
+    # each generator scaled by its own rational, so the common denominator is 3 * 5 * 7
+    derivs = rauzy_curve_derivatives()
+    scaled = [d.scale(F(k + 1, (3, 5, 7)[k % 3])) for k, d in enumerate(derivs)]
+    assert [lie_algebra_dimension(scaled[:k]) for k in range(7)] == \
+        [lie_algebra_dimension(derivs[:k]) for k in range(7)]
+    with pytest.raises(NotTraceless):
+        lie_algebra_dimension([derivs[0], Matrix3.diagonal(F(1, 3), F(1, 3), F(1, 3))])
 
 
 def test_lie_algebra_dimension_examples():
