@@ -7,9 +7,9 @@ and the orthogonal factors inflate radii by at most a measured cone
 constant.  The resulting weighted ball count is the cover cost; staying
 bounded as the stopping scale shrinks indicates finite measure at that
 exponent (heuristically: the constant is measured, not proven).  Words stop
-in :meth:`~projdim.semigroup.Frontier.stopping_walk`, one top at a time:
-their count is read from its stop masks and their costs from its states,
-and no word's letters are formed.
+in :meth:`~projdim.semigroup.Frontier.stopping_walk`, depth first over
+blocks of words: their count is read from its stop masks and their costs
+from its states, and no word's letters are formed.
 """
 
 from __future__ import annotations
@@ -162,8 +162,7 @@ def svd_cover_upper(sys: SystemSpec, s: float, delta: float) -> CoverReport:
 
     walk = Frontier(sys)
     word_count = sum(int(np.count_nonzero(stopped))
-                     for masks in walk.stopping_walk(statistic, delta, math.inf)
-                     for stopped in masks)
+                     for stopped in walk.stopping_walk(statistic, delta, math.inf))
     cost = 0.0
     for length in sorted(terms):  # not sum(): from Python 3.12 it rounds differently
         cost += float(np.sum(np.concatenate(terms[length])))

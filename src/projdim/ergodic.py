@@ -158,7 +158,7 @@ def _run_starts(sorted_vals: np.ndarray) -> np.ndarray:
 
 def _plugin_entropy(counts: np.ndarray) -> float:
     qf = counts / counts.sum()
-    return float(-(qf * np.log(qf)).sum())
+    return float(0.0 - (qf * np.log(qf)).sum())  # +0.0 for one cell, where negation gives -0.0
 
 
 def dyadic_entropy(samples, n: int) -> float:

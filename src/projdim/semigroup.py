@@ -3,8 +3,9 @@
 A :class:`SystemSpec` bundles an exact alphabet with a rational probability
 vector and an optional conjugator ``M`` (the system then acts through the
 letters ``M^-1 A M``).  ψ, ξ and the cover stop words in one walk
-(:meth:`Frontier.stopping_walk`), one top letter's subtree at a time; the
-other word-tree walks (:class:`Frontier`) hold one whole level at a time.
+(:meth:`Frontier.stopping_walk`), depth first over blocks of at most
+``_BLOCK_ROWS`` words; the other word-tree walks (:class:`Frontier`) hold
+one whole level at a time.
 """
 
 from __future__ import annotations
@@ -378,6 +379,7 @@ def require_positive_like(sys: SystemSpec, what: str) -> None:
 # the level-by-level word-tree walk
 
 _RESCALE_ABOVE = 2.0 ** 64
+_BLOCK_ROWS = 4096  # the most words one statistic call of a first-passage walk sees
 
 
 class Frontier:
@@ -398,9 +400,9 @@ class Frontier:
     In range every exponent is 0 and no value is touched.
 
     Every word the walk visits counts against the node cap (``visited``),
-    one count over the whole walk, also when :meth:`stopping_walk` takes
-    the tops one at a time; :class:`BudgetExceeded` is raised before a
-    level over the cap is built.
+    one count over the whole walk, also when :meth:`stopping_walk` grows
+    it a block at a time; :class:`BudgetExceeded` is raised before a
+    level or block over the cap is built.
     """
 
     def __init__(self, sys: SystemSpec, tops: Optional[Sequence[int]] = None,
@@ -441,9 +443,9 @@ class Frontier:
                 x[:, over] = np.ldexp(x[:, over], -shift[:, None])
                 e[over] += shift
 
-    def grow(self, keep: Optional[np.ndarray] = None) -> None:
+    def grow(self, keep: Optional[np.ndarray | slice] = None) -> None:
         """Replace the words by their one-letter extensions, in letter order;
-        with ``keep``, only the kept words are extended."""
+        with ``keep`` (a mask or a slice), only the kept words are extended."""
         if keep is not None:
             self._stacks = [x[:, keep] for x in self._stacks]
             self.exps = [e[keep] for e in self.exps]
@@ -470,38 +472,48 @@ class Frontier:
         return r21, r31
 
     def stopping_walk(self, statistic: Callable[["Frontier"], np.ndarray], threshold: float,
-                      max_len: float) -> Iterator[list[np.ndarray]]:
+                      max_len: float) -> list[np.ndarray]:
         """Stop each word where ``statistic(self)`` first drops to ``threshold``.
 
-        The walk goes down the subtree under each top to its end before it
-        starts the next, so it holds one top's level at a time, and yields
-        each top's stop masks when that top is done, one per length over
-        that length's level.  The masks fix the stopped words: the level
-        after a mask extends each of its unstopped words by every letter.
-        ``visited`` runs on across the tops, so the node cap counts the
-        whole walk.  A branch still above the threshold at length
-        ``max_len`` raises :class:`NotContracting`, which names the largest
-        ratio left in that top's level; ``max_len = math.inf`` walks on
-        until every branch stops.
+        The walk goes depth first over blocks of at most ``_BLOCK_ROWS``
+        words; the tops are the first block.  A block's unstopped words are
+        gathered once and grown ``_BLOCK_ROWS // k`` at a time, and each
+        child block is walked to its end before the next is grown, so the
+        walk holds one gathered block per depth, and at every depth the
+        descendants of one block come before those of the next.  It returns
+        one stop mask per length, the blocks' masks in that order: word
+        order over the length's whole level, which extends each unstopped
+        word of the level before by every letter.  ``visited`` counts every
+        block, so the node cap counts the whole walk.  A branch still above
+        the threshold at length ``max_len`` raises :class:`NotContracting`,
+        which names the largest ratio left in its block; ``max_len =
+        math.inf`` walks on until every branch stops.
         """
-        stacks, exps = self._stacks, self.exps
-        for i in range(len(self.tops)):
-            self._stacks = [x[:, i:i + 1] for x in stacks]
-            self.exps = [e[i:i + 1] for e in exps]
-            self.depth = 1
-            masks: list[np.ndarray] = []
-            while True:
-                ratio = statistic(self)
-                stopped = ratio <= threshold
-                masks.append(stopped)
-                if stopped.all():
-                    break
+        rows = max(1, _BLOCK_ROWS // (self._panels[0].shape[1] // 3))
+        tops = self._stacks, self.exps
+        levels: list[list[np.ndarray]] = []  # per length, the blocks' masks in walk order
+        pending = []  # per depth, the gathered unstopped words and the starts left to grow
+        while True:
+            ratio = statistic(self)
+            stopped = ratio <= threshold
+            if len(levels) < self.depth:
+                levels.append([])
+            levels[self.depth - 1].append(stopped)
+            if not stopped.all():
                 if self.depth >= max_len:
                     raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
                                          f"above {threshold:.3g} at depth {max_len}")
-                self.grow(~stopped)
-            yield masks
-        self._stacks, self.exps, self.depth = stacks, exps, 1  # back at the tops
+                going = ~stopped
+                pending.append(([x[:, going] for x in self._stacks], [e[going] for e in self.exps],
+                                self.depth, iter(range(0, np.count_nonzero(going), rows))))
+            while pending and (lo := next(pending[-1][3], None)) is None:
+                pending.pop()
+            if not pending:
+                break
+            self._stacks, self.exps, self.depth, _ = pending[-1]
+            self.grow(slice(lo, lo + rows))
+        self._stacks, self.exps, self.depth = *tops, 1  # back at the tops
+        return [np.concatenate(masks) for masks in levels]
 
     def first_passage(self, statistic: Callable[["Frontier"], np.ndarray], threshold: float,
                       max_len: float) -> WordSet:
@@ -509,24 +521,34 @@ class Frontier:
         (:meth:`stopping_walk`), in the walk's preorder, a word before its
         extensions: lexicographic, as the tops are taken in order and
         :meth:`grow` places each word's extensions next to each other in
-        letter order.  Its width is the largest depth over all tops.
+        letter order.  Its width is the walk's depth.
 
-        Only the stop masks are kept from the walk.  Each top's words are
-        written down the levels: a node covers the next ``size`` rows (its
-        stopped words, counted from the leaves up), and each depth writes its
-        nodes' letters and itself as the length on the rows under them.  The
+        Only the stop masks are kept from the walk.  Each level's mask is
+        split at the tops' boundaries (a top's range on the next level is
+        ``k`` times its unstopped count), and each top's words are written
+        down its levels: a node covers the next ``size`` rows (its stopped
+        words, counted from the leaves up), and each depth writes its nodes'
+        letters and itself as the length on the rows under them.  The
         letters and lengths take the narrowest signed integer types that hold
         -1 and ``k - 1`` (``int8`` up to 128 letters) and the width.
         """
         k = self._panels[0].shape[1] // 3
-        walks = list(self.stopping_walk(statistic, threshold, max_len))
-        total = sum(int(np.count_nonzero(mask)) for masks in walks for mask in masks)
-        width = max(map(len, walks))
+        levels = self.stopping_walk(statistic, threshold, max_len)
+        total = sum(int(np.count_nonzero(mask)) for mask in levels)
+        width = len(levels)
         letters = np.full((total, width), -1, dtype=np.min_scalar_type(-k))
         lengths = np.empty(total, dtype=np.min_scalar_type(-width - 1))
         node_letters = np.arange(k, dtype=letters.dtype)
+        starts = [0] * width  # per length, where the next top's words start
         row = 0
-        for top, masks in zip(self.tops, walks):
+        for top in self.tops:
+            masks, count = [], 1  # this top's masks, and its words on the next level
+            for depth, level in enumerate(levels):
+                if not count:
+                    break
+                masks.append(level[starts[depth]:starts[depth] + count])
+                starts[depth] += count
+                count = k * (count - int(np.count_nonzero(masks[-1])))
             # the stopped words under each node, from the leaves up
             sizes = [masks[-1].astype(np.int64)]
             for stopped in masks[-2::-1]:

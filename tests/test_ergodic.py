@@ -205,6 +205,12 @@ def test_dyadic_entropy_basics():
     assert dyadic_entropy(u, 8) == pytest.approx(8 * math.log(2), abs=0.01)
 
 
+def test_dyadic_entropy_of_one_cell_is_positive_zero():
+    # the entropy of one occupied cell is +0.0, not the negation of a 0.0 sum
+    for vals, n in ((np.full(10, 0.375), 8), (np.zeros(8), 1100)):
+        assert math.copysign(1.0, dyadic_entropy(vals, n)) == 1.0
+
+
 def test_dyadic_entropy_scaling_commutes():
     rng = np.random.default_rng(1)
     x = rng.random(5000) * 3.0

@@ -315,6 +315,29 @@ def test_first_passage_wordset_matches_reference(case, monkeypatch):
     assert all(type(x) is int for w in (ws[0], ws[-1], next(iter(ws))) for x in w.letters)
 
 
+def _cover_bits(sys):
+    rep = svd_cover_upper(sys, 1.75, 1e-3)
+    return rep.cover_cost.hex(), rep.word_count, rep.diagnostics["nodes"]
+
+
+BLOCKED_WALKS = {
+    "psi-gamma2": lambda: _wordset_digest(stopping_partition_psi(rauzy_gamma_system(2), 6)),
+    "psi-gamma10": lambda: _wordset_digest(stopping_partition_psi(rauzy_gamma_system(10), 4)),
+    "xi-gamma2": lambda: _wordset_digest(xi_partition(FRAME, rauzy_gamma_system(2), 6)),
+    "cover-gamma2": lambda: _cover_bits(rauzy_gamma_system(2)),
+}
+
+
+@pytest.mark.parametrize("case", BLOCKED_WALKS)
+def test_first_passage_blocks_equal_one_block(case, monkeypatch):
+    run = BLOCKED_WALKS[case]
+    default = run()
+    monkeypatch.setattr(semigroup, "_BLOCK_ROWS", 1)  # one parent per block
+    assert run() == default
+    monkeypatch.setattr(semigroup, "_BLOCK_ROWS", 10 ** 9)  # one block per level
+    assert run() == default
+
+
 def test_walks_stay_in_float_range():
     sys = SystemSpec.uniform("big", (BIG,))
     # first passages of the xi ratio, checked in exact arithmetic
@@ -500,6 +523,8 @@ def test_psi_holds_its_words_once():
     words, peak = _traced_peak(lambda: stopping_partition_psi(sys, 8))
     # the walk keeps only its stop masks, and each word is written once
     assert peak < words.letters.nbytes + words.lengths.nbytes + 4_000_000
+    # a walk that holds whole levels peaks at 94.5 MB here, one top's level at 7.7 MB
+    assert peak <= 7.7e6
 
 
 def test_wordset_iterates_a_block_at_a_time():
