@@ -198,7 +198,10 @@ class PointCloud:
         elif self.coordinate_system == "simplex_S":
             if pts.ndim != 2 or pts.shape[1] != 3:
                 raise ValueError("simplex_S clouds have three columns")
-            if pts.min() < -1e-15 or np.abs(pts.sum(axis=1) - 1.0).max() > 1e-12:
+            dev = pts.sum(axis=1)  # one temporary, worked in place
+            dev -= 1.0
+            np.abs(dev, out=dev)
+            if pts.min() < -1e-15 or dev.max() > 1e-12:
                 raise ValueError("simplex_S points must be nonnegative and sum to 1")
         else:
             raise ValueError(f"unknown coordinate system {self.coordinate_system!r}")
@@ -270,7 +273,8 @@ def _chaos_homogeneous(sys: SystemSpec, count: int, seed, record=None) -> np.nda
         if t >= 0:
             start = t * chains
             n = min(chains, count - start)
-            block[...] = x.T
+            for i in range(3):  # column copies: a transposed copy is slower
+                block[:, i] = x[i]
             vals = block[:n] if record is None else record(block[:n])
             if out is None:
                 out = np.empty((count,) + vals.shape[1:], dtype=vals.dtype)

@@ -3,9 +3,10 @@
 A :class:`SystemSpec` bundles an exact alphabet with a rational probability
 vector and an optional conjugator ``M`` (the system then acts through the
 letters ``M^-1 A M``).  ψ, ξ and the cover stop words in one walk
-(:meth:`Frontier.stopping_walk`), depth first over blocks of at most
-``_BLOCK_ROWS`` words; the other word-tree walks (:class:`Frontier`) hold
-one whole level at a time.
+(:meth:`Frontier.stopping_walk`), depth first over full blocks of
+``_BLOCK_ROWS // k`` parents taken from per-depth queues of unstopped
+words; the other word-tree walks (:class:`Frontier`) hold one whole level
+at a time.
 """
 
 from __future__ import annotations
@@ -383,7 +384,8 @@ _BLOCK_ROWS = 4096  # the most words one statistic call of a first-passage walk 
 
 
 class Frontier:
-    """The undecided words of one length in a level-by-level word-tree walk.
+    """The undecided words of one length in a level-by-level word-tree walk:
+    a whole level, or in :meth:`stopping_walk` one block of one.
 
     A word is fixed by its place in the tree, so the walk keeps no letters:
     the first letters of its words are ``tops``, and at ``depth > 1`` word
@@ -443,12 +445,8 @@ class Frontier:
                 x[:, over] = np.ldexp(x[:, over], -shift[:, None])
                 e[over] += shift
 
-    def grow(self, keep: Optional[np.ndarray | slice] = None) -> None:
-        """Replace the words by their one-letter extensions, in letter order;
-        with ``keep`` (a mask or a slice), only the kept words are extended."""
-        if keep is not None:
-            self._stacks = [x[:, keep] for x in self._stacks]
-            self.exps = [e[keep] for e in self.exps]
+    def grow(self) -> None:
+        """Replace the words by their one-letter extensions, in letter order."""
         m, k = len(self), self._panels[0].shape[1] // 3
         self.visited += m * k
         check_budget(self.visited)
@@ -475,43 +473,49 @@ class Frontier:
                       max_len: float) -> list[np.ndarray]:
         """Stop each word where ``statistic(self)`` first drops to ``threshold``.
 
-        The walk goes depth first over blocks of at most ``_BLOCK_ROWS``
-        words; the tops are the first block.  A block's unstopped words are
-        gathered once and grown ``_BLOCK_ROWS // k`` at a time, and each
-        child block is walked to its end before the next is grown, so the
-        walk holds one gathered block per depth, and at every depth the
-        descendants of one block come before those of the next.  It returns
-        one stop mask per length, the blocks' masks in that order: word
-        order over the length's whole level, which extends each unstopped
-        word of the level before by every letter.  ``visited`` counts every
-        block, so the node cap counts the whole walk.  A branch still above
-        the threshold at length ``max_len`` raises :class:`NotContracting`,
-        which names the largest ratio left in its block; ``max_len =
-        math.inf`` walks on until every branch stops.
+        The walk grows blocks of ``_BLOCK_ROWS // k`` parents, so each
+        statistic call but at most one per depth sees ``_BLOCK_ROWS // k * k``
+        words; the tops are the first block.  Each depth keeps a queue of its
+        unstopped words, in word order.  The next block grows from the
+        deepest queue that holds a full block of parents, so the walk goes
+        depth first and holds about one block per depth.  When no queue holds
+        one, the shallowest non-empty queue can gain no more words, and its
+        words grow as that depth's one partial block.  It returns one stop
+        mask per length, the blocks' masks in walk order, which is word order
+        over the length's whole level: that level extends each unstopped word
+        of the level before by every letter.  ``visited`` counts every block,
+        so the node cap counts the whole walk.  A branch still above the
+        threshold at length ``max_len`` raises :class:`NotContracting`, which
+        names the largest ratio left in its block; ``max_len = math.inf``
+        walks on until every branch stops.
         """
         rows = max(1, _BLOCK_ROWS // (self._panels[0].shape[1] // 3))
         tops = self._stacks, self.exps
         levels: list[list[np.ndarray]] = []  # per length, the blocks' masks in walk order
-        pending = []  # per depth, the gathered unstopped words and the starts left to grow
+        queues: list[list] = []  # per length, the unstopped words not grown: (stacks, exps) parts
         while True:
             ratio = statistic(self)
             stopped = ratio <= threshold
             if len(levels) < self.depth:
                 levels.append([])
+                queues.append([])
             levels[self.depth - 1].append(stopped)
             if not stopped.all():
                 if self.depth >= max_len:
                     raise NotContracting(f"ratio {ratio[~stopped].max():.3g} still "
                                          f"above {threshold:.3g} at depth {max_len}")
                 going = ~stopped
-                pending.append(([x[:, going] for x in self._stacks], [e[going] for e in self.exps],
-                                self.depth, iter(range(0, np.count_nonzero(going), rows))))
-            while pending and (lo := next(pending[-1][3], None)) is None:
-                pending.pop()
-            if not pending:
+                queues[self.depth - 1].append(([np.compress(going, x, axis=1) for x in self._stacks],
+                                               [e[going] for e in self.exps]))
+            waiting = [sum(len(exps[0]) for _, exps in queue) for queue in queues]
+            left = [depth for depth, count in enumerate(waiting) if count]
+            if not left:
                 break
-            self._stacks, self.exps, self.depth, _ = pending[-1]
-            self.grow(slice(lo, lo + rows))
+            full = [depth for depth in left if waiting[depth] >= rows]
+            depth = full[-1] if full else left[0]
+            self._stacks, self.exps = _take(queues[depth], min(rows, waiting[depth]))
+            self.depth = depth + 1
+            self.grow()
         self._stacks, self.exps, self.depth = *tops, 1  # back at the tops
         return [np.concatenate(masks) for masks in levels]
 
@@ -523,12 +527,13 @@ class Frontier:
         :meth:`grow` places each word's extensions next to each other in
         letter order.  Its width is the walk's depth.
 
-        Only the stop masks are kept from the walk.  Each level's mask is
-        split at the tops' boundaries (a top's range on the next level is
-        ``k`` times its unstopped count), and each top's words are written
-        down its levels: a node covers the next ``size`` rows (its stopped
-        words, counted from the leaves up), and each depth writes its nodes'
-        letters and itself as the length on the rows under them.  The
+        Only the stop masks are kept from the walk, each level's in word
+        order.  Each level's mask is split at the tops' boundaries (a top's
+        range on the next level is ``k`` times its unstopped count), and each
+        top's words are written down its levels: a node covers the next
+        ``size`` rows (its stopped words, counted from the leaves up), and
+        each depth writes its nodes' letters into its column, through the
+        column's view, and itself as the length on the rows under them.  The
         letters and lengths take the narrowest signed integer types that hold
         -1 and ``k - 1`` (``int8`` up to 128 letters) and the width.
         """
@@ -560,11 +565,27 @@ class Frontier:
             deeper = np.ones(len(block), dtype=bool)  # the rows under this depth's nodes
             for depth, (stopped, size) in enumerate(zip(masks, sizes)):
                 nodes = np.tile(node_letters, len(size) // k) if depth else top
-                block[deeper, depth] = np.repeat(nodes, size)
+                block[:, depth][deeper] = np.repeat(nodes, size)
                 lengths[row:row + len(block)][deeper] = depth + 1
                 deeper[deeper] = np.repeat(~stopped, size)
             row += len(block)
         return WordSet(letters, lengths)
+
+
+def _take(queue: list, count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The first ``count`` words of ``queue``, removed from it: the state
+    stacks and exponents of its ``(stacks, exps)`` parts, in word order."""
+    parts = []
+    while count:
+        stacks, exps = queue.pop(0)
+        if len(exps[0]) > count:  # the part's other words stay queued, as views
+            queue.insert(0, ([x[:, count:] for x in stacks], [e[count:] for e in exps]))
+            stacks, exps = [x[:, :count] for x in stacks], [e[:count] for e in exps]
+        parts.append((stacks, exps))
+        count -= len(exps[0])
+    stacks, exps = zip(*parts)
+    return ([np.concatenate(x, axis=1) for x in zip(*stacks)],
+            [np.concatenate(e) for e in zip(*exps)])
 
 
 def _check_range(*ratios: np.ndarray) -> None:

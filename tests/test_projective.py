@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -452,6 +453,21 @@ def test_render_svg_strides_a_large_cloud(tmp_path):
     svg = tmp_path / "big.svg"
     render_svg(PointCloud(pts, "plane_P"), svg)
     assert svg.read_text().count("<circle") == 40_001
+
+
+def test_point_cloud_checks_a_large_simplex_cloud_with_one_temporary():
+    n = 500_000
+    pts = np.random.default_rng(5).uniform(0.1, 1.0, size=(n, 3))
+    pts /= pts.sum(axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        PointCloud(pts, "simplex_S")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float per point; the sum, shift and absolute value as three
+    # temporaries peak at twice that
+    assert peak < 1.5 * 8 * n
 
 
 def test_point_cloud_validation():

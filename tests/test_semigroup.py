@@ -178,6 +178,13 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+def _keep(walk, keep):
+    """Keep only the words ``keep`` (a mask) of ``walk``, as
+    :meth:`Frontier.stopping_walk` keeps the unstopped words it grows."""
+    walk._stacks = [x[:, keep] for x in walk._stacks]
+    walk.exps = [e[keep] for e in walk.exps]
+
+
 def _per_word_grow(states, exps, steps, keep):
     """One level with one ``np.matmul`` per word and step, then the
     power-of-two rescale: the reference for :meth:`Frontier.grow`."""
@@ -230,7 +237,9 @@ def test_grow_matches_per_word_matmul(case):
         for _ in range(depth - 1):
             keep = np.arange(len(walk)) % 3 != 1 if thin else None
             ref = _per_word_grow(walk.states, walk.exps, steps, keep)
-            walk.grow(keep)
+            if thin:
+                _keep(walk, keep)
+            walk.grow()
             assert len(walk.states) == len(ref)
             for x, e, (y, f) in zip(walk.states, walk.exps, ref):
                 assert x.shape == y.shape and (_bits(x) == _bits(y)).all()
@@ -264,7 +273,7 @@ def test_psi_takes_the_root_when_the_bound_reads_zero(m):
 
 def _reference_first_passage(walk, statistic, threshold, max_len):
     """The list-of-tuples first passage: per-level rows, sorted as tuples.
-    It extends its own letter array as ``walk.grow(~stopped)`` extends the
+    It extends its own letter array as the walk grows its unstopped
     words, so it does not read the walk's word order."""
     letters, out = walk.tops[:, None], []
     while True:
@@ -272,7 +281,8 @@ def _reference_first_passage(walk, statistic, threshold, max_len):
         out.extend(tuple(row) for row in letters[stopped].tolist())
         if stopped.all():
             return sorted(out)
-        walk.grow(~stopped)
+        _keep(walk, ~stopped)
+        walk.grow()
         m = np.count_nonzero(~stopped)
         k = len(walk) // m
         letters = np.concatenate([np.repeat(letters[~stopped], k, axis=0),
@@ -334,8 +344,37 @@ def test_first_passage_blocks_equal_one_block(case, monkeypatch):
     default = run()
     monkeypatch.setattr(semigroup, "_BLOCK_ROWS", 1)  # one parent per block
     assert run() == default
+    # partial blocks, and queues of several parts
+    monkeypatch.setattr(semigroup, "_BLOCK_ROWS", 100)
+    assert run() == default
     monkeypatch.setattr(semigroup, "_BLOCK_ROWS", 10 ** 9)  # one block per level
     assert run() == default
+
+
+FULL_BLOCK_WALKS = {
+    "cover": lambda sys: svd_cover_upper(sys, 1.75, 1e-3),
+    "psi": lambda sys: stopping_partition_psi(sys, 8),
+    "xi": lambda sys: xi_partition(FRAME, sys, 8),
+}
+
+
+@pytest.mark.parametrize("case", FULL_BLOCK_WALKS)
+def test_first_passage_blocks_are_full(case, monkeypatch):
+    sys = rauzy_gamma_system(10)
+    full = semigroup._BLOCK_ROWS // len(sys) * len(sys)
+    seen = []  # (depth, words) of each statistic call
+    walk = Frontier.stopping_walk
+
+    def counted(self, statistic, threshold, max_len):
+        def stat(w):
+            seen.append((w.depth, len(w)))
+            return statistic(w)
+        return walk(self, stat, threshold, max_len)
+
+    monkeypatch.setattr(Frontier, "stopping_walk", counted)
+    FULL_BLOCK_WALKS[case](sys)
+    partial = [depth for depth, words in seen if words != full]
+    assert len(seen) > 30 and len(partial) == len(set(partial))
 
 
 def test_walks_stay_in_float_range():
