@@ -11,6 +11,7 @@ precision (large subsystem letters need renormalizing every few steps).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -21,13 +22,16 @@ import numpy as np
 from .errors import BadVector, DegenerateSpectrum, DomainError, WorkerDied
 from .linalg import opnorm_batch
 from .rng import letter_sampler, make_rng
-from .pressure import _WORKERS, DimensionEstimate
+from .pressure import DimensionEstimate
 from .projective import dyadic_cells, frame_for_plane, project_measure_samples
 from .semigroup import SystemSpec, require_positive_like
 
 LOG2 = math.log(2.0)
 _CHAINS = 32  # independent Lyapunov chains; their spread gives the standard errors
 _DRAW_ROWS = 1024  # steps whose letters are drawn at once
+# processes of empirical_delta's plane pool: one per available CPU
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def shannon_entropy(p: Sequence) -> float:

@@ -4,15 +4,15 @@ The pressure of a system at exponent ``s`` is the exponential growth rate
 of the level sums ``sum phi^s`` over all words of a given length; the
 affinity dimension is its unique zero.  Level sums are evaluated from
 cached per-word contraction ratios: products and their exterior squares
-are pushed level by level in float, one matrix product per stack and level
-(:class:`Frontier`), one subtree per orbit representative (below), on one
-thread per available CPU, and each subtree writes its own block of the
-level arrays; after that every evaluation at a new ``s`` is a vectorized
+are pushed in float by one walk (:meth:`Frontier.stopping_walk`) from the
+orbit representatives (below), in blocks of words, one matrix product per
+stack and block, and each block writes its words' ratios into the level
+arrays; after that every evaluation at a new ``s`` is a vectorized
 log-sum-exp over the cached arrays, and each level sum is kept on the
 system too, so a repeated ``(s, n)`` is summed once.  The word order and
 the reduction tree are fixed, so results are bitwise reproducible and do
-not depend on the number of threads.  The truncated zeta series reads the
-same table; the multiplicativity fit walks a pool of short words of its own.
+not depend on the block size.  The truncated zeta series reads the same
+table; the multiplicativity fit walks a pool of short words of its own.
 
 The table keeps one subtree per orbit of the system's exact letter
 symmetries (:attr:`SystemSpec.letter_orbits`, found on the integer
@@ -40,7 +40,6 @@ same order and bit for bit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -57,10 +56,6 @@ from .systems import gamma_letter, positivizing_conjugator
 _PAIR_SAMPLE_CAP = 10_000
 _GAMMA_LABEL = "rauzy-gamma-{}"
 _LN2 = math.log(2.0)
-# threads of the level build: its subtree walks spend their time in numpy
-# calls that release the interpreter lock
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -114,19 +109,6 @@ def _log_ratios(prod: np.ndarray, ext2: np.ndarray, e1: np.ndarray,
     return r21 + (e2 - 2 * e1) * _LN2, r31 - (e1 + e2) * _LN2
 
 
-def _subtree_levels(sys: SystemSpec, top: int, slot: int,
-                    levels: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
-    """Write ``(log(a2/a1), log(a3/a1))`` of the words that start with ``top``
-    into block ``slot``, ``[slot * k**(n-1), (slot + 1) * k**(n-1))``, of each
-    level ``n``; a walk state stands for ``states * 2**exps`` (see :class:`Frontier`)."""
-    walk = Frontier(sys, tops=[top])
-    for n, (la21, la31) in enumerate(levels, start=1):
-        if n > 1:
-            walk.grow()
-        lo, hi = slot * len(walk), (slot + 1) * len(walk)
-        la21[lo:hi], la31[lo:hi] = _log_ratios(*walk.states, *walk.exps)
-
-
 def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-level arrays ``(log(a2/a1), log(a3/a1))`` of the words of length
     1..depth that start with an orbit representative.
@@ -134,12 +116,13 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
     Level ``n`` holds one block of ``k**(n-1)`` words per representative in
     ``sys.letter_orbits.reps``, in lexicographic order, which fixes the
     summation tree; every other word has the singular values of one of
-    these (:class:`LetterOrbits`).  The subtree under each representative is
-    walked on its own (one walk over every top would hold Γ₂₀'s 1.73 M
-    depth-3 states at once), on a pool of ``_WORKERS`` threads, and writes
-    its fixed block of arrays allocated once; the pool only changes the
-    schedule, never the result.  The arrays are kept on the system, one
-    table for the deepest request so far.
+    these (:class:`LetterOrbits`).  One :meth:`Frontier.stopping_walk` from
+    the representatives, in which every word stops at length ``depth``,
+    hands each level over in blocks, in word order, and each block writes
+    its ratios at its level's running offset in arrays allocated once; a
+    walk state stands for ``states * 2**exps`` (see :class:`Frontier`).
+    The arrays are kept on the system, one table for the deepest request
+    so far.
     """
     k = len(sys)
     # the subtrees are full, so the whole walk is checked before any is built
@@ -149,18 +132,20 @@ def _ratio_levels(sys: SystemSpec, depth: int) -> tuple[tuple[np.ndarray, np.nda
         if built >= depth:
             return levels[:depth]
 
-    # cached properties take no lock from Python 3.12 on: build them before the threads
     reps = sys.letter_orbits.reps
-    sys.letters_float, sys.letters_ext2_float
     levels = tuple((np.empty(len(reps) * k ** (n - 1)), np.empty(len(reps) * k ** (n - 1)))
                    for n in range(1, depth + 1))
-    # imported here, not with the module: it loads logging, which only a level build needs
-    from concurrent.futures import ThreadPoolExecutor
+    offsets = [0] * depth  # per length, where the next block's words go
 
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        # reading every result raises the first exception a walk raised
-        list(pool.map(lambda slot: _subtree_levels(sys, reps[slot], slot, levels),
-                      range(len(reps))))
+    def record(walk: Frontier) -> np.ndarray:
+        """Write the block's ratios; its words stop at length ``depth``."""
+        la21, la31 = levels[walk.depth - 1]
+        lo = offsets[walk.depth - 1]
+        hi = offsets[walk.depth - 1] = lo + len(walk)
+        la21[lo:hi], la31[lo:hi] = _log_ratios(*walk.states, *walk.exps)
+        return np.full(len(walk), depth - walk.depth)
+
+    Frontier(sys, tops=reps).stopping_walk(record, 0, depth)
     sys.word_levels.clear()  # every cached table is a prefix of this one
     sys.word_levels[depth] = _read_only(levels)
     return levels

@@ -193,15 +193,16 @@ class PointCloud:
         if self.coordinate_system == "plane_P":
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise ValueError("plane_P clouds have two columns")
-            if pts.min() <= 0:
-                raise ValueError("plane_P coordinates must be positive")
+            # written so that a NaN fails them: every comparison with NaN is false
+            if not (pts.min() > 0 and pts.max() < math.inf):
+                raise ValueError("plane_P coordinates must be positive and finite")
         elif self.coordinate_system == "simplex_S":
             if pts.ndim != 2 or pts.shape[1] != 3:
                 raise ValueError("simplex_S clouds have three columns")
             dev = pts.sum(axis=1)  # one temporary, worked in place
             dev -= 1.0
             np.abs(dev, out=dev)
-            if pts.min() < -1e-15 or dev.max() > 1e-12:
+            if not (pts.min() >= -1e-15 and dev.max() <= 1e-12):
                 raise ValueError("simplex_S points must be nonnegative and sum to 1")
         else:
             raise ValueError(f"unknown coordinate system {self.coordinate_system!r}")

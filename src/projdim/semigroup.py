@@ -2,11 +2,11 @@
 
 A :class:`SystemSpec` bundles an exact alphabet with a rational probability
 vector and an optional conjugator ``M`` (the system then acts through the
-letters ``M^-1 A M``).  ψ, ξ and the cover stop words in one walk
-(:meth:`Frontier.stopping_walk`), depth first over full blocks of
-``_BLOCK_ROWS // k`` parents taken from per-depth queues of unstopped
-words; the other word-tree walks (:class:`Frontier`) hold one whole level
-at a time.
+letters ``M^-1 A M``).  ψ, ξ, the cover and the pressure's word table
+each run one walk (:meth:`Frontier.stopping_walk`), depth first over full
+blocks of ``_BLOCK_ROWS // k`` parents taken from per-depth queues of
+unstopped words; only the multiplicativity fit's pool of short words
+grows whole levels (:meth:`Frontier.grow`).
 """
 
 from __future__ import annotations
@@ -380,12 +380,13 @@ def require_positive_like(sys: SystemSpec, what: str) -> None:
 # the level-by-level word-tree walk
 
 _RESCALE_ABOVE = 2.0 ** 64
-_BLOCK_ROWS = 4096  # the most words one statistic call of a first-passage walk sees
+_BLOCK_ROWS = 4096  # the most words one statistic call of a stopping walk sees
 
 
 class Frontier:
-    """The undecided words of one length in a level-by-level word-tree walk:
-    a whole level, or in :meth:`stopping_walk` one block of one.
+    """The undecided words of one length in a word-tree walk: one block of
+    a level in :meth:`stopping_walk`, the walk of ψ, ξ, the cover and the
+    word table, or a whole level, as the multiplicativity fit grows it.
 
     A word is fixed by its place in the tree, so the walk keeps no letters:
     the first letters of its words are ``tops``, and at ``depth > 1`` word

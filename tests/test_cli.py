@@ -369,6 +369,15 @@ def test_boxdim_past_int64_exits_2(tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
+def test_boxdim_of_a_nan_point_exits_2(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("simplex_S_x,simplex_S_y,simplex_S_z\r\nnan,0.3,0.5\r\n0.2,0.3,0.5\r\n")
+    code, rep = run_cli(["boxdim", "--cloud", str(cloud), "--res", "4:6"], tmp_path)
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == ("projdim: simplex_S points must be nonnegative "
+                                       "and sum to 1\n")
+
+
 def test_boxdim_of_one_point_at_resolutions_past_1023(tmp_path):
     cloud = tmp_path / "cloud.csv"
     save_cloud_csv(PointCloud(np.tile([0.0, 0.0, 1.0], (50, 1)), "simplex_S"), cloud)

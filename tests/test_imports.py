@@ -26,6 +26,17 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def private_imports(source: str) -> list[str]:
+    """Private names (``_name``, not ``__name__``) that ``source`` imports
+    from a module of the package, relatively or as ``projdim.x``; imports
+    inside functions count too."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "projdim")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
 def unread_private_names(sources: list[str]) -> list[str]:
     """Private module-level functions, classes and constants of ``sources``
     (``_name``, not ``__name__``) that no source reads, by name or as an
@@ -87,6 +98,13 @@ def test_the_check_sees_an_unused_import():
         "os", "np", "b"]
 
 
+def test_the_check_sees_a_private_import():
+    source = ("from .a import _b, c, __version__\nfrom projdim.d import _e\n"
+              "from os import _exit\nimport projdim._f\n"
+              "def g():\n    from ..h import _i as j\n")
+    assert private_imports(source) == ["_b", "_e", "_i"]
+
+
 def test_the_check_sees_an_unread_private_name():
     sources = ["_A = 1\n_B: int = 2\n__all__ = []\ndef _f(): pass\nclass _C: pass\n"
                "def g(): return _A\n", "from m import _f\nm._B\n_f()\n"]
@@ -115,6 +133,11 @@ def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_imports_another_modules_private_name(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
 def test_every_private_name_is_read_in_the_package():
     assert unread_private_names([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
 
@@ -129,8 +152,7 @@ def test_every_cached_property_is_read_in_the_package():
 
 
 def test_importing_the_command_line_loads_no_process_pool():
-    # the plane pool and the level build import these when they run: they
-    # would add to every start-up
+    # the plane pool imports these when it runs: they would add to every start-up
     code = ("import sys, projdim, projdim.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures', 'logging'} & set(sys.modules)))")
     src = str(Path(projdim.__file__).resolve().parents[1])

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 from sys import getrefcount
@@ -16,9 +17,9 @@ from projdim.pressure import (
     _PAIR_SAMPLE_CAP,
     _fit_multiplicativity,
     _log_phi,
+    _log_ratios,
     _logsumexp,
     _ratio_levels,
-    _subtree_levels,
     affinity_dimension,
     partition_sum,
     pressure_estimate,
@@ -26,6 +27,7 @@ from projdim.pressure import (
     rauzy_gamma_system,
     zeta_truncated,
 )
+from projdim import semigroup
 from projdim.rng import make_rng
 from projdim.semigroup import Frontier, LetterOrbits, SystemSpec
 from projdim.systems import (
@@ -163,14 +165,14 @@ def test_table_fit_matches_the_pool_walk(make, max_len, sampled):
             assert fit[key] == pytest.approx(ref[key], rel=1e-14)
 
 
-@pytest.mark.parametrize("run, walks, pool", [
-    (lambda sys: pressure_estimate(sys, 1.5, 1), True, 12),
-    (lambda sys: pressure_estimate(sys, 1.5, 3), True, 12),
-    (lambda sys: affinity_dimension(sys), True, 12),
-    (lambda sys: affinity_dimension(sys, n_max=1), True, 12),
-    (lambda sys: pressure_estimate(sys, 0.0, 4), False, 12 + 12 ** 2),  # phi^0 = 1: no table
+@pytest.mark.parametrize("run, table, pool", [
+    (lambda sys: pressure_estimate(sys, 1.5, 1), 2, 12),
+    (lambda sys: pressure_estimate(sys, 1.5, 3), 2 * (1 + 12 + 12 ** 2), 12),
+    (lambda sys: affinity_dimension(sys), 2 * (1 + 12 + 12 ** 2), 12),
+    (lambda sys: affinity_dimension(sys, n_max=1), 2, 12),
+    (lambda sys: pressure_estimate(sys, 0.0, 4), None, 12 + 12 ** 2),  # phi^0 = 1: no table
 ], ids=["pressure-1", "pressure-3", "dimension", "dimension-1", "pressure-s0"])
-def test_pressure_layer_walks_each_top_letter_once(run, walks, pool, monkeypatch):
+def test_pressure_layer_walks_each_top_letter_once(run, table, pool, monkeypatch):
     import projdim.pressure as pressure_mod
 
     real, made = pressure_mod.Frontier, []
@@ -182,8 +184,10 @@ def test_pressure_layer_walks_each_top_letter_once(run, walks, pool, monkeypatch
     monkeypatch.setattr(pressure_mod, "Frontier", frontier)
     sys = rauzy_gamma_system(2)
     run(sys)
-    # the table: one walk per orbit of the letter symmetries, Γ_2's tops 0 and 6
-    assert sorted(tops for tops, _ in made if tops is not None) == ([[0], [6]] if walks else [])
+    # the table: one walk from the orbits' representatives of the letter
+    # symmetries, Γ_2's tops 0 and 6, over each of the table's words once
+    assert [(tuple(tops), walk.visited) for tops, walk in made if tops is not None] == \
+        ([((0, 6), table)] if table else [])
     # the fit: one walk over every top, down to its pool of short words
     assert [walk.visited for tops, walk in made if tops is None] == [pool]
 
@@ -327,45 +331,41 @@ def test_rauzy_dimension_ladder():
     assert est.diagnostics["gate"] == "primitive"
 
 
-def test_partition_sum_independent_of_worker_count(tmp_path, monkeypatch):
+def table_walks(monkeypatch) -> list:
+    """``(system, tops, walk)`` of each word-table walk that ``pressure`` makes from now on."""
     import projdim.pressure as pressure_mod
 
-    runs = []
-    for workers in (1, 2, 4):
-        monkeypatch.setattr(pressure_mod, "_WORKERS", workers)
-        sys = rauzy_gamma_system(2)  # each system builds its own word levels
-        values = [partition_sum(sys, s, n) for s in (0.5, 1.3, 2.5) for n in (3, 2, 1)]
-        out = tmp_path / f"rauzy-{workers}.json"
-        assert main(["rauzy", "--N", "2", "--depth", "2", "--out", str(out)]) == 0
-        tables = [arr.tobytes() for level in sys.word_levels[3] for arr in level]
-        runs.append((tables, values, out.read_bytes()))
-    assert runs[0] == runs[1] == runs[2]
+    real, made = pressure_mod.Frontier, []
+
+    def frontier(sys, **kw):
+        walk = real(sys, **kw)
+        if kw.get("tops") is not None:  # the fit walks from every letter
+            made.append((sys, tuple(kw["tops"]), walk))
+        return walk
+
+    monkeypatch.setattr(pressure_mod, "Frontier", frontier)
+    return made
 
 
 def test_word_levels_are_built_once_and_freed_with_the_system(monkeypatch):
-    import projdim.pressure as pressure_mod
-
-    build = pressure_mod._subtree_levels
-    built = []
-    monkeypatch.setattr(pressure_mod, "_subtree_levels",
-                        lambda sys, top, slot, levels: built.append((top, slot))
-                        or build(sys, top, slot, levels))
+    built = table_walks(monkeypatch)
     sys = rauzy_gamma_system(2)
     first = partition_sum(sys, 1.3, 3)
-    # one subtree per orbit of the letter symmetries, kept in its own block
-    assert sorted(built) == [(0, 0), (6, 1)]
+    # one walk from the orbits' representatives of the letter symmetries, over each word once
+    assert [(tops, walk.visited) for _, tops, walk in built] == [((0, 6), 2 + 24 + 288)]
     assert [len(arr) for level in sys.word_levels[3] for arr in level] == [2, 2, 24, 24, 288, 288]
     assert partition_sum(sys, 1.3, 3) == first
     partition_sum(sys, 0.7, 3)
-    assert len(built) == 2
+    assert len(built) == 1
 
     # depth 4 is built once and replaces depth 3, whose levels are its prefix
     pressure_estimate(sys, 1.5, 4)
-    assert len(built) == 4 and list(sys.word_levels) == [4]
-    assert sorted(built[2:]) == [(0, 0), (6, 1)]
+    assert len(built) == 2 and list(sys.word_levels) == [4]
+    assert (built[1][1], built[1][2].visited) == ((0, 6), 2 + 24 + 288 + 3456)
     assert partition_sum(sys, 1.3, 3) == first
-    assert len(built) == 4
+    assert len(built) == 2
 
+    del built[:]  # it holds the system
     spec, level = weakref.ref(sys), weakref.ref(sys.word_levels[4][-1][0])
     del sys
     gc.collect()
@@ -413,22 +413,20 @@ def test_level_sums_are_summed_once_and_freed_with_the_system(monkeypatch):
 def test_ladder_rungs_are_corners_of_the_top_table(monkeypatch):
     import projdim.pressure as pressure_mod
 
-    make, build = pressure_mod.rauzy_gamma_system, pressure_mod._subtree_levels
-    solve = pressure_mod.affinity_dimension
-    made, built, solved = [], [], []
+    make, solve = pressure_mod.rauzy_gamma_system, pressure_mod.affinity_dimension
+    made, solved = [], []
+    built = table_walks(monkeypatch)
     monkeypatch.setattr(pressure_mod, "rauzy_gamma_system",
                         lambda N: made.append(make(N)) or made[-1])
-    monkeypatch.setattr(pressure_mod, "_subtree_levels",
-                        lambda sys, top, slot, levels: built.append((sys, top))
-                        or build(sys, top, slot, levels))
     monkeypatch.setattr(pressure_mod, "affinity_dimension",
                         lambda sys, **kw: solved.append(sys) or solve(sys, **kw))
     est = rauzy_dimension(4, 3, 1e-3)
     assert [len(sys) for sys in made] == [24]  # the rungs are slices of the top rung
     assert [len(sys) for sys in solved] == [24, 12, 6] and solved[0] is made[0]
-    # one walk per orbit of Γ_4's letter symmetries
-    assert sorted(top for _, top in built) == [0, 6, 12, 18]
-    assert all(sys is made[0] for sys, _ in built)
+    # one walk from the orbits' representatives of Γ_4's letter symmetries
+    assert [(tops, walk.visited) for _, tops, walk in built] == \
+        [((0, 6, 12, 18), 4 * (1 + 24 + 24 ** 2))]
+    assert built[0][0] is made[0]
     assert [step["N"] for step in est.diagnostics["ladder"]] == [1, 2, 4]
 
     for sys in solved[1:]:
@@ -448,13 +446,17 @@ def test_ladder_rungs_are_corners_of_the_top_table(monkeypatch):
 
 
 def walked_table(sys, depth):
-    """The word table with the subtree under every top letter walked, in
-    the full lexicographic order."""
-    k = len(sys)
-    levels = tuple((np.empty(k ** n), np.empty(k ** n)) for n in range(1, depth + 1))
-    for top in range(k):
-        _subtree_levels(sys, top, top, levels)
-    return levels
+    """The word table with the subtree under every top letter walked whole,
+    one level at a time, in the full lexicographic order."""
+    per_top = []
+    for top in range(len(sys)):
+        walk, levels = Frontier(sys, tops=[top]), []
+        for n in range(depth):
+            if n:
+                walk.grow()
+            levels.append(_log_ratios(*walk.states, *walk.exps))
+        per_top.append(levels)
+    return tuple(tuple(np.concatenate(arrs) for arrs in zip(*level)) for level in zip(*per_top))
 
 
 def full_build(sys):
@@ -503,6 +505,43 @@ def test_orbit_weighted_sums_match_the_full_build(make, sizes):
     # the fit does not read the table: its constants do not depend on the symmetries
     for s in (0.75, 1.5, 2.5):
         assert _fit_multiplicativity(sym, s, 2) == _fit_multiplicativity(full, s, 2)
+
+
+LEVEL_TABLES = {
+    "gamma2": (lambda: rauzy_gamma_system(2), 5),
+    "gamma5": (lambda: rauzy_gamma_system(5), 4),
+    "triple9": (triple9_system, 5),
+    "generic": (generic_gamma2, 4),
+}
+
+
+@pytest.mark.parametrize("case", LEVEL_TABLES)
+def test_level_table_blocks_equal_one_block(case, monkeypatch):
+    make, depth = LEVEL_TABLES[case]
+
+    def table():
+        return [arr.view(np.uint64).tobytes() for level in _ratio_levels(make(), depth)
+                for arr in level]
+
+    default = table()
+    # one parent per block; partial blocks and queues of several parts; one block per level
+    for rows in (1, 100, 10 ** 9):
+        monkeypatch.setattr(semigroup, "_BLOCK_ROWS", rows)
+        assert table() == default
+
+
+def test_level_table_build_peaks_under_8_mb():
+    sys = rauzy_gamma_system(5)
+    sys.letters_float, sys.letters_ext2_float, sys.letter_orbits  # set-up, not the build
+    tracemalloc.start()
+    try:
+        levels = _ratio_levels(sys, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.2 MB of table; a whole level per representative walked at once peaked at 20.8 MB
+    assert sum(arr.nbytes for level in levels for arr in level) == 16 * 5 * (1 + 30 + 900 + 27_000)
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("make, depth", [(triple9_system, 4), (generic_gamma2, 3)],

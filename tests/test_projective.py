@@ -477,3 +477,16 @@ def test_point_cloud_validation():
         PointCloud(np.array([[0.5, 0.2, 0.4]]), "simplex_S")
     with pytest.raises(ValueError):
         PointCloud(np.array([[0.5, 0.5]]), "weird")
+
+
+@pytest.mark.parametrize("coords, row", [
+    ("plane_P", [math.nan, 0.3]), ("plane_P", [0.2, math.inf]), ("plane_P", [-math.inf, 0.3]),
+    ("simplex_S", [math.nan, 0.3, 0.5]), ("simplex_S", [0.2, math.nan, 0.8]),
+    ("simplex_S", [math.inf, 0.3, 0.5]),
+], ids=["plane-nan", "plane-inf", "plane-minus-inf", "simplex-nan", "simplex-nan-sum-1",
+        "simplex-inf"])
+def test_point_cloud_refuses_a_point_that_is_not_finite(coords, row):
+    good = [0.2, 0.3] if coords == "plane_P" else [0.2, 0.3, 0.5]
+    PointCloud(np.array([good, good]), coords)
+    with pytest.raises(ValueError, match=coords):
+        PointCloud(np.array([row, good]), coords)
