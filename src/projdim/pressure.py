@@ -436,9 +436,9 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstim
     Runs the estimate along the ladder ``N//4, N//2, N`` so the
     monotone-in-``N`` approximation is visible in the diagnostics; the
     returned value is the ``N`` estimate.  The ``N`` rung runs first and
-    builds the only word table: each smaller rung's system is made of its
-    first letters, exact and conjugated, so that rung's levels are corners
-    of it (see the module docstring).
+    builds the only word table: each smaller rung is the uniform system of
+    Γ_N's first ``6n`` letters and its conjugator, so that rung's levels
+    are corners of it (see the module docstring).
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -450,7 +450,7 @@ def rauzy_dimension(N: int, n_max: int = 3, tol: float = 1e-3) -> DimensionEstim
     ests = {N: final}
     for n in sorted({max(1, N // 4), max(1, N // 2)} - {N}, reverse=True):
         # Γ_N's letters, whose conjugates are already checked for negative entries
-        sys = top.first_letters(6 * n, _GAMMA_LABEL.format(n))
+        sys = SystemSpec.uniform(_GAMMA_LABEL.format(n), top.alphabet[:6 * n], top.conjugator)
         sys.word_levels[n_max] = _corner_levels(top, sys, n_max)
         ests[n] = affinity_dimension(sys, tol=tol, n_max=n_max)
     diagnostics = dict(final.diagnostics)

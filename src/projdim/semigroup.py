@@ -120,15 +120,6 @@ class SystemSpec:
         return cls(label, tuple(alphabet), tuple(Fraction(1, k) for _ in range(k)),
                    conjugator)
 
-    def first_letters(self, m: int, label: str) -> "SystemSpec":
-        """The uniform system of the first ``m`` letters, with the same
-        conjugator; its acting letters are sliced from this system's, not
-        conjugated again."""
-        sub = SystemSpec.uniform(label, self.alphabet[:m], self.conjugator)
-        exact = self.letters_exact
-        vars(sub)["letters_exact"] = lowest_terms(exact.den, exact.num[:m])
-        return sub
-
     @cached_property
     def alphabet_exact(self) -> IntegerStack:
         """The alphabet ``A`` as an :class:`IntegerStack` ``N_A / D_A``."""
