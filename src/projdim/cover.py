@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, FloatRange, TooFewScales
 from .pressure import DimensionEstimate
-from .projective import PointCloud, attractor_points, dyadic_cells
+from .projective import PointCloud, attractor_points, dyadic_cells, dyadic_resolution
 from .semigroup import Frontier, SystemSpec, require_positive_like
 
 _PROBES = 16  # circle points mapped per probe ball by cone_constant
@@ -180,9 +180,10 @@ def box_dimension_estimate(cloud: PointCloud,
     """Least-squares slope of log box counts against dyadic resolution.
 
     Resolutions whose occupancy exceeds a tenth of the cloud are dropped as
-    sample-limited; at least two scales must survive.
+    sample-limited; at least two scales must survive.  Raises
+    :class:`DomainError` for a resolution that is not an integer.
     """
-    resolutions = sorted(set(int(r) for r in resolutions))
+    resolutions = sorted(set(map(dyadic_resolution, resolutions)))
     if len(resolutions) < 3:
         raise TooFewScales("need at least three resolutions")
     pts = cloud.points[:, :2]

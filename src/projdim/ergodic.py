@@ -115,11 +115,12 @@ def lyapunov_dimension(entropy: float, stats: LyapunovStats) -> float:
     Piecewise in the entropy: a ratio against the top gap up to dimension
     one, then one plus the excess against the full gap, saturating at two.
     """
-    if entropy < 0:
-        raise DomainError("entropy must be nonnegative")
+    # written so that NaN fails both checks
+    if not 0.0 <= entropy < math.inf:
+        raise DomainError(f"entropy must be nonnegative and finite, got {entropy}")
     g12 = stats.chi1 - stats.chi2
     g13 = stats.chi1 - stats.chi3
-    if g12 <= 0 or stats.chi2 - stats.chi3 <= 0:
+    if not (g12 > 0 and stats.chi2 - stats.chi3 > 0):
         raise DegenerateSpectrum(f"need chi1 > chi2 > chi3, got {stats.chis}")
     if entropy <= g12:
         return min(2.0, entropy / g12)
@@ -174,12 +175,13 @@ def dyadic_entropy(samples, n: int) -> float:
     samples it rounds below the normal range: ``-5e-324 * 2^-1`` is
     ``-0.0``, which leaves cell ``-1`` for cell ``0``.  Raises
     ``FloatRange`` once ``max |v| * 2^n`` reaches ``2^63``, where the cell
-    indices would leave ``int64``.
+    indices would leave ``int64``, and ``BadVector`` for samples that are
+    not one nonempty axis of values (points' coordinates are not pooled).
     """
     vals = np.asarray(samples, dtype=float)
-    if vals.size == 0:
-        raise BadVector("dyadic_entropy needs samples")
-    return _plugin_entropy(_cell_counts(dyadic_cells(vals, n).ravel())[1])
+    if vals.ndim != 1 or vals.size == 0:
+        raise BadVector(f"dyadic_entropy needs a nonempty 1-d sample, got shape {vals.shape}")
+    return _plugin_entropy(_cell_counts(dyadic_cells(vals, n))[1])
 
 
 def _entropy_slope(cells: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,12 +212,23 @@ class PointCloud:
         return len(self.points)
 
 
+def dyadic_resolution(n) -> int:
+    """The resolution ``n`` of dyadic cells as a Python int; raises
+    :class:`DomainError` for anything that is not an integer, such as 8.5."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"a dyadic resolution must be an integer, got {n!r}") from None
+
+
 def dyadic_cells(vals: np.ndarray, n: int) -> np.ndarray:
     """``floor(vals * 2^n)`` as ``int64``: the dyadic cells of side ``2^-n``.
 
     All-zero values lie in cell 0 at every ``n``.  Raises
-    :class:`FloatRange` when a cell would leave ``int64``.
+    :class:`FloatRange` when a cell would leave ``int64``, and
+    :class:`DomainError` for a resolution that is not an integer.
     """
+    n = dyadic_resolution(n)
     top = float(np.abs(vals).max())
     if top == 0.0:
         return np.zeros(vals.shape, dtype=np.int64)

@@ -263,6 +263,15 @@ def test_box_counts_past_int64_raise_float_range():
         box_dimension_estimate(cloud, [1100, 1101, 1102])  # 2.0 ** 1100 is not a float
 
 
+def test_box_dimension_resolutions_must_be_integers():
+    cloud = PointCloud(np.full((10, 2), 0.25), "plane_P")
+    with pytest.raises(DomainError):  # once truncated to 3, 4, 5, 6
+        box_dimension_estimate(cloud, [3.7, 4.2, 5.9, 6.5])
+    est = box_dimension_estimate(cloud, np.arange(3, 7))
+    assert est.diagnostics["resolutions"] == [3, 4, 5, 6]
+    assert all(type(n) is int for n in est.diagnostics["resolutions"] + est.diagnostics["used"])
+
+
 def test_box_dimension_too_few_scales():
     cloud = PointCloud(np.full((10, 2), 0.25), "plane_P")
     with pytest.raises(TooFewScales):

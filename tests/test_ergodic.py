@@ -181,6 +181,16 @@ def test_lyapunov_dimension_degenerate():
         lyapunov_dimension(-1.0, _stats(1.0, 0.0, -1.0))
 
 
+def test_lyapunov_dimension_refuses_nan_and_infinity():
+    stats = _stats(0.0, -0.5, -1.0)
+    for entropy in (math.nan, math.inf):  # NaN once fell through to the saturated 2.0
+        with pytest.raises(DomainError):
+            lyapunov_dimension(entropy, stats)
+    for chis in [(math.nan, -0.5, -1.0), (0.0, math.nan, -1.0), (0.0, -0.5, math.nan)]:
+        with pytest.raises(DegenerateSpectrum):
+            lyapunov_dimension(1.0, _stats(*chis))
+
+
 def test_furstenberg_singleton_converges_to_contracting_axis():
     sys = SystemSpec.uniform("d9", (Matrix3.diagonal(9, 1, F(1, 9)),))
     n = furstenberg_plane_sample(sys, 200, seed=0)
@@ -252,7 +262,8 @@ def test_dyadic_entropy_scaling_that_underflows():
 def test_entropy_slope_equals_two_entropies(vals):
     for n in (5, 6, 10, 12):
         cells = dyadic_cells(vals, n).ravel()
-        assert _entropy_slope(cells) == dyadic_entropy(vals, n) - dyadic_entropy(vals, n - 4)
+        flat = vals.ravel()  # dyadic_entropy takes one axis of values
+        assert _entropy_slope(cells) == dyadic_entropy(flat, n) - dyadic_entropy(flat, n - 4)
 
 
 def test_dyadic_entropy_raises_when_cells_leave_int64():
@@ -277,6 +288,24 @@ def test_dyadic_cells_past_float_range_of_the_scale():
     assert dyadic_cells(np.array([0.0, 5e-324, -5e-324]), 1100).tolist() == [0, 2 ** 26, -2 ** 26]
     with pytest.raises(FloatRange):
         dyadic_cells(np.array([0.0, 2.0 ** -1036]), 1100)
+
+
+def test_dyadic_entropy_refuses_points_and_scalars():
+    # three points in three cells: pooling their six coordinates read log 2
+    with pytest.raises(BadVector):
+        dyadic_entropy(np.array([[0.1, 0.9], [0.1, 0.2], [0.6, 0.9]]), 1)
+    with pytest.raises(BadVector):
+        dyadic_entropy(0.5, 1)
+
+
+def test_dyadic_resolution_must_be_an_integer():
+    x = np.linspace(0.0, 1.0, 100)
+    for n in (8.5, 8.0, "8"):
+        with pytest.raises(DomainError):
+            dyadic_entropy(x, n)
+        with pytest.raises(DomainError):
+            dyadic_cells(x, n)
+    assert dyadic_entropy(x, np.int64(8)) == dyadic_entropy(x, 8)
 
 
 def test_dyadic_entropy_bounded_by_occupancy():

@@ -93,6 +93,18 @@ def unread_cached_properties(package: list[str]) -> list[str]:
     return [f"{cls}.{name}" for cls, name in defined if name not in read]
 
 
+def instance_dict_writes(source: str) -> list[str]:
+    """Assignments and deletions in ``source`` whose target is an item of
+    ``vars(obj)`` or ``obj.__dict__``, unparsed; reads do not count."""
+    def instance_dict(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                or isinstance(node, ast.Call) and ast.unparse(node.func) == "vars")
+
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+            and instance_dict(node.value)]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nimport numpy as np\nfrom a import b, c\nc()\n") == [
         "os", "np", "b"]
@@ -128,6 +140,14 @@ def test_the_check_sees_an_unread_cached_property():
     assert unread_cached_properties(package) == ["S.c"]
 
 
+def test_the_check_sees_a_write_into_an_instance_dict():
+    source = ("vars(a)['x'] = 1\nb.__dict__['y'] += 2\nc.d.__dict__['z']: int = 3\n"
+              "del vars(e)['w']\nf = vars(args)['g']\nh = {**vars(args)}\nvars(i)\n"
+              "j['k'] = 4\n")
+    assert instance_dict_writes(source) == [
+        "vars(a)['x']", "b.__dict__['y']", "c.d.__dict__['z']", "vars(e)['w']"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -136,6 +156,12 @@ def test_every_module_level_import_is_used(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.stem for p in PACKAGE])
+def test_no_module_writes_into_an_instance_dict(path):
+    # a cached property is then only ever computed by its own getter
+    assert instance_dict_writes(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_private_name_is_read_in_the_package():
