@@ -69,8 +69,8 @@ def validate_report(doc: dict) -> None:
 
 
 def _emit(report: dict, out: str | None) -> None:
-    # a non-finite float is not JSON: fail here rather than write one
-    text = json.dumps(report, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n"
+    # a non-finite float or any other non-JSON value fails here rather than being written
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:

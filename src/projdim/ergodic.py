@@ -36,7 +36,8 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def shannon_entropy(p: Sequence) -> float:
     """``-sum p_i log p_i`` in nats of exact rationals (floats are read
-    exactly); rejects non-probability vectors."""
+    exactly); rejects non-probability vectors.  A ``p_i`` whose float is 0.0
+    adds nothing (its term is below the float range); a point mass gives 0.0."""
     vals = [Fraction(x) for x in p]
     if not vals:
         raise BadVector("empty probability vector")
@@ -44,7 +45,7 @@ def shannon_entropy(p: Sequence) -> float:
         raise BadVector("probabilities must sum to 1")
     if any(x <= 0 for x in vals):
         raise BadVector("probabilities must be strictly positive")
-    return -math.fsum(float(x) * math.log(float(x)) for x in vals)
+    return 0.0 - math.fsum(f * math.log(f) for f in map(float, vals) if f > 0.0)
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,8 @@ def lyapunov_dimension(entropy: float, stats: LyapunovStats) -> float:
         raise DomainError(f"entropy must be nonnegative and finite, got {entropy}")
     g12 = stats.chi1 - stats.chi2
     g13 = stats.chi1 - stats.chi3
-    if not (g12 > 0 and stats.chi2 - stats.chi3 > 0):
-        raise DegenerateSpectrum(f"need chi1 > chi2 > chi3, got {stats.chis}")
+    if not (0 < g12 < math.inf and 0 < stats.chi2 - stats.chi3 and g13 < math.inf):
+        raise DegenerateSpectrum(f"need chi1 > chi2 > chi3 with finite gaps, got {stats.chis}")
     if entropy <= g12:
         return min(2.0, entropy / g12)
     if entropy <= g12 + g13:

@@ -8,9 +8,9 @@ Gram singular values, i.e. the largest eigenvalue of the Gram matrices of
 cubic), combined with the exact determinant.  That route keeps all three
 values accurate to near machine precision even for badly conditioned
 products, which an eigen-decomposition of ``A^T A`` alone cannot do for the
-small values.  A stack of exact matrices can also be held as one common
-denominator over Python-int numerators (:class:`IntegerStack`), whose
-products, adjugates and determinants stay exact without a ``Fraction``.
+small values.  It reads ``A`` as Python-int numerators ``N`` over one common
+denominator ``D`` (:class:`IntegerStack`), so its exterior square is
+``ext2(N) / D**2`` and its determinant ``det N / D**3``, exact without a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ Rational = Fraction | int | str
 def _as_fraction(x: Rational) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
 
@@ -144,36 +142,32 @@ class SvTriple:
         return self.a2 / self.a1, self.a3 / self.a1
 
 
-def _pow2(e: int) -> Fraction:
-    """The exact rational ``2**e`` for any integer ``e``."""
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
-
-
-def _range_exponent(x: Fraction) -> int:
-    """An exponent ``e`` with ``2**-1 < |x| * 2**-e < 2**65`` for ``x != 0``,
-    read exactly from the bit lengths; ``e = 0`` whenever
-    ``2**-64 <= |x| < 2**64``."""
-    b = abs(x.numerator).bit_length() - x.denominator.bit_length()
+def _range_exponent(num: int, den: int) -> int:
+    """An exponent ``e`` with ``2**-1 < |num / den| * 2**-e < 2**65`` for
+    ``num != 0``, read exactly from the bit lengths of ``num / den`` in lowest
+    terms; ``e = 0`` whenever ``2**-64 <= |num / den| < 2**64``."""
+    g = math.gcd(num, den)
+    b = (num // g).bit_length() - (den // g).bit_length()
     return b - 64 if b > 64 else b if b < -64 else 0
 
 
-def _scaled_float(x: Fraction, e: int) -> float:
-    """The float nearest to ``x * 2**-e``."""
-    return float(x if e == 0 else x * _pow2(-e))
+def _scaled(num, den: int, e: int):
+    """``num / den * 2**-e`` for an int or int object stack, rounded once per value."""
+    return num / (den << e) if e >= 0 else (num << -e) / den
 
 
-def _scaled_norm(a: Matrix3) -> tuple[float, int]:
-    """``(n, e)`` with spectral norm ``n * 2**e``, from the float view of
-    ``a * 2**-e``, so the norm kernel (:func:`opnorm_batch`) stays in
-    float range.
+def _scaled_norm(num: np.ndarray, den: int) -> tuple[float, int]:
+    """``(n, e)`` with spectral norm ``n * 2**e`` of ``num / den`` (a (3, 3)
+    int object array over a positive int), from the float view of
+    ``num / den * 2**-e``, so :func:`opnorm_batch` stays in float range.
 
     The kernel's closed-form root loses digits as the two largest singular
     values meet (about 1e-15 relative over their relative gap, until its
     guard takes over below a 1e-4 gap), so below a 1e-2 gap the norm is
     LAPACK's largest eigenvalue of the Gram matrix instead.
     """
-    e = _range_exponent(max(abs(x) for row in a.entries for x in row))
-    view = a.float_view if e == 0 else a.scale(_pow2(-e)).float_view
+    e = _range_exponent(max(map(abs, num.ravel().tolist())), den)
+    view = _scaled(num, den, e).astype(float)
     s2, s1 = np.sqrt(np.maximum(np.linalg.eigvalsh(view.T @ view)[1:], 0.0))
     if s1 - s2 < 1e-2 * s1:
         return float(s1), e
@@ -186,7 +180,8 @@ def operator_norm(a: Matrix3) -> float:
     Raises :class:`FloatRange` when a nonzero norm overflows or underflows
     a float.
     """
-    n, e = _scaled_norm(a)
+    den, (num,) = integer_stack([a])
+    n, e = _scaled_norm(num, den)
     try:
         norm = math.ldexp(n, e)
     except OverflowError:
@@ -194,6 +189,20 @@ def operator_norm(a: Matrix3) -> float:
     if norm == 0.0 and n != 0.0:
         raise FloatRange("the operator norm is outside the float range")
     return norm
+
+
+def _scaled_parts(a: Matrix3, name: str) -> tuple[float, int, float, int, float, int]:
+    """``(n1, e1, n2, e2, nd, ed)``: the norms of ``a = num / den`` and of its
+    exterior square ``ext2_batch(num) / den**2`` are ``n1 * 2**e1`` and
+    ``n2 * 2**e2``, and ``|det a| = |det_stack(num)| / den**3 = nd * 2**ed``.
+    Raises :class:`SingularInput`, naming ``name``, when ``det a == 0``."""
+    den, (num,) = integer_stack([a])
+    d, den3 = abs(det_stack(num)), den ** 3
+    if d == 0:
+        raise SingularInput(f"{name} of an exactly singular matrix")
+    ed = _range_exponent(d, den3)
+    return (*_scaled_norm(num, den), *_scaled_norm(ext2_batch(num), den * den),
+            _scaled(d, den3, ed), ed)
 
 
 def singular_values(a: Matrix3) -> SvTriple:
@@ -209,16 +218,11 @@ def singular_values(a: Matrix3) -> SvTriple:
     value overflows or underflows a float, and emits :class:`PrecisionLoss`
     once ``a1/a3 > 1e12``.
     """
-    d = a.det
-    if d == 0:
-        raise SingularInput("singular values of an exactly singular matrix")
-    n1, e1 = _scaled_norm(a)
-    n2, e2 = _scaled_norm(exterior_square(a))  # a1*a2 = n2 * 2**e2
-    ed = _range_exponent(d)
+    n1, e1, n2, e2, nd, ed = _scaled_parts(a, "singular values")  # a1*a2 = n2 * 2**e2
     try:
         a1 = math.ldexp(n1, e1)
         a2 = min(math.ldexp(n2 / n1, e2 - e1), a1)
-        a3 = min(math.ldexp(_scaled_float(abs(d), ed) / n2, ed - e2), a2)
+        a3 = min(math.ldexp(nd / n2, ed - e2), a2)
     except OverflowError:
         a3 = 0.0
     if a3 == 0.0:
@@ -260,16 +264,11 @@ def svf_via_norms(a: Matrix3, s: float) -> float:
     """
     if not (0.0 <= s <= 2.0):
         raise DomainError("svf_via_norms is defined for s in [0, 2]")
-    d = a.det
-    if d == 0:
-        raise SingularInput("svf_via_norms of an exactly singular matrix")
-    n1, e1 = _scaled_norm(a)
-    n2, e2 = _scaled_norm(exterior_square(a))
+    n1, e1, n2, e2, nd, ed = _scaled_parts(a, "svf_via_norms")
     r21 = math.ldexp(n2 / n1 ** 2, e2 - 2 * e1)
     if s <= 1.0:
         return r21 ** s
-    ed = _range_exponent(d)
-    r31 = math.ldexp(_scaled_float(abs(d), ed) / (n1 * n2), ed - e1 - e2)
+    r31 = math.ldexp(nd / (n1 * n2), ed - e1 - e2)
     return r21 * r31 ** (s - 1.0)
 
 

@@ -108,7 +108,7 @@ def system_from_dict(doc: dict) -> SystemSpec:
         alphabet = tuple(Matrix3.from_rows(m) for m in doc["matrices"])
         probs = tuple(Fraction(p) for p in doc["probabilities"])
         conj = Matrix3.from_rows(doc["conjugator"]) if "conjugator" in doc else None
-    except TypeError as exc:  # a number or null where an exact entry or a row belongs
+    except (TypeError, OverflowError) as exc:  # a number or null entry or row; an infinity
         raise ValueError(f"malformed system file: {exc}") from None
     return SystemSpec(doc["label"], alphabet, probs, conj)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import projdim
-from projdim.cli import main, validate_report
+from projdim.cli import _emit, main, validate_report
 from projdim.errors import SingularInput
 from projdim.linalg import Matrix3
 from projdim.pressure import rauzy_gamma_system
@@ -173,6 +173,12 @@ def test_exit_codes(tmp_path, capsys):
         [[1.5, 0, 0], [0, 1, 0], [0, 0, 1]]]}))
     assert main(["check", "--system", str(malformed)]) == 2
     assert "projdim: malformed system file" in capsys.readouterr().err
+    # Python's json reads Infinity, which no exact probability is
+    for inf in (math.inf, -math.inf):
+        malformed.write_text(json.dumps({"label": "x", "probabilities": [inf], "matrices": [
+            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]}))
+        assert main(["check", "--system", str(malformed)]) == 2
+        assert "projdim: malformed system file" in capsys.readouterr().err
     malformed.write_text("5")  # not a JSON object
     assert main(["check", "--system", str(malformed)]) == 2
     empty = tmp_path / "empty.csv"
@@ -265,10 +271,36 @@ def test_unbounded_values_are_written_as_null(tmp_path, make, command, path, unb
     assert value == unbounded
 
 
+def test_reports_refuse_values_that_are_not_json(tmp_path):
+    # nothing is written as its str: a Fraction fails, as a non-finite float does
+    out = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        _emit({"result": {"entry_ratio": Fraction(1, 3)}}, str(out))
+    with pytest.raises(ValueError):
+        _emit({"result": {"entropy": math.inf}}, str(out))
+    assert not out.exists()
+
+
+_TINY = Fraction(1, 10 ** 400)
+
+
+@pytest.mark.parametrize("probs", [(Fraction(1),), (_TINY, 1 - _TINY)],
+                         ids=["point-mass", "probability-below-float-range"])
+def test_check_entropy_of_extreme_probabilities(tmp_path, probs):
+    # a point mass was written as -0.0, and a probability whose float is 0.0 exited 2
+    save_system(SystemSpec("x", rauzy_alphabet()[:len(probs)], probs), tmp_path / "sys.json")
+    code, rep = run_cli(["check", "--system", str(tmp_path / "sys.json"), "--depth", "2"],
+                        tmp_path)
+    assert code == 0
+    entropy = rep["result"]["entropy"]
+    assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
+
 @pytest.mark.parametrize("extra", [
     ["--planes", "0"],
     ["--samples", "0"],
     ["--samples", "-5"],
+    ["--res", "4"],  # below the smallest resolution, 5
     ["--res", "70"],  # floor(v * 2^70) leaves int64
     ["--res", "1100"],  # 2.0 ** 1100 is not a float
 ])

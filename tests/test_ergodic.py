@@ -51,6 +51,14 @@ def test_shannon_entropy_values():
     assert shannon_entropy([0.5, 0.25, 0.25]) == shannon_entropy([F(1, 2), F(1, 4), F(1, 4)])
 
 
+def test_shannon_entropy_of_a_point_mass_and_of_a_probability_below_the_float_range():
+    # a point mass once gave -0.0, and a valid probability whose float is 0.0 a domain error
+    assert math.copysign(1.0, shannon_entropy([F(1)])) == 1.0
+    tiny = F(1, 10 ** 400)
+    assert math.copysign(1.0, shannon_entropy([tiny, 1 - tiny])) == 1.0
+    assert shannon_entropy([tiny, F(1, 2) - tiny, F(1, 2)]) == shannon_entropy([F(1, 2)] * 2)
+
+
 def test_shannon_entropy_rejects_bad_vectors():
     with pytest.raises(BadVector):
         shannon_entropy([])
@@ -186,7 +194,9 @@ def test_lyapunov_dimension_refuses_nan_and_infinity():
     for entropy in (math.nan, math.inf):  # NaN once fell through to the saturated 2.0
         with pytest.raises(DomainError):
             lyapunov_dimension(entropy, stats)
-    for chis in [(math.nan, -0.5, -1.0), (0.0, math.nan, -1.0), (0.0, -0.5, math.nan)]:
+    # an infinite exponent once gave 0.0 or 1.0, and so did a gap that overflows
+    for chis in [(math.nan, -0.5, -1.0), (0.0, math.nan, -1.0), (0.0, -0.5, math.nan),
+                 (math.inf, 0.0, -1.0), (0.0, -0.5, -math.inf), (1e308, 0.0, -1e308)]:
         with pytest.raises(DegenerateSpectrum):
             lyapunov_dimension(1.0, _stats(*chis))
 

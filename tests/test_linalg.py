@@ -384,6 +384,46 @@ def test_exact_path_norms_at_near_repeated_top_singular_value(diag):
         np.testing.assert_allclose([sv.a1, sv.a2, sv.a3], ref, rtol=1e-14, atol=0)
 
 
+_FRACTION_DUNDERS = ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv",
+                     "floordiv", "rfloordiv", "mod", "rmod", "divmod", "rdivmod", "pow", "rpow",
+                     "neg", "pos", "abs", "bool", "eq", "lt", "le", "gt", "ge")
+
+
+def test_exact_path_takes_no_fraction_arithmetic(monkeypatch):
+    # inputs and expected values first: Rauzy products in and past the unscaled
+    # float range, a tiny diagonal, large rational entries and a singular matrix
+    alphabet, p, mats = rauzy_alphabet(), Matrix3.identity(), []
+    for n in range(1, 301):
+        p = mat_mul(p, alphabet[n % 3])
+        if n in (3, 40, 300):
+            mats.append(p)
+    mats.append(Matrix3.diagonal(F(1, 10 ** 60), F(2, 10 ** 60), F(3, 10 ** 60)))
+    mats.append(Matrix3.from_rows([[F(7 ** 50, 3 ** 40), F(-2, 11 ** 30), 5],
+                                   [F(1, 13), F(5 ** 60, 17 ** 20), F(3, 2)],
+                                   [0, F(-1, 19 ** 45), F(23 ** 25, 29)]]))
+    singular = Matrix3.from_rows([[1, 2, 3], [2, 4, 6], [F(1, 3), 0, 1]])
+
+    def values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionLoss)
+            return [(singular_values(a), operator_norm(a), svf(a, 0.7), svf(a, 1.5),
+                     svf_via_norms(a, 0.3), svf_via_norms(a, 1.5)) for a in mats]
+
+    expected = values()
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on the exact singular-value path")
+
+    for name in _FRACTION_DUNDERS:
+        monkeypatch.setattr(F, f"__{name}__", refuse)
+    assert values() == expected
+    assert operator_norm(singular) > 0.0
+    with pytest.raises(SingularInput):
+        singular_values(singular)
+    with pytest.raises(SingularInput):
+        svf_via_norms(singular, 1.0)
+
+
 def test_operator_norm_of_a_repeated_top_singular_value():
     assert abs(operator_norm(Matrix3.diagonal(1, 3, 3)) - 3.0) <= 2 * math.ulp(3.0)
     assert abs(operator_norm(Matrix3.diagonal(F(1, 5), 5, 5)) - 5.0) <= 2 * math.ulp(5.0)
